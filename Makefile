@@ -1,6 +1,7 @@
 # Development targets for the ASBR reproduction. `make ci` is what the
 # CI workflow runs: vet, build, race-enabled tests, a 1-iteration
-# benchmark smoke, a fault-injection smoke, a serving-layer smoke and
+# benchmark smoke, the benchmark module's vet and tests, a
+# fault-injection smoke, a serving-layer smoke and
 # load check, the branch-predictability smoke, the corpus
 # differential-replay gate, and short fuzz
 # smokes of the assembler round-trip, the fault-plan grammar and the
@@ -12,7 +13,7 @@ FAULT_FUZZTIME ?= 2m
 CORPUS_FUZZTIME ?= 2m
 CORPUS_ENTRIES ?= 30
 
-.PHONY: all build vet test race bench bench-check bench-smoke fault-smoke serve-smoke cluster-smoke dse-smoke trace-smoke predict-smoke corpus-check loadgen fuzz-smoke fuzz-fault fuzz-corpus tables ci clean
+.PHONY: all build vet test race bench bench-check bench-smoke bench-module fault-smoke serve-smoke cluster-smoke dse-smoke trace-smoke predict-smoke corpus-check loadgen fuzz-smoke fuzz-fault fuzz-corpus tables ci clean
 
 all: build
 
@@ -49,6 +50,12 @@ bench-check:
 # bench harness without paying for a full measurement run.
 bench-smoke:
 	$(GO) test -bench=Fig6 -benchtime=1x -run '^$$' .
+
+# The repository benchmark (benchmark/) is its own Go module, so the
+# root `go build ./...` never compiles it: vet and test it here, so an
+# internal API change that breaks the benchmark build fails CI.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Reliability table at a small sample count: the clean control must not
 # diverge and every injected corruption must be caught (nonzero exit on
@@ -128,7 +135,7 @@ fuzz-corpus:
 tables:
 	$(GO) run ./cmd/asbr-tables
 
-ci: vet build race bench-smoke fault-smoke serve-smoke cluster-smoke dse-smoke trace-smoke predict-smoke corpus-check loadgen fuzz-smoke fuzz-fault fuzz-corpus
+ci: vet build race bench-smoke bench-module fault-smoke serve-smoke cluster-smoke dse-smoke trace-smoke predict-smoke corpus-check loadgen fuzz-smoke fuzz-fault fuzz-corpus
 
 clean:
 	$(GO) clean ./...

@@ -326,21 +326,6 @@ func BenchmarkSweepParallel(b *testing.B) {
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
 }
 
-// BenchmarkSimulatorThroughput measures the raw simulator speed
-// (simulated cycles per wall second) on the heaviest workload.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	bu := buildBench(b, workload.G721Encode)
-	var cycles uint64
-	for i := 0; i < b.N; i++ {
-		res, err := workload.Run(bu.prog, platform(predict.BaselineBimodal()), bu.in, benchSamples)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles = res.Stats.Cycles
-	}
-	b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds(), "sim_cycles/s")
-}
-
 // BenchmarkExtensionRAS measures the return-address-stack extension on
 // the call-heavy G.721 encoder (an optional feature beyond the paper's
 // platform; the metric pair shows the cycles it saves).

@@ -2,11 +2,11 @@ package cpu
 
 // Caps is the capability vocabulary of the engine-selection API: each
 // field names one way a caller can demand cycle-by-cycle visibility
-// into (or influence over) the pipeline. The superblock engine
-// batch-advances straight-line regions without materializing per-cycle
-// pipeline state, so it can honor none of them — any set capability
-// makes SelectEngine fall back to the fast per-cycle engine, which
-// supports them all.
+// into (or influence over) the pipeline. The superblock engine's fused
+// loop batch-advances straight-line regions without running the
+// per-cycle stages' hooks, so it can honor none of them — any set
+// capability makes SelectEngine fall back to the fast engine, whose
+// per-cycle stages support them all.
 //
 // Caps is derived from a Config by (*Config).Caps: the hook fields the
 // caller attached OR'd with the external demands it declared in

@@ -94,23 +94,24 @@ const (
 	// eligible for — see SelectEngine, the single resolution rule
 	// every builder shares.
 	EngineAuto Engine = iota
-	// EngineFast predecodes the text segment once into a flat table,
-	// dispatches through the dense opcode jump table, and recycles
-	// pipeline slots through a freelist — the zero-allocation hot loop.
+	// EngineFast runs the per-cycle pipeline with every fetch served
+	// from the predecode table (Predecode): nothing is decoded or
+	// allocated per instruction. It supports every capability.
 	EngineFast
-	// EngineReference decodes at every fetch and allocates a fresh
-	// pipeline slot per instruction — the pre-fast-path cost profile.
-	// It is kept as the lockstep-equivalence baseline and the anchor
-	// the benchmark harness measures speedups against; both engines
-	// share the stage semantics, so their cycle counts are identical.
+	// EngineReference runs the same per-cycle pipeline but decodes
+	// every fetched word afresh into a new heap DecodedInst and looks
+	// up the I-cache on every fetch — the pre-fast-path cost profile. It is kept as the lockstep-equivalence
+	// baseline and the anchor the benchmark harness measures speedups
+	// against; all engines share the stage code, so their counters are
+	// identical.
 	EngineReference
-	// EngineSuperblock keeps the whole pipeline in stack-local state
-	// and batch-advances predecoded straight-line runs (superblocks),
-	// dropping to per-cycle stepping around branches, loads/stores,
-	// mult/div and I-cache line boundaries. Its counters are
-	// bit-identical to the other engines, but it supports no
-	// observability hooks: a machine that attaches any (Caps) falls
-	// back to EngineFast. See superblock.go.
+	// EngineSuperblock is EngineFast plus the fused loop (sbFused, see
+	// superblock.go): it batch-advances whole cycles — branches,
+	// mispredictions, jumps and load-use bubbles included — and hands
+	// the cycles it does not model (cache misses, mult/div, syscalls)
+	// back to the per-cycle stages. Its counters are bit-identical to
+	// the other engines, but the fused loop runs no hooks: a machine
+	// that attaches any (Caps) falls back to EngineFast.
 	EngineSuperblock
 )
 
@@ -236,8 +237,9 @@ type Config struct {
 	Demand Caps
 	// Predecoded, when non-nil, supplies a shared predecode table for
 	// the program (built once by Predecode, validated against the
-	// program in New). Nil makes New build a private one. Ignored by
-	// EngineReference.
+	// program in New) to serve the fast and superblock engines' fetches.
+	// Nil makes New build a private one. Ignored by EngineReference,
+	// which decodes every fetch.
 	Predecoded *Predecoded
 	// PollStride is how many cycles RunContext batches between
 	// context/watchdog polls (default 1024). Larger strides keep the
@@ -407,40 +409,6 @@ func (s Stats) Snapshot() obs.Snapshot {
 	return sn
 }
 
-// slot is one in-flight instruction.
-type slot struct {
-	pc   uint32
-	word uint32
-	in   isa.Inst
-	ok   bool // decode succeeded
-
-	// Fetch-time branch prediction.
-	predTaken    bool
-	predRedirect bool
-	predTarget   uint32
-	predicted    bool // a prediction was recorded (conditional branch)
-
-	folded bool // injected by the fold hook
-
-	dest    isa.Reg
-	hasDest bool
-	counted bool // OnIssue fired
-
-	// Predecoded source registers (fast engine); pdec marks them (and
-	// dest/hasDest) as filled at fetch from the predecode table.
-	src  [2]isa.Reg
-	nsrc uint8
-	pdec bool
-
-	result    int32  // value to write at WB
-	memAddr   uint32 // effective address for loads/stores
-	storeVal  int32
-	started   bool // EX work began
-	exLeft    int  // EX cycles remaining (mult/div occupancy)
-	valueSent bool // OnValue already fired (EX-point ALU results)
-	poison    bool // wrong-path fetch outside the text segment
-}
-
 // CPU is one simulated machine instance.
 type CPU struct {
 	cfg  Config
@@ -456,18 +424,12 @@ type CPU struct {
 	cmObs CommitObserver
 	ev    obs.EventSink
 
-	// Fast engine state: the predecode table, the recycled pipeline
-	// slots, and the reusable trace line buffer. pre is nil (and fast
-	// false) on the reference engine.
+	// pre is the predecode table fetch reads; nil on the reference
+	// engine, which decodes every fetch. resolved is the engine
+	// SelectEngine chose. traceBuf is the reusable trace line buffer.
 	pre      *Predecoded
-	fast     bool
-	slotFree []*slot
-	traceBuf []byte
-
-	// Superblock engine state: resolved is the engine SelectEngine
-	// actually chose; super marks the superblock run loop.
 	resolved Engine
-	super    bool
+	traceBuf []byte
 
 	icache *mem.Cache // nil if disabled
 	dcache *mem.Cache
@@ -475,23 +437,14 @@ type CPU struct {
 	regs [isa.NumRegs]int32
 	hi   int32
 	lo   int32
-	pc   uint32
 
-	// Latches: the instruction currently in each back-end stage.
-	sID, sEX, sMEM, sWB *slot
+	// pipe is the pipeline between runs: Step advances it in place;
+	// RunContext copies it onto its stack for the run and back after.
+	pipe pipeState
 
-	fetchBusy    int // cycles until the pending fetch delivers
-	fetchPC      uint32
-	fetching     bool
-	memBusy      int // extra cycles the instruction in MEM still needs
-	redirectHold int // extra front-end bubbles after a mispredict
-
-	killFetch bool // the fetch slot of this cycle is wrong-path (decode redirect)
-
-	halting bool // fetch reached the halt address; draining
-	halted  bool
-	err     error
-	exit    int32
+	halted bool
+	err    error
+	exit   int32
 
 	// Values produced this cycle, delivered to the fold hook at the
 	// end of the cycle: a value leaving stage S is usable by fetches
@@ -527,7 +480,11 @@ func New(cfg Config, prog *isa.Program) (*CPU, error) {
 		if cfg.Branch != nil {
 			return nil, &SimError{Code: ErrBadConfig, Detail: "both Branch and Predictor set"}
 		}
-		u, err := predict.ByName(cfg.Predictor)
+		spec, err := predict.ParseSpec(cfg.Predictor)
+		if err != nil {
+			return nil, &SimError{Code: ErrBadConfig, Detail: err.Error()}
+		}
+		u, err := spec.Build()
 		if err != nil {
 			return nil, &SimError{Code: ErrBadConfig, Detail: err.Error()}
 		}
@@ -542,9 +499,7 @@ func New(cfg Config, prog *isa.Program) (*CPU, error) {
 	c := &CPU{cfg: cfg, prog: prog, mem: mem.NewMemory()}
 	c.resolveObservers()
 	c.resolved = SelectEngine(cfg)
-	c.super = c.resolved == EngineSuperblock
 	if c.resolved != EngineReference {
-		c.fast = true
 		if cfg.Predecoded != nil {
 			if !cfg.Predecoded.Matches(prog) {
 				return nil, &SimError{Code: ErrBadConfig, Detail: "Predecoded table does not match program"}
@@ -560,6 +515,7 @@ func New(cfg Config, prog *isa.Program) (*CPU, error) {
 			return nil, &SimError{Code: ErrBadConfig, Detail: err.Error()}
 		}
 		c.icache = ic
+		c.pipe.lineMask = ^uint32(cfg.ICache.LineBytes - 1)
 	}
 	if cfg.DCache.SizeBytes > 0 {
 		dc, err := mem.NewCache(cfg.DCache)
@@ -572,7 +528,8 @@ func New(cfg Config, prog *isa.Program) (*CPU, error) {
 		c.mem.StoreWord(prog.TextBase+uint32(i*4), w)
 	}
 	c.mem.StoreBytes(prog.DataBase, prog.Data)
-	c.pc = prog.Entry
+	c.pipe.idi, c.pipe.exi, c.pipe.mmi, c.pipe.wbi = 0, 1, 2, 3
+	c.pipe.pc = prog.Entry
 	c.regs[isa.RegSP] = int32(isa.DefaultStackTop)
 	c.regs[isa.RegGP] = int32(prog.DataBase + isa.DefaultGPOffset)
 	c.regs[isa.RegRA] = int32(HaltAddress)
@@ -604,7 +561,7 @@ func (c *CPU) SetReg(r isa.Reg, v int32) {
 }
 
 // PC returns the current fetch address.
-func (c *CPU) PC() uint32 { return c.pc }
+func (c *CPU) PC() uint32 { return c.pipe.pc }
 
 // ResolvedEngine reports the engine New actually selected: the result
 // of SelectEngine over the machine's configuration. It is how CLIs
@@ -647,41 +604,41 @@ func (c *CPU) Run() (Stats, error) {
 // that point.
 //
 // Context and watchdog checks run once per PollStride cycles (default
-// 1024): the inner loop is a bare Step batch whose length is clamped
+// 1024): the inner loop is a bare cycle batch whose length is clamped
 // to the remaining MaxCycles budget, so ErrCycleLimit still fires at
 // exactly Cycle == MaxCycles while the hot path pays no per-cycle
-// poll.
+// poll. The pipeline lives on this function's stack for the run; on
+// the superblock engine each cycle first offers the fused loop a
+// chance to batch-advance.
 func (c *CPU) RunContext(ctx context.Context) (Stats, error) {
-	if c.super && c.stats.Cycles == 0 && !c.halted && c.err == nil &&
-		c.sID == nil && c.sEX == nil && c.sMEM == nil && c.sWB == nil {
-		// Fresh superblock machine: the whole run happens in the
-		// superblock loop (it exits only on halt or a terminal error).
-		// A machine that already stepped — tests interleaving Step, a
-		// resumed run — keeps the general loop below; both loops are
-		// cycle-exact, so the counters cannot tell them apart.
-		return c.runSuperblock(ctx)
-	}
 	stride := uint64(c.cfg.PollStride)
 	if stride == 0 {
 		stride = 1024 // machine built before fillDefaults learned PollStride
 	}
+	fused := c.resolved == EngineSuperblock
+	st := c.pipe
 	for !c.halted && c.err == nil {
 		if err := ctx.Err(); err != nil {
-			c.fail(ErrCanceled, c.pc, "%v", err)
+			c.fail(ErrCanceled, st.pc, "%v", err)
 			break
 		}
 		if c.stats.Cycles >= c.cfg.MaxCycles {
-			c.fail(ErrCycleLimit, c.pc, "exceeded MaxCycles=%d", c.cfg.MaxCycles)
+			c.fail(ErrCycleLimit, st.pc, "exceeded MaxCycles=%d", c.cfg.MaxCycles)
 			break
 		}
 		n := stride
 		if left := c.cfg.MaxCycles - c.stats.Cycles; left < n {
 			n = left
 		}
-		for i := uint64(0); i < n && !c.halted && c.err == nil; i++ {
-			c.Step()
+		end := c.stats.Cycles + n
+		for c.stats.Cycles < end && !c.halted && c.err == nil {
+			if fused && c.sbFused(&st, end) {
+				continue
+			}
+			c.cycle(&st)
 		}
 	}
+	c.pipe = st
 	return c.Stats(), c.err
 }
 
@@ -695,39 +652,19 @@ func (c *CPU) StepWatchdog() {
 		return
 	}
 	if c.stats.Cycles >= c.cfg.MaxCycles {
-		c.fail(ErrCycleLimit, c.pc, "exceeded MaxCycles=%d", c.cfg.MaxCycles)
+		c.fail(ErrCycleLimit, c.pipe.pc, "exceeded MaxCycles=%d", c.cfg.MaxCycles)
 		return
 	}
 	c.Step()
 }
 
-// Step advances the machine by one clock cycle. Stages are processed
-// back to front so each instruction can advance into the slot freed by
-// its elder in the same cycle.
+// Step advances the machine by one clock cycle through the per-cycle
+// stages (never the fused loop).
 func (c *CPU) Step() {
 	if c.halted || c.err != nil {
 		return
 	}
-	c.stats.Cycles++
-	c.killFetch = false
-	c.doWB()
-	if c.halted {
-		c.flushValues() // exit syscall committed; younger work is abandoned
-		return
-	}
-	c.doMEM()
-	c.doEX()
-	c.doID()
-	c.doIF()
-	if len(c.pendingVals) > 0 {
-		c.flushValues()
-	}
-	if c.cfg.Trace != nil {
-		c.traceCycle(c.cfg.Trace)
-	}
-	if c.halting && c.sID == nil && c.sEX == nil && c.sMEM == nil && c.sWB == nil {
-		c.halted = true
-	}
+	c.cycle(&c.pipe)
 }
 
 type pendingVal struct {

@@ -1,7 +1,10 @@
 package cpu
 
 import (
+	"flag"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -886,23 +889,66 @@ g:	li	s1, 7
 	}
 }
 
-func TestPipelineTrace(t *testing.T) {
-	var buf strings.Builder
-	src := `
+// traceLoopSrc is a two-iteration countdown loop: its trace covers a
+// mispredicted back-edge squash and the final fall-through.
+const traceLoopSrc = `
 main:	li	t0, 2
 loop:	addiu	t0, t0, -1
 	bnez	t0, loop
 	jr	ra
 `
-	p, err := asm.Assemble(src)
+
+// traceFoldSrc is the fold program: the bnez at text+16 is folded by a
+// foldingHook (see traceFold), so its target instruction is injected
+// into the fetch slot and starred in the trace.
+const traceFoldSrc = `
+main:	li	t0, 1
+	nop
+	nop
+	nop
+	bnez	t0, skip
+	addiu	t1, zero, 99
+skip:	addiu	t2, zero, 5
+	jr	ra
+`
+
+// traceLoop runs traceLoopSrc on engine e with the pipeline diagram
+// attached.
+func traceLoop(t *testing.T, e Engine) (*CPU, string) {
+	t.Helper()
+	p, err := asm.Assemble(traceLoopSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := MustNew(Config{Trace: &buf, NoExtraMispredict: true}, p)
+	var buf strings.Builder
+	c := MustNew(Config{Trace: &buf, NoExtraMispredict: true, Engine: e}, p)
 	if _, err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
+	return c, buf.String()
+}
+
+// traceFold runs traceFoldSrc on engine e with the branch folded taken
+// and the pipeline diagram attached.
+func traceFold(t *testing.T, e Engine) string {
+	t.Helper()
+	p, err := asm.Assemble(traceFoldSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	branchPC := isa.DefaultTextBase + 16
+	bti, _ := p.WordAt(p.Symbols["skip"])
+	h := &foldingHook{pc: branchPC, fold: Fold{Word: bti, PC: p.Symbols["skip"], Next: p.Symbols["skip"] + 4, Taken: true}}
+	var buf strings.Builder
+	c := MustNew(Config{Fold: h, Trace: &buf, Engine: e}, p)
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+func TestPipelineTrace(t *testing.T) {
+	c, out := traceLoop(t, EngineAuto)
 	lines := strings.Count(out, "\n")
 	if uint64(lines) != c.Stats().Cycles {
 		t.Fatalf("trace rows = %d, cycles = %d", lines, c.Stats().Cycles)
@@ -915,30 +961,41 @@ loop:	addiu	t0, t0, -1
 }
 
 func TestTraceMarksFoldedSlots(t *testing.T) {
-	src := `
-main:	li	t0, 1
-	nop
-	nop
-	nop
-	bnez	t0, skip
-	addiu	t1, zero, 99
-skip:	addiu	t2, zero, 5
-	jr	ra
-`
-	p, err := asm.Assemble(src)
-	if err != nil {
-		t.Fatal(err)
+	if out := traceFold(t, EngineAuto); !strings.Contains(out, "*") {
+		t.Fatalf("folded slot not starred:\n%s", out)
 	}
-	branchPC := isa.DefaultTextBase + 16
-	bti, _ := p.WordAt(p.Symbols["skip"])
-	h := &foldingHook{pc: branchPC, fold: Fold{Word: bti, PC: p.Symbols["skip"], Next: p.Symbols["skip"] + 4, Taken: true}}
-	var buf strings.Builder
-	c := MustNew(Config{Fold: h, Trace: &buf}, p)
-	if _, err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "*") {
-		t.Fatalf("folded slot not starred:\n%s", buf.String())
+}
+
+// -update rewrites the checked-in trace goldens from the current
+// writer: `go test ./internal/cpu -run TestTraceGolden -update`.
+var updateGolden = flag.Bool("update", false, "rewrite golden testdata files")
+
+// TestTraceGolden pins the Config.Trace pipeline diagram byte for byte
+// for the loop and fold programs on the fast and reference engines, so
+// a pipeline rewrite cannot move an instruction between stages (or
+// change a row's format) unnoticed.
+func TestTraceGolden(t *testing.T) {
+	for _, e := range []Engine{EngineFast, EngineReference} {
+		_, loop := traceLoop(t, e)
+		for name, got := range map[string]string{
+			"trace_loop.golden": loop,
+			"trace_fold.golden": traceFold(t, e),
+		} {
+			path := filepath.Join("testdata", name)
+			if *updateGolden {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Errorf("%s on %s drifted:\n--- got ---\n%s--- want ---\n%s", name, e, got, want)
+			}
+		}
 	}
 }
 

@@ -6,123 +6,44 @@ import (
 
 // Dense opcode dispatch: execute indexes execTable by the decoded
 // opcode instead of re-walking a switch per instruction. The table is
-// built once at init and shared by the fast and reference engines, so
-// the two cannot drift semantically.
+// built once at init, has an entry for every opcode, and is shared by
+// every engine and by the fused loop.
 
 // execFn computes the functional result of one instruction in EX. rs
-// and rt are the forwarded source operand values.
-type execFn func(c *CPU, s *slot, rs, rt int32)
+// and rt are the forwarded source operand values. Operands arrive and
+// results leave in registers — no pipeline-slot pointer crosses the
+// indirect call, so stack-allocated slots never escape to the heap.
+// Entries that set only some of the three results return zeroes for
+// the rest; the pipeline never reads a result the opcode does not
+// produce.
+type execFn func(c *CPU, d *DecodedInst, pc uint32, rs, rt int32) (result int32, memAddr uint32, storeVal int32)
 
 var execTable [isa.NumOps]execFn
 
+// execute computes the results of the instruction in EX via the
+// dispatch table: the value to write back, the memory or jump-target
+// address, and the store data or branch operands. Operands come from
+// the register file, except that w, the instruction that just moved
+// MEM->WB, forwards its result (anything older committed during this
+// cycle's WB). The zero register is never written, so it reads as zero
+// without a check.
+func (c *CPU) execute(s, w *slot) {
+	d := s.d
+	in := &d.In
+	rs, rt := c.regs[in.Rs], c.regs[in.Rt]
+	if w.valid && w.d.HasDest {
+		if w.d.Dest == in.Rs {
+			rs = w.result
+		}
+		if w.d.Dest == in.Rt {
+			rt = w.result
+		}
+	}
+	s.result, s.memAddr, s.storeVal = execTable[in.Op](c, d, s.pc, rs, rt)
+}
+
 func init() {
 	t := &execTable
-	t[isa.OpADD] = func(c *CPU, s *slot, rs, rt int32) { s.result = rs + rt }
-	t[isa.OpADDU] = t[isa.OpADD]
-	t[isa.OpSUB] = func(c *CPU, s *slot, rs, rt int32) { s.result = rs - rt }
-	t[isa.OpSUBU] = t[isa.OpSUB]
-	t[isa.OpAND] = func(c *CPU, s *slot, rs, rt int32) { s.result = rs & rt }
-	t[isa.OpOR] = func(c *CPU, s *slot, rs, rt int32) { s.result = rs | rt }
-	t[isa.OpXOR] = func(c *CPU, s *slot, rs, rt int32) { s.result = rs ^ rt }
-	t[isa.OpNOR] = func(c *CPU, s *slot, rs, rt int32) { s.result = ^(rs | rt) }
-	t[isa.OpSLT] = func(c *CPU, s *slot, rs, rt int32) { s.result = b2i(rs < rt) }
-	t[isa.OpSLTU] = func(c *CPU, s *slot, rs, rt int32) { s.result = b2i(uint32(rs) < uint32(rt)) }
-
-	t[isa.OpSLL] = func(c *CPU, s *slot, rs, rt int32) { s.result = rt << uint(s.in.Imm&31) }
-	t[isa.OpSRL] = func(c *CPU, s *slot, rs, rt int32) { s.result = int32(uint32(rt) >> uint(s.in.Imm&31)) }
-	t[isa.OpSRA] = func(c *CPU, s *slot, rs, rt int32) { s.result = rt >> uint(s.in.Imm&31) }
-	t[isa.OpSLLV] = func(c *CPU, s *slot, rs, rt int32) { s.result = rt << uint(rs&31) }
-	t[isa.OpSRLV] = func(c *CPU, s *slot, rs, rt int32) { s.result = int32(uint32(rt) >> uint(rs&31)) }
-	t[isa.OpSRAV] = func(c *CPU, s *slot, rs, rt int32) { s.result = rt >> uint(rs&31) }
-
-	t[isa.OpMULT] = func(c *CPU, s *slot, rs, rt int32) {
-		p := int64(rs) * int64(rt)
-		c.lo, c.hi = int32(p), int32(p>>32)
-	}
-	t[isa.OpMULTU] = func(c *CPU, s *slot, rs, rt int32) {
-		p := uint64(uint32(rs)) * uint64(uint32(rt))
-		c.lo, c.hi = int32(uint32(p)), int32(uint32(p>>32))
-	}
-	t[isa.OpDIV] = func(c *CPU, s *slot, rs, rt int32) {
-		if rt == 0 {
-			c.fail(ErrDivideByZero, s.pc, "divide by zero")
-			return
-		}
-		c.lo, c.hi = rs/rt, rs%rt
-	}
-	t[isa.OpDIVU] = func(c *CPU, s *slot, rs, rt int32) {
-		if rt == 0 {
-			c.fail(ErrDivideByZero, s.pc, "divide by zero (divu)")
-			return
-		}
-		c.lo = int32(uint32(rs) / uint32(rt))
-		c.hi = int32(uint32(rs) % uint32(rt))
-	}
-	t[isa.OpMFHI] = func(c *CPU, s *slot, rs, rt int32) { s.result = c.hi }
-	t[isa.OpMFLO] = func(c *CPU, s *slot, rs, rt int32) { s.result = c.lo }
-	t[isa.OpMTHI] = func(c *CPU, s *slot, rs, rt int32) { c.hi = rs }
-	t[isa.OpMTLO] = func(c *CPU, s *slot, rs, rt int32) { c.lo = rs }
-
-	t[isa.OpADDI] = func(c *CPU, s *slot, rs, rt int32) { s.result = rs + s.in.Imm }
-	t[isa.OpADDIU] = t[isa.OpADDI]
-	t[isa.OpSLTI] = func(c *CPU, s *slot, rs, rt int32) { s.result = b2i(rs < s.in.Imm) }
-	t[isa.OpSLTIU] = func(c *CPU, s *slot, rs, rt int32) { s.result = b2i(uint32(rs) < uint32(s.in.Imm)) }
-	t[isa.OpANDI] = func(c *CPU, s *slot, rs, rt int32) { s.result = rs & s.in.Imm }
-	t[isa.OpORI] = func(c *CPU, s *slot, rs, rt int32) { s.result = rs | s.in.Imm }
-	t[isa.OpXORI] = func(c *CPU, s *slot, rs, rt int32) { s.result = rs ^ s.in.Imm }
-	t[isa.OpLUI] = func(c *CPU, s *slot, rs, rt int32) { s.result = s.in.Imm << 16 }
-
-	load := func(c *CPU, s *slot, rs, rt int32) { s.memAddr = uint32(rs + s.in.Imm) }
-	t[isa.OpLB], t[isa.OpLBU], t[isa.OpLH], t[isa.OpLHU], t[isa.OpLW] = load, load, load, load, load
-	store := func(c *CPU, s *slot, rs, rt int32) {
-		s.memAddr = uint32(rs + s.in.Imm)
-		s.storeVal = rt
-	}
-	t[isa.OpSB], t[isa.OpSH], t[isa.OpSW] = store, store, store
-
-	link := func(c *CPU, s *slot, rs, rt int32) { s.result = int32(s.pc + 4) }
-	t[isa.OpJAL], t[isa.OpJALR] = link, link
-	// OpJ, OpJR, OpSYSCALL, OpBREAK, OpBITSW and the conditional
-	// branches compute no EX result: control flow is handled in
-	// resolve/WB, and execute latches branch operands separately.
-}
-
-// execute computes the functional result of s in EX via the dispatch
-// table, then latches the operand values control-flow resolution needs.
-func (c *CPU) execute(s *slot) {
-	in := &s.in
-	rs := c.readReg(in.Rs)
-	rt := c.readReg(in.Rt)
-	if fn := execTable[in.Op]; fn != nil {
-		fn(c, s, rs, rt)
-		if c.err != nil {
-			return
-		}
-	}
-	// Branch operand values are needed at resolve time; latch them.
-	if in.IsCondBranch() {
-		s.result = rs // condition register value
-		s.storeVal = rt
-	}
-	if in.Op == isa.OpJR || in.Op == isa.OpJALR {
-		s.memAddr = uint32(rs) // jump target
-	}
-}
-
-// sbExecFn is execFn for the superblock engine's value-typed pipeline
-// slots: same opcode semantics, but operands arrive and results leave
-// in registers — no pipeline-slot pointer crosses the indirect call,
-// so stack-allocated slots never escape to the heap. Entries that set
-// only some of the three results return zeroes for the rest; the
-// pipeline never reads a result the opcode does not produce. The table
-// must mirror execTable entry for entry — TestExecTablesAgree pins the
-// op coverage and the engine equivalence suite pins the semantics.
-type sbExecFn func(c *CPU, d *DecodedInst, pc uint32, rs, rt int32) (result int32, memAddr uint32, storeVal int32)
-
-var sbExecTable [isa.NumOps]sbExecFn
-
-func init() {
-	t := &sbExecTable
 	t[isa.OpADD] = func(c *CPU, d *DecodedInst, pc uint32, rs, rt int32) (int32, uint32, int32) { return rs + rt, 0, 0 }
 	t[isa.OpADDU] = t[isa.OpADD]
 	t[isa.OpSUB] = func(c *CPU, d *DecodedInst, pc uint32, rs, rt int32) (int32, uint32, int32) { return rs - rt, 0, 0 }
@@ -227,8 +148,29 @@ func init() {
 	}
 	t[isa.OpSB], t[isa.OpSH], t[isa.OpSW] = store, store, store
 
-	link := func(c *CPU, d *DecodedInst, pc uint32, rs, rt int32) (int32, uint32, int32) {
+	t[isa.OpJAL] = func(c *CPU, d *DecodedInst, pc uint32, rs, rt int32) (int32, uint32, int32) {
 		return int32(pc + 4), 0, 0
 	}
-	t[isa.OpJAL], t[isa.OpJALR] = link, link
+	// jr and jalr carry their target in memAddr for the EX redirect.
+	t[isa.OpJR] = func(c *CPU, d *DecodedInst, pc uint32, rs, rt int32) (int32, uint32, int32) {
+		return 0, uint32(rs), 0
+	}
+	t[isa.OpJALR] = func(c *CPU, d *DecodedInst, pc uint32, rs, rt int32) (int32, uint32, int32) {
+		return int32(pc + 4), uint32(rs), 0
+	}
+	// Conditional branches latch their operands for resolveCond: the
+	// condition register in result, rt in storeVal.
+	branch := func(c *CPU, d *DecodedInst, pc uint32, rs, rt int32) (int32, uint32, int32) {
+		return rs, 0, rt
+	}
+	t[isa.OpBEQ], t[isa.OpBNE], t[isa.OpBLEZ] = branch, branch, branch
+	t[isa.OpBGTZ], t[isa.OpBLTZ], t[isa.OpBGEZ] = branch, branch, branch
+	// The rest (j, syscall, break, bitsw, and the invalid opcode, which
+	// faults before EX) compute nothing in EX: their effects happen in
+	// doID and doWB.
+	for op := range t {
+		if t[op] == nil {
+			t[op] = func(c *CPU, d *DecodedInst, pc uint32, rs, rt int32) (int32, uint32, int32) { return 0, 0, 0 }
+		}
+	}
 }

@@ -8,6 +8,7 @@ package cpu_test
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -146,6 +147,86 @@ func TestEngineStatsEquivalence(t *testing.T) {
 					}
 					if ref.CPU.ExitCode() != res.CPU.ExitCode() {
 						t.Errorf("exit code: reference %d, %s %d", ref.CPU.ExitCode(), eng, res.CPU.ExitCode())
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestEngineSlowHitEquivalence repeats the stats check with two-cycle
+// cache hits, where a hit stalls the stage: the fast engine's same-line
+// I-cache shortcut must charge the hit latency too, and the fused loop
+// must leave such machines to the per-cycle stages.
+func TestEngineSlowHitEquivalence(t *testing.T) {
+	for _, name := range []string{workload.ADPCMEncode, workload.G721Decode} {
+		t.Run(name, func(t *testing.T) {
+			prog, in := buildBench(t, name)
+			cfg := func(e cpu.Engine) cpu.Config {
+				c := engCfg(e)
+				c.ICache.HitCycles, c.DCache.HitCycles = 2, 2
+				return c
+			}
+			ref, err := workload.RunContext(context.Background(), prog, cfg(cpu.EngineReference), in, equivSamples)
+			if err != nil {
+				t.Fatalf("reference run: %v", err)
+			}
+			for _, eng := range []cpu.Engine{cpu.EngineFast, cpu.EngineSuperblock} {
+				res, err := workload.RunContext(context.Background(), prog, cfg(eng), in, equivSamples)
+				if err != nil {
+					t.Fatalf("%s run: %v", eng, err)
+				}
+				if !reflect.DeepEqual(ref.Stats, res.Stats) {
+					t.Errorf("stats mismatch:\nreference %+v\n%-9s %+v", ref.Stats, eng, res.Stats)
+				}
+			}
+		})
+	}
+}
+
+// TestEngineStepThenRun steps a superblock machine a few cycles before
+// handing it to RunContext: the run loop picks the pipeline up
+// mid-flight — possibly straight into the fused loop — and must end
+// bit-identical to a fresh reference run.
+func TestEngineStepThenRun(t *testing.T) {
+	for _, name := range workload.Names() {
+		prog, in := buildBench(t, name)
+		ref, err := workload.RunContext(context.Background(), prog, engCfg(cpu.EngineReference), in, equivSamples)
+		if err != nil {
+			t.Fatalf("reference run: %v", err)
+		}
+		for _, k := range []int{1, 3, 5, 997} {
+			t.Run(fmt.Sprintf("%s/k=%d", name, k), func(t *testing.T) {
+				c, err := cpu.New(engCfg(cpu.EngineSuperblock), prog)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := pour(prog, in)(c); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < k; i++ {
+					c.Step()
+				}
+				st, err := c.RunContext(context.Background())
+				if err != nil {
+					t.Fatalf("run after %d steps: %v", k, err)
+				}
+				if got := c.ResolvedEngine(); got != cpu.EngineSuperblock {
+					t.Fatalf("resolved to %s", got)
+				}
+				if !reflect.DeepEqual(ref.Stats, st) {
+					t.Errorf("stats mismatch:\nreference  %+v\nstep+run   %+v", ref.Stats, st)
+				}
+				out, err := workload.ReadOutput(c, prog)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(ref.Output, out) || !reflect.DeepEqual(ref.CPU.Output, c.Output) {
+					t.Errorf("output mismatch")
+				}
+				for r := 0; r < isa.NumRegs; r++ {
+					if rv, sv := ref.CPU.Reg(isa.Reg(r)), c.Reg(isa.Reg(r)); rv != sv {
+						t.Errorf("final $%d: reference %d, step+run %d", r, rv, sv)
 					}
 				}
 			})

@@ -26,19 +26,21 @@ type DecodedInst struct {
 	// (In.BranchTarget at this entry's own PC), zero otherwise.
 	BranchTarget uint32
 
-	// Fuse is the superblock fusion run length starting at this word:
-	// how many consecutive instructions from here are fusible
-	// (straight-line work that cannot redirect fetch or occupy EX — see
-	// fusible) with no load-use hazard pair inside the run (a load
-	// immediately followed by a consumer of its destination would cost
-	// the one-cycle interlock, breaking the run's one-commit-per-cycle
-	// steady state). The superblock engine batch-advances Fuse
-	// instructions the moment the pipeline is full of the run's head.
-	// Living on the instruction itself keeps the engine's per-cycle
-	// engagement test on the cache line it is already touching to
-	// commit, instead of a side table.
-	Fuse int32
+	// fclass is how the superblock engine's fused loop (sbFused)
+	// treats the word; fcBreak ends a fused run.
+	fclass uint8
 }
+
+// Fused-loop word classes (DecodedInst.fclass).
+const (
+	fcBreak   uint8 = iota // not modeled: multi-cycle EX, OS surface, undecodable
+	fcPlain                // single-cycle ALU work
+	fcLoad                 // load: data access in MEM
+	fcStore                // store: data access in MEM
+	fcBranch               // conditional branch: resolves in EX
+	fcJump                 // j, jal: redirects fetch as it leaves ID
+	fcJumpReg              // jr, jalr: redirects fetch from EX
+)
 
 // Predecoded is a program's text segment decoded once into a flat
 // table indexed by word. It is read-only after construction, so one
@@ -59,67 +61,63 @@ func Predecode(prog *isa.Program) *Predecoded {
 	}
 	for i, w := range prog.Text {
 		d := &p.insts[i]
-		d.Word = w
-		in, err := isa.Decode(w)
-		d.In, d.OK = in, err == nil
-		if !d.OK {
-			continue
-		}
-		if r, ok := in.DestReg(); ok {
-			d.Dest, d.HasDest = r, true
-		}
-		for _, r := range in.SrcRegs() {
-			if d.NSrc < 2 {
-				d.Src[d.NSrc] = r
-				d.NSrc++
-			}
-		}
-		d.CondBranch = in.IsCondBranch()
-		d.Load = in.IsLoad()
-		d.Store = in.IsStore()
-		if d.CondBranch {
-			pc := prog.TextBase + uint32(i)*isa.InstructionBytes
-			d.BranchTarget = in.BranchTarget(pc)
-		}
-	}
-	var next int32 // run length at word i+1
-	for i := len(p.insts) - 1; i >= 0; i-- {
-		d := &p.insts[i]
-		switch {
-		case !fusible(d):
-			d.Fuse = 0
-		case d.Load && d.HasDest && i+1 < len(p.insts) && readsReg(&p.insts[i+1], d.Dest):
-			// Load-use hazard pair: the next instruction would stall one
-			// cycle in EX waiting for the load. End the run at the load.
-			d.Fuse = 1
-		default:
-			d.Fuse = next + 1
-		}
-		next = d.Fuse
+		decodeWord(d, w, prog.TextBase+uint32(i)*isa.InstructionBytes)
+		d.fclass = fusedClass(d)
 	}
 	return p
 }
 
-// fusible reports whether a predecoded instruction can live inside a
-// superblock: straight-line single-cycle work that cannot redirect
-// fetch or occupy EX for more than a cycle. Loads and stores are
-// fusible — the fused loop performs their D-cache access at the exact
-// virtual MEM cycle and exits on a miss — but everything that
-// interacts with the branch unit, multi-cycle EX dispatch or the OS
-// surface forces the superblock engine back to per-cycle stepping.
-// mfhi/mflo/mthi/mtlo are fusible: within a straight-line run their EX
-// order equals program order either way, so HI/LO reads and writes
+// decodeWord fills d with the decoded form of word fetched from pc —
+// the one decoder behind both the predecode table and the reference
+// engine's per-fetch decode. d must be zero.
+func decodeWord(d *DecodedInst, word, pc uint32) {
+	d.Word = word
+	in, err := isa.Decode(word)
+	d.In, d.OK = in, err == nil
+	if !d.OK {
+		return
+	}
+	if r, ok := in.DestReg(); ok {
+		d.Dest, d.HasDest = r, true
+	}
+	src, n := in.SrcRegs()
+	d.Src, d.NSrc = src, uint8(n)
+	d.CondBranch = in.IsCondBranch()
+	d.Load = in.IsLoad()
+	d.Store = in.IsStore()
+	if d.CondBranch {
+		d.BranchTarget = in.BranchTarget(pc)
+	}
+}
+
+// fusedClass classifies a decoded word for the fused loop. Everything
+// flows except what needs more than the loop models — multi-cycle EX
+// (mult/div), the OS surface (syscall, break, bitsw) and undecodable
+// words, which fault in EX. mfhi/mflo/mthi/mtlo flow: in program order
+// their EX order is the same either way, so HI/LO reads and writes
 // sequence identically.
-func fusible(d *DecodedInst) bool {
-	if !d.OK || d.CondBranch || d.In.IsJump() {
-		return false
+func fusedClass(d *DecodedInst) uint8 {
+	if !d.OK {
+		return fcBreak
 	}
 	switch d.In.Op {
 	case isa.OpMULT, isa.OpMULTU, isa.OpDIV, isa.OpDIVU,
 		isa.OpSYSCALL, isa.OpBREAK, isa.OpBITSW:
-		return false
+		return fcBreak
+	case isa.OpJ, isa.OpJAL:
+		return fcJump
+	case isa.OpJR, isa.OpJALR:
+		return fcJumpReg
 	}
-	return true
+	switch {
+	case d.CondBranch:
+		return fcBranch
+	case d.Load:
+		return fcLoad
+	case d.Store:
+		return fcStore
+	}
+	return fcPlain
 }
 
 // readsReg reports whether instruction d reads register r — the same
@@ -143,6 +141,16 @@ func (p *Predecoded) TextBase() uint32 { return p.textBase }
 // is a word-aligned text address (the fetch stage checks InText first).
 func (p *Predecoded) at(pc uint32) *DecodedInst {
 	return &p.insts[(pc-p.textBase)/4]
+}
+
+// lookup returns the entry for pc, or nil when pc is not a word-aligned
+// address inside the table.
+func (p *Predecoded) lookup(pc uint32) *DecodedInst {
+	i := (pc - p.textBase) / 4
+	if pc%4 != 0 || i >= uint32(len(p.insts)) {
+		return nil
+	}
+	return &p.insts[i]
 }
 
 // Matches reports whether the table was predecoded from a program with

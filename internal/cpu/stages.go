@@ -5,30 +5,136 @@ import (
 	"asbr/internal/obs"
 )
 
-// doWB commits the instruction in WB: architectural register write,
-// syscall side effects, and (in StageWB update mode) BDT delivery.
-func (c *CPU) doWB() {
-	s := c.sWB
-	if s == nil {
+// slot is one in-flight instruction. Slots are values inside
+// pipeState and are reused in place: fetch overwrites the whole slot,
+// so nothing is allocated or zeroed per instruction beyond that one
+// store. d points at the instruction's decoded form — an entry of the
+// shared predecode table, or a freshly decoded word on the reference
+// engine — and is nil only for poison (out-of-text wrong-path) fetches.
+type slot struct {
+	d  *DecodedInst
+	pc uint32
+
+	predTarget uint32
+	result     int32  // value to write at WB (branch: rs operand)
+	memAddr    uint32 // effective address (jr/jalr: jump target)
+	storeVal   int32  // store data (branch: rt operand)
+	exLeft     int32  // EX cycles remaining (mult/div occupancy)
+
+	predTaken    bool
+	predRedirect bool
+	predicted    bool // a prediction was recorded (branch or RAS return)
+	started      bool // EX work began
+	poison       bool // wrong-path fetch outside the text segment
+	valid        bool // the slot holds an instruction
+
+	folded    bool // injected by the fold hook in place of a branch
+	counted   bool // OnIssue fired
+	valueSent bool // OnValue already fired (EX-point ALU results)
+
+	// Fused-loop state, which the per-cycle stages neither read nor
+	// maintain (sbFused sets both on entry). cls caches d.fclass, and
+	// is fcBreak in a bubble, so a stage test needs no pointer chase.
+	// luHazard marks a slot directly behind the load that feeds it:
+	// when it reaches EX it pays the one-cycle load-use interlock.
+	cls      uint8
+	luHazard bool
+}
+
+// pipeState is the front end and pipeline of a machine. RunContext
+// keeps it on its stack for the whole run; Step works on the copy kept
+// in the CPU. The four stage occupants rotate over the fixed slot pool
+// by index: a stage advance swaps two uint8 indices, never copies a
+// slot. Indices instead of pointers matter — storing &st.slots[i] into
+// a field of st is an assignment cycle that defeats escape analysis
+// (golang.org/issue/35518) and would move the whole pipeline to the
+// heap, putting a write barrier on every advance. The stages bind
+// local *slot pointers per call; locals derived from a non-escaping
+// parameter stay barrier-free.
+type pipeState struct {
+	slots              [4]slot
+	idi, exi, mmi, wbi uint8
+
+	pc      uint32 // next fetch address
+	fetchPC uint32 // address of the pending (I-cache missing) fetch
+
+	fetchBusy    int // cycles until the pending fetch delivers
+	memBusy      int // extra cycles the instruction in MEM still needs
+	redirectHold int // extra front-end bubbles after a mispredict
+
+	fetching  bool
+	halting   bool // fetch reached the halt address; draining
+	killFetch bool // this cycle's fetch slot is wrong-path (decode redirect)
+
+	// I-cache same-line batching (fast and superblock engines):
+	// lastLine is the line of the most recent I-cache Access, which
+	// left that line most-recently-used. Only fetch touches the
+	// I-cache, so a subsequent fetch from the same line is a guaranteed
+	// hit whose LRU re-touch would only refresh an already-newest stamp
+	// — mem.Cache.AccountHits records it without the lookup. The
+	// reference engine calls Access on every fetch, so the equivalence
+	// tests check this shortcut against the full lookup. lineMask is
+	// ^(LineBytes-1), fixed per machine; lineKnown gates the first
+	// fetch.
+	lastLine  uint32
+	lineMask  uint32
+	lineKnown bool
+}
+
+// empty reports whether no stage holds an instruction.
+func (st *pipeState) empty() bool {
+	return !st.slots[0].valid && !st.slots[1].valid && !st.slots[2].valid && !st.slots[3].valid
+}
+
+// cycle advances the machine one clock cycle. Stages are processed
+// back to front so each instruction can advance into the slot freed by
+// its elder in the same cycle.
+func (c *CPU) cycle(st *pipeState) {
+	c.stats.Cycles++
+	st.killFetch = false
+	c.doWB(st)
+	if c.halted {
+		c.flushValues() // exit syscall committed; younger work is abandoned
 		return
 	}
-	c.sWB = nil
-	if s.hasDest {
-		c.regs[s.dest] = s.result
-		if c.fold != nil && s.counted && !s.valueSent {
-			if c.cfg.BDTUpdate == StageWB {
-				c.queueValue(s.dest, s.result)
-				s.valueSent = true
-			}
+	c.doMEM(st)
+	c.doEX(st)
+	c.doID(st)
+	c.doIF(st)
+	if len(c.pendingVals) > 0 {
+		c.flushValues()
+	}
+	if c.cfg.Trace != nil {
+		c.traceCycle(c.cfg.Trace, st)
+	}
+	if st.halting && st.empty() {
+		c.halted = true
+	}
+}
+
+// doWB commits the instruction in WB: architectural register write,
+// syscall side effects, and (in StageWB update mode) BDT delivery.
+// Only executed instructions reach WB, so s.d is a decoded word.
+func (c *CPU) doWB(st *pipeState) {
+	s := &st.slots[st.wbi]
+	if !s.valid {
+		return
+	}
+	s.valid = false
+	d := s.d
+	if d.HasDest {
+		c.regs[d.Dest] = s.result
+		if c.fold != nil && s.counted && !s.valueSent && c.cfg.BDTUpdate == StageWB {
+			c.queueValue(d.Dest, s.result)
 		}
 	}
-	switch s.in.Op {
+	switch d.In.Op {
 	case isa.OpSYSCALL:
 		c.stats.Syscalls++
 		c.syscall(s.pc)
 	case isa.OpBITSW:
 		if c.fold != nil {
-			c.fold.OnBankSwitch(int(s.in.Imm))
+			c.fold.OnBankSwitch(int(d.In.Imm))
 		}
 	case isa.OpBREAK:
 		c.fail(ErrBreak, s.pc, "break instruction")
@@ -41,18 +147,17 @@ func (c *CPU) doWB() {
 		cm := Commit{
 			PC:     s.pc,
 			Cycle:  c.stats.Cycles,
-			Op:     s.in.Op,
-			Branch: s.in.IsCondBranch(),
+			Op:     d.In.Op,
+			Branch: d.CondBranch,
 		}
-		if s.hasDest {
-			cm.HasDest, cm.Dest, cm.Value = true, s.dest, s.result
+		if d.HasDest {
+			cm.HasDest, cm.Dest, cm.Value = true, d.Dest, s.result
 		}
-		if s.in.IsStore() {
+		if d.Store {
 			cm.Store, cm.Addr, cm.StoreVal = true, s.memAddr, s.storeVal
 		}
 		c.cmObs.OnCommit(cm)
 	}
-	c.freeSlot(s)
 }
 
 // syscall implements the tiny OS surface: exit, print-int, print-char.
@@ -73,44 +178,45 @@ func (c *CPU) syscall(pc uint32) {
 }
 
 // doMEM performs data-memory access. A D-cache miss holds the
-// instruction in MEM for the extra cycles.
-func (c *CPU) doMEM() {
-	s := c.sMEM
-	if s == nil {
+// instruction in MEM for the extra cycles. doWB has always emptied WB
+// by now, so a completing access advances unconditionally.
+func (c *CPU) doMEM(st *pipeState) {
+	s := &st.slots[st.mmi]
+	if !s.valid {
 		return
 	}
-	if c.memBusy > 0 {
-		c.memBusy--
+	d := s.d
+	if st.memBusy > 0 {
+		st.memBusy--
 		c.stats.MemStalls++
-		if c.memBusy > 0 {
+		if st.memBusy > 0 {
 			return
 		}
 		// Fall through: access completes this cycle.
-	} else if s.ok && (s.in.IsLoad() || s.in.IsStore()) {
+	} else if d.Load || d.Store {
 		cycles := 1
 		if c.dcache != nil {
-			cycles = c.dcache.Access(s.memAddr, s.in.IsStore())
+			cycles = c.dcache.Access(s.memAddr, d.Store)
 		}
 		c.access(s)
 		if c.err != nil {
 			return
 		}
 		if cycles > 1 {
-			c.memBusy = cycles - 1
+			st.memBusy = cycles - 1
 			return
 		}
 	}
 	// Leave MEM.
-	if c.fold != nil && s.hasDest && s.counted && !s.valueSent && c.cfg.BDTUpdate != StageWB {
+	if c.fold != nil && d.HasDest && s.counted && !s.valueSent && c.cfg.BDTUpdate != StageWB {
 		// StageMEM mode delivers everything here; StageEX mode
 		// delivers loads here (their value exists only now).
-		if c.cfg.BDTUpdate == StageMEM || s.in.IsLoad() {
-			c.queueValue(s.dest, s.result)
+		if c.cfg.BDTUpdate == StageMEM || d.Load {
+			c.queueValue(d.Dest, s.result)
 			s.valueSent = true
 		}
 	}
-	c.sWB = s
-	c.sMEM = nil
+	st.wbi, st.mmi = st.mmi, st.wbi
 }
 
 // accessWidth returns the byte width of a load/store opcode.
@@ -124,20 +230,35 @@ func accessWidth(op isa.Op) uint32 {
 	return 1
 }
 
+// accessFault reports whether the memory operation in s would fault
+// in access: beyond the memory limit or unaligned.
+func (c *CPU) accessFault(s *slot) bool {
+	a, width := s.memAddr, accessWidth(s.d.In.Op)
+	return a >= c.cfg.MemLimit || c.cfg.MemLimit-a < width || a%width != 0
+}
+
 // access performs the functional memory operation for s, enforcing the
 // alignment rules and the configured memory limit.
 func (c *CPU) access(s *slot) {
+	op := s.d.In.Op
 	a := s.memAddr
-	width := accessWidth(s.in.Op)
+	width := accessWidth(op)
 	if a >= c.cfg.MemLimit || c.cfg.MemLimit-a < width {
-		c.fail(ErrMemOutOfRange, s.pc, "%s at 0x%08x beyond memory limit 0x%08x", s.in.Op, a, c.cfg.MemLimit)
+		c.fail(ErrMemOutOfRange, s.pc, "%s at 0x%08x beyond memory limit 0x%08x", op, a, c.cfg.MemLimit)
 		return
 	}
 	if a%width != 0 {
-		c.fail(ErrUnalignedAccess, s.pc, "unaligned %s at 0x%08x", s.in.Op, a)
+		c.fail(ErrUnalignedAccess, s.pc, "unaligned %s at 0x%08x", op, a)
 		return
 	}
-	switch s.in.Op {
+	c.memOp(s)
+}
+
+// memOp performs the load or store in s, which access (or the fused
+// loop, through accessFault) has validated.
+func (c *CPU) memOp(s *slot) {
+	a := s.memAddr
+	switch s.d.In.Op {
 	case isa.OpLW:
 		s.result = int32(c.mem.LoadWord(a))
 	case isa.OpLH:
@@ -157,79 +278,48 @@ func (c *CPU) access(s *slot) {
 	}
 }
 
-// readReg returns the value of r as seen by the instruction entering
-// EX this cycle: the instruction that just moved MEM->WB forwards its
-// result; otherwise the architectural register file is current
-// (anything older committed during this cycle's doWB).
-func (c *CPU) readReg(r isa.Reg) int32 {
-	if r == isa.RegZero {
-		return 0
-	}
-	if w := c.sWB; w != nil && w.hasDest && w.dest == r {
-		return w.result
-	}
-	return c.regs[r]
-}
-
 // loadUseHazard reports whether s, about to execute, needs the value
-// of a load that has not yet produced it. sWB is drained at the start
-// of every cycle, so any occupant during doEX completed MEM this very
+// of a load that has not yet produced it. WB is drained at the start
+// of every cycle, so its occupant w during doEX completed MEM this very
 // cycle; a load there delivers its data only at the cycle edge — the
 // classic one-bubble load-use interlock.
-func (c *CPU) loadUseHazard(s *slot) bool {
-	w := c.sWB
-	if w == nil || !w.in.IsLoad() || !w.hasDest {
+func loadUseHazard(s, w *slot) bool {
+	if !w.valid || !w.d.Load || !w.d.HasDest || s.d == nil {
 		return false
 	}
-	if s.pdec {
-		// Fast engine: source registers were resolved at predecode.
-		for i := uint8(0); i < s.nsrc; i++ {
-			if s.src[i] == w.dest {
-				return true
-			}
-		}
-		return false
-	}
-	for _, r := range s.in.SrcRegs() {
-		if r == w.dest {
-			return true
-		}
-	}
-	return false
+	return readsReg(s.d, w.d.Dest)
 }
 
 // doEX executes the instruction in EX, resolving branches and
 // indirect jumps at the end of the stage.
-func (c *CPU) doEX() {
-	s := c.sEX
-	if s == nil {
-		return
-	}
-	if c.sMEM != nil {
-		return // structural stall: MEM busy with a cache miss
+func (c *CPU) doEX(st *pipeState) {
+	s, mm := &st.slots[st.exi], &st.slots[st.mmi]
+	if !s.valid || mm.valid {
+		return // empty, or structural stall: MEM busy with a cache miss
 	}
 	if !s.started {
-		if c.loadUseHazard(s) {
+		w := &st.slots[st.wbi]
+		if loadUseHazard(s, w) {
 			c.stats.LoadUseStalls++
 			return
 		}
-		if !s.ok {
+		if s.d == nil || !s.d.OK {
 			if s.poison {
 				c.fail(ErrTextOverrun, s.pc, "execution ran past the text segment")
 			} else {
-				c.fail(ErrBadOpcode, s.pc, "illegal instruction word 0x%08x", s.word)
+				c.fail(ErrBadOpcode, s.pc, "illegal instruction word 0x%08x", s.d.Word)
 			}
 			return
 		}
 		s.started = true
 		s.exLeft = 1
-		switch s.in.Op {
+		switch s.d.In.Op {
 		case isa.OpMULT, isa.OpMULTU:
-			s.exLeft = c.cfg.MultCycles
+			s.exLeft = int32(c.cfg.MultCycles)
 		case isa.OpDIV, isa.OpDIVU:
-			s.exLeft = c.cfg.DivCycles
+			s.exLeft = int32(c.cfg.DivCycles)
 		}
-		c.execute(s)
+		c.execute(s, w)
 		if c.err != nil {
 			return
 		}
@@ -239,242 +329,214 @@ func (c *CPU) doEX() {
 		c.stats.ExStalls++
 		return
 	}
-	// End of EX: resolve control flow.
-	c.resolve(s)
-	if c.fold != nil && s.hasDest && s.counted && !s.valueSent &&
-		c.cfg.BDTUpdate == StageEX && !s.in.IsLoad() {
-		c.queueValue(s.dest, s.result)
-		s.valueSent = true
-	}
-	c.sMEM = s
-	c.sEX = nil
-}
-
-// allocSlot returns a zeroed pipeline slot. The fast engine recycles
-// slots through a freelist so the steady-state hot loop allocates
-// nothing; the reference engine keeps the historical fresh-allocation
-// cost profile.
-func (c *CPU) allocSlot() *slot {
-	if c.fast {
-		if n := len(c.slotFree); n > 0 {
-			s := c.slotFree[n-1]
-			c.slotFree = c.slotFree[:n-1]
-			*s = slot{}
-			return s
-		}
-	}
-	return &slot{}
-}
-
-// freeSlot returns a slot to the freelist once nothing references it
-// (after commit, or when a wrong-path slot is squashed).
-func (c *CPU) freeSlot(s *slot) {
-	if c.fast && s != nil {
-		c.slotFree = append(c.slotFree, s)
-	}
-}
-
-// resolve handles end-of-EX control flow: conditional branches and
-// indirect jumps. A wrong-path fetch stream is squashed (the ID slot
-// and the in-flight fetch), costing the paper's two-cycle penalty.
-func (c *CPU) resolve(s *slot) {
-	in := s.in
+	// End of EX: resolve control flow. A wrong-path fetch stream is
+	// squashed (the ID slot and the in-flight fetch), costing the
+	// paper's two-cycle penalty.
+	d := s.d
 	switch {
-	case in.IsCondBranch():
-		rs, rt := s.result, s.storeVal
-		var taken bool
-		switch in.Op {
-		case isa.OpBEQ:
-			taken = rs == rt
-		case isa.OpBNE:
-			taken = rs != rt
-		case isa.OpBLEZ:
-			taken = rs <= 0
-		case isa.OpBGTZ:
-			taken = rs > 0
-		case isa.OpBLTZ:
-			taken = rs < 0
-		case isa.OpBGEZ:
-			taken = rs >= 0
+	case d.CondBranch:
+		if next, mis := c.resolveCond(s); mis {
+			c.squash(st, next)
+			st.redirectHold = c.cfg.ExtraMispredictCycles
 		}
-		target := in.BranchTarget(s.pc)
-		c.stats.CondBranches++
-		if taken {
-			c.stats.TakenBranches++
-		}
-		if c.brObs != nil {
-			c.brObs.OnBranch(s.pc, taken, false)
-		}
-		if c.ev != nil {
-			c.emit(obs.EvBranch, s.pc, 0, taken)
-		}
-		actualNext := s.pc + 4
-		if taken {
-			actualNext = target
-		}
-		predictedNext := s.pc + 4
-		if s.predRedirect {
-			predictedNext = s.predTarget
-		}
-		if s.predTaken != taken {
-			c.stats.DirMispredicts++
-		} else if taken && !s.predRedirect {
-			c.stats.BTBMissTaken++
-		} else if taken && s.predRedirect && s.predTarget != target {
-			c.stats.BTBWrongTarget++
-		}
-		c.cfg.Branch.Resolve(s.pc, taken, target)
-		if actualNext != predictedNext {
-			c.stats.Mispredicts++
-			if c.ev != nil {
-				c.emit(obs.EvMispredict, s.pc, uint64(actualNext), taken)
-			}
-			c.squashFrontend(actualNext)
-			c.redirectHold = c.cfg.ExtraMispredictCycles
-		}
-	case in.Op == isa.OpJR || in.Op == isa.OpJALR:
+	case d.In.Op == isa.OpJR || d.In.Op == isa.OpJALR:
 		c.stats.Jumps++
 		c.stats.IndirectJumps++
 		if s.predRedirect && s.predTarget == s.memAddr {
-			c.stats.RASHits++
-			return // fetch already followed the return correctly
+			c.stats.RASHits++ // fetch already followed the return correctly
+		} else {
+			if s.predicted {
+				c.stats.RASMisses++
+			}
+			c.squash(st, s.memAddr)
 		}
-		if s.predicted {
-			c.stats.RASMisses++
-		}
-		c.squashFrontend(s.memAddr)
 	}
+	if c.fold != nil && d.HasDest && s.counted && !s.valueSent &&
+		c.cfg.BDTUpdate == StageEX && !d.Load {
+		c.queueValue(d.Dest, s.result)
+		s.valueSent = true
+	}
+	st.mmi, st.exi = st.exi, st.mmi
 }
 
-// squashFrontend kills the wrong-path front end: the instruction in
-// decode and any in-flight or upcoming fetch this cycle, then
-// redirects fetch to next.
-func (c *CPU) squashFrontend(next uint32) {
-	if c.sID != nil {
+// resolveCond resolves the conditional branch executing in s:
+// direction from the latched operands, outcome and prediction-detail
+// stats, observer notification and predictor training — everything
+// short of the squash, which doEX and the fused loop each apply in
+// their own representation. It returns the branch's actual next fetch
+// address and whether fetch followed the wrong path (mispredict ==
+// true means Mispredicts has been counted and the caller must squash).
+func (c *CPU) resolveCond(s *slot) (actualNext uint32, mispredict bool) {
+	d := s.d
+	rs, rt := s.result, s.storeVal
+	var taken bool
+	switch d.In.Op {
+	case isa.OpBEQ:
+		taken = rs == rt
+	case isa.OpBNE:
+		taken = rs != rt
+	case isa.OpBLEZ:
+		taken = rs <= 0
+	case isa.OpBGTZ:
+		taken = rs > 0
+	case isa.OpBLTZ:
+		taken = rs < 0
+	case isa.OpBGEZ:
+		taken = rs >= 0
+	}
+	target := d.BranchTarget
+	c.stats.CondBranches++
+	if taken {
+		c.stats.TakenBranches++
+	}
+	if c.brObs != nil {
+		c.brObs.OnBranch(s.pc, taken, false)
+	}
+	if c.ev != nil {
+		c.emit(obs.EvBranch, s.pc, 0, taken)
+	}
+	actualNext = s.pc + 4
+	if taken {
+		actualNext = target
+	}
+	predictedNext := s.pc + 4
+	if s.predRedirect {
+		predictedNext = s.predTarget
+	}
+	if s.predTaken != taken {
+		c.stats.DirMispredicts++
+	} else if taken && !s.predRedirect {
+		c.stats.BTBMissTaken++
+	} else if taken && s.predRedirect && s.predTarget != target {
+		c.stats.BTBWrongTarget++
+	}
+	c.cfg.Branch.Resolve(s.pc, taken, target)
+	if actualNext == predictedNext {
+		return actualNext, false
+	}
+	c.stats.Mispredicts++
+	if c.ev != nil {
+		c.emit(obs.EvMispredict, s.pc, uint64(actualNext), taken)
+	}
+	return actualNext, true
+}
+
+// squash kills the wrong-path front end: the instruction in decode and
+// any in-flight or upcoming fetch this cycle, then redirects fetch to
+// next.
+func (c *CPU) squash(st *pipeState, next uint32) {
+	if id := &st.slots[st.idi]; id.valid {
 		c.stats.WrongPath++
-		c.freeSlot(c.sID)
+		id.valid = false
 	}
-	c.sID = nil
-	c.fetching = false
-	c.fetchBusy = 0
-	c.killFetch = true
-	c.redirectHold = 0
-	c.pc = next
-	c.halting = false // a redirect revives fetch even if the halt address was reached
-	if next == HaltAddress {
-		c.halting = true
-	}
+	st.fetching = false
+	st.fetchBusy = 0
+	st.killFetch = true
+	st.redirectHold = 0
+	st.pc = next
+	// A redirect revives fetch even if the halt address was reached.
+	st.halting = next == HaltAddress
 }
 
 // doID moves the decoded instruction into EX, fires OnIssue, and
 // redirects fetch for direct jumps (one-cycle penalty).
-func (c *CPU) doID() {
-	s := c.sID
-	if s == nil {
+func (c *CPU) doID(st *pipeState) {
+	if !st.slots[st.idi].valid || st.slots[st.exi].valid {
+		return // empty, or EX occupied (stall)
+	}
+	st.exi, st.idi = st.idi, st.exi
+	s := &st.slots[st.exi]
+	d := s.d
+	if d == nil || !d.OK {
 		return
 	}
-	if c.sEX != nil {
-		return // EX occupied (stall)
+	if d.HasDest {
+		if c.fold != nil {
+			c.fold.OnIssue(d.Dest)
+			s.counted = true
+		}
+		if c.ev != nil {
+			c.emit(obs.EvIssue, s.pc, uint64(d.Dest), false)
+		}
 	}
-	c.sID = nil
-	c.sEX = s
-	if s.ok {
-		if !s.pdec {
-			// Reference engine: resolve the destination register here;
-			// the fast engine filled it at fetch from the predecode
-			// table.
-			if r, ok := s.in.DestReg(); ok {
-				s.dest, s.hasDest = r, true
-			}
-		}
-		if s.hasDest {
-			if c.fold != nil {
-				c.fold.OnIssue(s.dest)
-				s.counted = true
-			}
-			if c.ev != nil {
-				c.emit(obs.EvIssue, s.pc, uint64(s.dest), false)
-			}
-		}
-		switch s.in.Op {
-		case isa.OpJ, isa.OpJAL:
-			c.stats.Jumps++
-			// Redirect after this cycle's (wrong-path) fetch slot.
-			c.pc = s.in.Target
-			c.killFetch = true
-			c.fetching = false
-			c.fetchBusy = 0
-			c.halting = s.in.Target == HaltAddress
-		}
+	switch d.In.Op {
+	case isa.OpJ, isa.OpJAL:
+		c.stats.Jumps++
+		// Redirect after this cycle's (wrong-path) fetch slot.
+		st.pc = d.In.Target
+		st.killFetch = true
+		st.fetching = false
+		st.fetchBusy = 0
+		st.halting = d.In.Target == HaltAddress
 	}
 }
 
-// doIF fetches one instruction, consulting the ASBR fold hook and the
-// branch unit. I-cache misses hold the slot for the miss latency.
-func (c *CPU) doIF() {
-	if c.killFetch {
+// doIF fetches one instruction. I-cache misses hold the fetch for the
+// miss latency. A completing fetch consults the ASBR fold hook first
+// (the BIT lookup happens in the fetch stage, paper Figure 4); on a
+// miss the word's decoded form is taken from the predecode table (or,
+// on the reference engine, decoded afresh) and conditional branches
+// are predicted.
+func (c *CPU) doIF(st *pipeState) {
+	var pc uint32
+	switch {
+	case st.killFetch:
 		// This cycle's fetch slot belongs to a squashed path.
 		return
-	}
-	if c.redirectHold > 0 {
-		c.redirectHold--
+	case st.redirectHold > 0:
+		st.redirectHold--
 		c.stats.FetchStalls++
 		return
-	}
-	if c.sID != nil {
-		return // decode occupied (stall)
-	}
-	if c.halting {
-		return
-	}
-	if c.fetching {
-		if c.fetchBusy > 0 {
-			c.fetchBusy--
+	case st.slots[st.idi].valid, st.halting:
+		return // decode occupied (stall), or draining
+	case st.fetching:
+		if st.fetchBusy > 0 {
+			st.fetchBusy--
 			c.stats.FetchStalls++
-			if c.fetchBusy > 0 {
+			if st.fetchBusy > 0 {
 				return
 			}
 		}
-		c.fetching = false
-		c.deliver(c.fetchPC)
-		return
+		st.fetching = false
+		pc = st.fetchPC
+	default:
+		pc = st.pc
+		if pc == HaltAddress {
+			st.halting = true
+			return
+		}
+		if !c.prog.InText(pc) {
+			// Possibly a wrong-path overrun (e.g. sequential fetch past a
+			// jr at the end of the text segment). Deliver a poison slot:
+			// it only faults if it survives to execute.
+			st.slots[st.idi] = slot{pc: pc, poison: true, valid: true}
+			st.pc = pc + 4
+			return
+		}
+		if c.icache != nil {
+			cycles := c.cfg.ICache.HitCycles
+			if c.pre != nil && st.lineKnown && pc&st.lineMask == st.lastLine {
+				c.icache.AccountHits(1)
+			} else {
+				cycles = c.icache.Access(pc, false)
+				st.lastLine = pc & st.lineMask
+				st.lineKnown = true
+			}
+			if cycles > 1 {
+				st.fetching = true
+				st.fetchPC = pc
+				st.fetchBusy = cycles - 1
+				return
+			}
+		}
 	}
-	pc := c.pc
-	if pc == HaltAddress {
-		c.halting = true
-		return
-	}
-	if !c.prog.InText(pc) {
-		// Possibly a wrong-path overrun (e.g. sequential fetch past a
-		// jr at the end of the text segment). Deliver a poison slot:
-		// it only faults if it survives to execute.
-		s := c.allocSlot()
-		s.pc, s.poison = pc, true
-		c.sID = s
-		c.pc = pc + 4
-		return
-	}
-	cycles := 1
-	if c.icache != nil {
-		cycles = c.icache.Access(pc, false)
-	}
-	if cycles > 1 {
-		c.fetching = true
-		c.fetchPC = pc
-		c.fetchBusy = cycles - 1
-		return
-	}
-	c.deliver(pc)
-}
 
-// deliver completes a fetch: the ASBR fold hook is consulted first
-// (the BIT lookup happens in the fetch stage, paper Figure 4); on a
-// miss the word is decoded and conditional branches are predicted.
-func (c *CPU) deliver(pc uint32) {
+	// Deliver the fetch of pc (a text address) into ID.
 	c.stats.Fetches++
 	if c.ev != nil {
 		c.emit(obs.EvFetch, pc, 0, false)
 	}
+	id := &st.slots[st.idi]
 	if c.fold != nil {
 		if f, ok := c.fold.TryFold(pc); ok {
 			c.stats.Folded++
@@ -487,84 +549,33 @@ func (c *CPU) deliver(pc uint32) {
 			if c.ev != nil {
 				c.emit(obs.EvFold, pc, uint64(f.Next), f.Taken)
 			}
-			s := c.allocSlot()
-			s.pc, s.word, s.folded = f.PC, f.Word, true
-			if c.pre != nil && c.prog.InText(f.PC) && c.pre.at(f.PC).Word == f.Word {
-				// The injected word is the program's own instruction at
-				// f.PC (the common case): reuse its predecoded entry.
-				d := c.pre.at(f.PC)
-				s.in, s.ok = d.In, d.OK
-				s.dest, s.hasDest = d.Dest, d.HasDest
-				s.src, s.nsrc, s.pdec = d.Src, d.NSrc, true
-			} else {
-				// A fault plan (or an exotic hook) injected a word that
-				// is not in the text image; decode it directly.
-				in, err := isa.Decode(f.Word)
-				s.in, s.ok = in, err == nil
-			}
-			c.sID = s
-			c.pc = f.Next
+			*id = slot{d: c.injected(f), pc: f.PC, folded: true, valid: true}
+			st.pc = f.Next
 			if f.Next == HaltAddress {
-				c.halting = true
+				st.halting = true
 			}
 			return
 		}
 	}
+	var d *DecodedInst
 	if c.pre != nil {
-		c.deliverFast(pc)
-		return
-	}
-	// Reference engine: decode the word on every fetch.
-	word, err := c.prog.WordAt(pc)
-	if err != nil {
-		c.fail(ErrFetchFault, pc, "fetch: %v", err)
-		return
-	}
-	in, derr := isa.Decode(word)
-	s := &slot{pc: pc, word: word, in: in, ok: derr == nil}
-	next := pc + 4
-	if derr == nil && in.IsCondBranch() {
-		taken, target, redirect := c.cfg.Branch.PredictFetch(pc)
-		s.predTaken, s.predTarget, s.predRedirect, s.predicted = taken, target, redirect, true
-		if redirect {
-			next = target
+		d = c.pre.at(pc)
+	} else {
+		// Reference engine: decode the word on every fetch.
+		word, err := c.prog.WordAt(pc)
+		if err != nil {
+			c.fail(ErrFetchFault, pc, "fetch: %v", err)
+			return
 		}
+		d = new(DecodedInst)
+		decodeWord(d, word, pc)
 	}
-	if derr == nil && c.cfg.RAS != nil {
-		switch {
-		case in.Op == isa.OpJAL || in.Op == isa.OpJALR:
-			// Calls push their return address speculatively at fetch.
-			c.cfg.RAS.Push(pc + 4)
-		case in.Op == isa.OpJR && in.Rs == isa.RegRA:
-			s.predicted = true
-			if target, ok := c.cfg.RAS.Pop(); ok {
-				s.predTarget, s.predRedirect = target, true
-				next = target
-			}
-		}
-	}
-	c.sID = s
-	c.pc = next
-	if next == HaltAddress {
-		c.halting = true
-	}
-}
-
-// deliverFast is the fast engine's fetch completion: the decoded
-// instruction and its derived facts come straight from the predecode
-// table; nothing is decoded or allocated. doIF guarantees pc is a text
-// address before calling deliver.
-func (c *CPU) deliverFast(pc uint32) {
-	d := c.pre.at(pc)
-	s := c.allocSlot()
-	s.pc, s.word = pc, d.Word
-	s.in, s.ok = d.In, d.OK
-	s.dest, s.hasDest = d.Dest, d.HasDest
-	s.src, s.nsrc, s.pdec = d.Src, d.NSrc, true
+	*id = slot{d: d, pc: pc, valid: true}
 	next := pc + 4
 	if d.CondBranch {
 		taken, target, redirect := c.cfg.Branch.PredictFetch(pc)
-		s.predTaken, s.predTarget, s.predRedirect, s.predicted = taken, target, redirect, true
+		id.predTaken, id.predTarget = taken, target
+		id.predRedirect, id.predicted = redirect, true
 		if redirect {
 			next = target
 		}
@@ -572,20 +583,36 @@ func (c *CPU) deliverFast(pc uint32) {
 	if d.OK && c.cfg.RAS != nil {
 		switch {
 		case d.In.Op == isa.OpJAL || d.In.Op == isa.OpJALR:
+			// Calls push their return address speculatively at fetch.
 			c.cfg.RAS.Push(pc + 4)
 		case d.In.Op == isa.OpJR && d.In.Rs == isa.RegRA:
-			s.predicted = true
+			id.predicted = true
 			if target, ok := c.cfg.RAS.Pop(); ok {
-				s.predTarget, s.predRedirect = target, true
+				id.predTarget, id.predRedirect = target, true
 				next = target
 			}
 		}
 	}
-	c.sID = s
-	c.pc = next
+	st.pc = next
 	if next == HaltAddress {
-		c.halting = true
+		st.halting = true
 	}
+}
+
+// injected returns the decoded form of a fold's replacement word.
+func (c *CPU) injected(f Fold) *DecodedInst {
+	if c.pre != nil && c.prog.InText(f.PC) {
+		if d := c.pre.at(f.PC); d.Word == f.Word {
+			// The injected word is the program's own instruction at f.PC
+			// (the common case): reuse its predecoded entry.
+			return d
+		}
+	}
+	// The reference engine, or a fault plan (or an exotic hook) that
+	// injected a word not in the text image: decode it directly.
+	d := new(DecodedInst)
+	decodeWord(d, f.Word, f.PC)
+	return d
 }
 
 func b2i(b bool) int32 {

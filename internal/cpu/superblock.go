@@ -1,607 +1,64 @@
 package cpu
 
-import (
-	"context"
+// The superblock engine's accelerator. The superblock engine runs the
+// same per-cycle stages as the fast engine (stages.go); before each
+// cycle RunContext offers sbFused the chance to batch-advance instead.
+// That is legal only because SelectEngine guarantees no capability is
+// attached (no fold hook, no observers, no event sink, no tracer, no
+// RAS, no recording), so the hooks the fused loop skips are provably
+// absent, and the architectural state and Stats it leaves behind are
+// bit-identical to what the per-cycle stages would leave.
 
-	"asbr/internal/isa"
-)
-
-// The superblock engine.
+// sbFused batch-advances the machine through whole cycles of the
+// hookless pipeline. It returns false (having consumed no cycles) when
+// the first cycle holds an event it does not model; otherwise it plays
+// at least one whole cycle and returns true.
 //
-// Two ideas stacked on the fast engine, both legal only because
-// SelectEngine guarantees no capability is attached (no fold hook, no
-// observers, no event sink, no tracer, no RAS, no recording):
-//
-//  1. The per-cycle loop keeps the entire pipeline in a stack-local
-//     sbState of value-typed slots: no slot allocation or freelist, no
-//     per-slot zeroing, no hook nil-checks, no pending-value or trace
-//     bookkeeping. Every stage below is a line-for-line transcription
-//     of the corresponding stage in stages.go with the hook paths
-//     (provably dead here) removed — stage order, stall accounting and
-//     squash behavior are identical, so the counters are bit-identical.
-//
-//  2. When the pipeline is completely full of a predecoded fusible run
-//     (DecodedInst.Fuse), the steady state is known analytically: one
-//     commit, one data access, one execute and one fetch per cycle.
-//     sbFused plays those cycles as a tight rotating loop over four
-//     value slots with every stall check removed, and then keeps going
-//     past the run: fetch follows the branch predictor through
-//     conditional branches (training it at the exact virtual cycles the
-//     per-cycle loop would), and the one-cycle load-use interlock is
-//     absorbed as a deterministic bubble instead of an exit. The events
-//     that genuinely break the batch — cache misses, mispredictions,
-//     jumps, multi-cycle EX ops, syscalls, memory faults — each exit
-//     back to the per-cycle transcription with the in-flight slots
-//     rebuilt mid-pipeline. Cache-hitting loads and stores ride along
-//     at full speed: their D-cache access happens at their exact
-//     virtual MEM cycle, in program order, and the I-cache is touched
-//     once per line instead of once per word (mem.Cache.AccountHits
-//     batches the guaranteed same-line hits).
-//
-// Every exit from runSuperblock is terminal (halt or a recorded
-// error), matching RunContext's contract; the architectural state and
-// Stats left behind are bit-identical to what the other engines leave.
-
-// sbSlot is one in-flight instruction in the superblock engine's
-// value-typed pipeline. d points into the shared predecode table and
-// is nil only for poison (out-of-text wrong-path) fetches.
-type sbSlot struct {
-	d  *DecodedInst
-	pc uint32
-
-	predTarget uint32
-	result     int32
-	memAddr    uint32
-	storeVal   int32
-	exLeft     int32
-
-	predTaken    bool
-	predRedirect bool
-	predicted    bool
-	started      bool
-	poison       bool
-	valid        bool
-
-	// luHazard marks a slot fetched (by the fused loop) immediately
-	// after the load that feeds it: when it reaches EX it pays the
-	// one-cycle load-use interlock. The per-cycle loop never reads this
-	// flag — it recomputes the hazard from pipeline state.
-	luHazard bool
-}
-
-// sbState is the whole front end and pipeline of a superblock machine,
-// kept on runSuperblock's stack. The four stage occupants rotate over
-// the fixed slot pool by index: a stage advance swaps two uint8
-// indices, never copies a slot. Indices instead of pointers matter —
-// storing &st.slots[i] into a field of st is an assignment cycle that
-// defeats escape analysis (golang.org/issue/35518) and would move the
-// whole pipeline to the heap, putting a write barrier on every
-// advance. The hot loops bind local *sbSlot pointers once per call;
-// locals derived from a non-escaping parameter stay barrier-free.
-type sbState struct {
-	slots              [4]sbSlot
-	idi, exi, mmi, wbi uint8
-
-	pc      uint32
-	fetchPC uint32
-
-	fetchBusy    int
-	memBusy      int
-	redirectHold int
-
-	fetching  bool
-	halting   bool
-	killFetch bool
-
-	// I-cache same-line batching: lastLine is the line of the most
-	// recent I-cache Access, which left that line most-recently-used.
-	// Only fetch touches the I-cache, so a subsequent fetch from the
-	// same line is a guaranteed hit whose LRU re-touch would only
-	// refresh an already-newest stamp — mem.Cache.AccountHits records
-	// it without the lookup. lineMask is ^(LineBytes-1), fixed per run;
-	// lineKnown gates the first fetch.
-	lastLine  uint32
-	lineMask  uint32
-	lineKnown bool
-}
-
-// sbMinFuse is the minimum linear fusion run length worth engaging the
-// fused loop for: the four in-flight head instructions. Once engaged,
-// the loop chains past the linear run through correctly-predicted
-// conditional branches, so a run only needs to fill the pipeline.
-const sbMinFuse = 4
-
-// runSuperblock is RunContext for the superblock engine: the same
-// stride-batched poll structure, with sbCycle/sbFused in place of Step.
-func (c *CPU) runSuperblock(ctx context.Context) (Stats, error) {
-	stride := uint64(c.cfg.PollStride)
-	if stride == 0 {
-		stride = 1024
-	}
-	var st sbState
-	st.idi, st.exi, st.mmi, st.wbi = 0, 1, 2, 3
-	st.pc = c.pc
-	if c.icache != nil {
-		st.lineMask = ^uint32(c.icache.Config().LineBytes - 1)
-	}
-	for !c.halted && c.err == nil {
-		if err := ctx.Err(); err != nil {
-			c.fail(ErrCanceled, st.pc, "%v", err)
-			break
-		}
-		if c.stats.Cycles >= c.cfg.MaxCycles {
-			c.fail(ErrCycleLimit, st.pc, "exceeded MaxCycles=%d", c.cfg.MaxCycles)
-			break
-		}
-		n := stride
-		if left := c.cfg.MaxCycles - c.stats.Cycles; left < n {
-			n = left
-		}
-		end := c.stats.Cycles + n
-		for c.stats.Cycles < end && !c.halted && c.err == nil {
-			if c.sbFused(&st, end) {
-				continue
-			}
-			c.sbCycle(&st)
-		}
-	}
-	c.pc = st.pc
-	return c.Stats(), c.err
-}
-
-// sbCycle advances the machine one clock cycle: the transcription of
-// Step/stages.go for the hook-free value-typed pipeline.
-func (c *CPU) sbCycle(st *sbState) {
-	c.stats.Cycles++
-	st.killFetch = false
-	// Local stage pointers into the slot pool: advances swap these and
-	// the matching indices; no slot is ever copied and no pointer is
-	// ever stored into st (see sbState).
-	id, ex := &st.slots[st.idi], &st.slots[st.exi]
-	mm, wb := &st.slots[st.mmi], &st.slots[st.wbi]
-
-	// ---- WB: commit ----
-	if wb.valid {
-		wb.valid = false
-		d := wb.d
-		if d.HasDest {
-			c.regs[d.Dest] = wb.result
-		}
-		switch d.In.Op {
-		case isa.OpSYSCALL:
-			c.stats.Syscalls++
-			c.syscall(wb.pc)
-		case isa.OpBREAK:
-			c.fail(ErrBreak, wb.pc, "break instruction")
-		}
-		c.stats.Instructions++
-		if c.halted {
-			return // exit syscall committed; younger work is abandoned
-		}
-	}
-
-	// ---- MEM: data access ----
-	if mm.valid {
-		adv := false
-		if st.memBusy > 0 {
-			st.memBusy--
-			c.stats.MemStalls++
-			adv = st.memBusy == 0
-		} else {
-			adv = true
-			d := mm.d
-			if d != nil && d.OK && (d.Load || d.Store) {
-				cycles := 1
-				if c.dcache != nil {
-					cycles = c.dcache.Access(mm.memAddr, d.Store)
-				}
-				c.sbAccess(mm)
-				if c.err != nil {
-					adv = false
-				} else if cycles > 1 {
-					st.memBusy = cycles - 1
-					adv = false
-				}
-			}
-		}
-		if adv {
-			wb, mm = mm, wb
-			st.wbi, st.mmi = st.mmi, st.wbi
-			mm.valid = false
-		}
-	}
-
-	// ---- EX: execute, resolve control flow ----
-	if ex.valid && !mm.valid {
-		run := ex.started
-		if !run {
-			switch {
-			case c.sbLoadUseHazard(ex, wb):
-				c.stats.LoadUseStalls++
-			case ex.d == nil || !ex.d.OK:
-				if ex.poison {
-					c.fail(ErrTextOverrun, ex.pc, "execution ran past the text segment")
-				} else {
-					c.fail(ErrBadOpcode, ex.pc, "illegal instruction word 0x%08x", ex.d.Word)
-				}
-			default:
-				ex.started = true
-				ex.exLeft = 1
-				switch ex.d.In.Op {
-				case isa.OpMULT, isa.OpMULTU:
-					ex.exLeft = int32(c.cfg.MultCycles)
-				case isa.OpDIV, isa.OpDIVU:
-					ex.exLeft = int32(c.cfg.DivCycles)
-				}
-				c.sbExecute(ex, wb)
-				run = c.err == nil
-			}
-		}
-		if run {
-			ex.exLeft--
-			if ex.exLeft > 0 {
-				c.stats.ExStalls++
-			} else {
-				c.sbResolve(st, ex)
-				mm, ex = ex, mm
-				st.mmi, st.exi = st.exi, st.mmi
-				ex.valid = false
-			}
-		}
-	}
-
-	// ---- ID: decode redirect (direct jumps), move to EX ----
-	if id.valid && !ex.valid {
-		ex, id = id, ex
-		st.exi, st.idi = st.idi, st.exi
-		id.valid = false
-		if d := ex.d; d != nil && d.OK {
-			switch d.In.Op {
-			case isa.OpJ, isa.OpJAL:
-				c.stats.Jumps++
-				// Redirect after this cycle's (wrong-path) fetch slot.
-				st.pc = d.In.Target
-				st.killFetch = true
-				st.fetching = false
-				st.fetchBusy = 0
-				st.halting = d.In.Target == HaltAddress
-			}
-		}
-	}
-
-	// ---- IF: fetch ----
-	switch {
-	case st.killFetch:
-		// This cycle's fetch slot belongs to a squashed path.
-	case st.redirectHold > 0:
-		st.redirectHold--
-		c.stats.FetchStalls++
-	case id.valid:
-		// Decode occupied (stall).
-	case st.halting:
-	case st.fetching:
-		deliver := true
-		if st.fetchBusy > 0 {
-			st.fetchBusy--
-			c.stats.FetchStalls++
-			deliver = st.fetchBusy == 0
-		}
-		if deliver {
-			st.fetching = false
-			c.sbDeliver(st, id, st.fetchPC)
-		}
-	default:
-		pc := st.pc
-		if pc == HaltAddress {
-			st.halting = true
-			break
-		}
-		if !c.prog.InText(pc) {
-			// Wrong-path overrun: deliver a poison slot that faults
-			// only if it survives to execute.
-			*id = sbSlot{pc: pc, poison: true, valid: true}
-			st.pc = pc + 4
-			break
-		}
-		cycles := 1
-		if c.icache != nil {
-			if st.lineKnown && pc&st.lineMask == st.lastLine {
-				c.icache.AccountHits(1)
-			} else {
-				cycles = c.icache.Access(pc, false)
-				st.lastLine = pc & st.lineMask
-				st.lineKnown = true
-			}
-		}
-		if cycles > 1 {
-			st.fetching = true
-			st.fetchPC = pc
-			st.fetchBusy = cycles - 1
-			break
-		}
-		c.sbDeliver(st, id, pc)
-	}
-
-	if st.halting && !id.valid && !ex.valid && !mm.valid && !wb.valid {
-		c.halted = true
-	}
-}
-
-// sbDeliver completes a fetch from the predecode table and predicts
-// conditional branches, exactly like deliverFast minus the (absent)
-// fold hook and RAS.
-func (c *CPU) sbDeliver(st *sbState, id *sbSlot, pc uint32) {
-	c.stats.Fetches++
-	d := c.pre.at(pc)
-	*id = sbSlot{d: d, pc: pc, valid: true}
-	next := pc + 4
-	if d.CondBranch {
-		taken, target, redirect := c.cfg.Branch.PredictFetch(pc)
-		id.predTaken, id.predTarget = taken, target
-		id.predRedirect, id.predicted = redirect, true
-		if redirect {
-			next = target
-		}
-	}
-	st.pc = next
-	if next == HaltAddress {
-		st.halting = true
-	}
-}
-
-// sbReadReg is readReg for the value-typed pipeline: the instruction
-// that just moved MEM->WB forwards its result; everything older
-// committed during this cycle's WB.
-func (c *CPU) sbReadReg(r isa.Reg, w *sbSlot) int32 {
-	if r == isa.RegZero {
-		return 0
-	}
-	if w.valid && w.d != nil && w.d.HasDest && w.d.Dest == r {
-		return w.result
-	}
-	return c.regs[r]
-}
-
-// sbLoadUseHazard is loadUseHazard for the value-typed pipeline.
-func (c *CPU) sbLoadUseHazard(s, w *sbSlot) bool {
-	if !w.valid || w.d == nil || !w.d.Load || !w.d.HasDest {
-		return false
-	}
-	d := s.d
-	if d == nil {
-		return false
-	}
-	for i := uint8(0); i < d.NSrc; i++ {
-		if d.Src[i] == w.d.Dest {
-			return true
-		}
-	}
-	return false
-}
-
-// sbExecute computes the functional result of the instruction in EX
-// via the value-typed dispatch table, then latches the operand values
-// control-flow resolution needs — the transcription of execute.
-func (c *CPU) sbExecute(s *sbSlot, w *sbSlot) {
-	d := s.d
-	in := &d.In
-	rs := c.sbReadReg(in.Rs, w)
-	rt := c.sbReadReg(in.Rt, w)
-	if fn := sbExecTable[in.Op]; fn != nil {
-		// Operands in, results out — all by value, so s (a stack slot)
-		// never escapes into the indirect call. Results the opcode does
-		// not produce come back zero and are never read downstream.
-		res, addr, sv := fn(c, d, s.pc, rs, rt)
-		if c.err != nil {
-			return
-		}
-		s.result, s.memAddr, s.storeVal = res, addr, sv
-	}
-	if d.CondBranch {
-		s.result = rs // condition register value
-		s.storeVal = rt
-	}
-	if in.Op == isa.OpJR || in.Op == isa.OpJALR {
-		s.memAddr = uint32(rs) // jump target
-	}
-}
-
-// sbAccess is the functional memory operation for the instruction in
-// MEM — the transcription of access.
-func (c *CPU) sbAccess(s *sbSlot) {
-	op := s.d.In.Op
-	a := s.memAddr
-	width := accessWidth(op)
-	if a >= c.cfg.MemLimit || c.cfg.MemLimit-a < width {
-		c.fail(ErrMemOutOfRange, s.pc, "%s at 0x%08x beyond memory limit 0x%08x", op, a, c.cfg.MemLimit)
-		return
-	}
-	if a%width != 0 {
-		c.fail(ErrUnalignedAccess, s.pc, "unaligned %s at 0x%08x", op, a)
-		return
-	}
-	switch op {
-	case isa.OpLW:
-		s.result = int32(c.mem.LoadWord(a))
-	case isa.OpLH:
-		s.result = int32(int16(c.mem.LoadHalf(a)))
-	case isa.OpLHU:
-		s.result = int32(c.mem.LoadHalf(a))
-	case isa.OpLB:
-		s.result = int32(int8(c.mem.LoadByte(a)))
-	case isa.OpLBU:
-		s.result = int32(c.mem.LoadByte(a))
-	case isa.OpSW:
-		c.mem.StoreWord(a, uint32(s.storeVal))
-	case isa.OpSH:
-		c.mem.StoreHalf(a, uint16(s.storeVal))
-	case isa.OpSB:
-		c.mem.StoreByte(a, byte(s.storeVal))
-	}
-}
-
-// sbResolve handles end-of-EX control flow for st.ex — the
-// transcription of resolve (the RAS is never attached here, so
-// indirect jumps always arrive unpredicted, exactly like the other
-// engines without a RAS).
-func (c *CPU) sbResolve(st *sbState, s *sbSlot) {
-	d := s.d
-	switch {
-	case d.CondBranch:
-		if next, mis := c.sbResolveCond(s); mis {
-			c.sbSquash(st, next)
-			st.redirectHold = c.cfg.ExtraMispredictCycles
-		}
-	case d.In.Op == isa.OpJR || d.In.Op == isa.OpJALR:
-		c.stats.Jumps++
-		c.stats.IndirectJumps++
-		if s.predRedirect && s.predTarget == s.memAddr {
-			c.stats.RASHits++
-			return // fetch already followed the return correctly
-		}
-		if s.predicted {
-			c.stats.RASMisses++
-		}
-		c.sbSquash(st, s.memAddr)
-	}
-}
-
-// sbResolveCond resolves the conditional branch executing in s:
-// direction from the latched operands, outcome and prediction-detail
-// stats, and predictor training — everything resolve does short of the
-// squash, which the per-cycle and fused callers each apply in their own
-// representation. It returns the branch's actual next fetch address and
-// whether fetch followed the wrong path (mispredict == true means
-// Mispredicts has been counted and the caller must squash).
-func (c *CPU) sbResolveCond(s *sbSlot) (actualNext uint32, mispredict bool) {
-	d := s.d
-	rs, rt := s.result, s.storeVal
-	var taken bool
-	switch d.In.Op {
-	case isa.OpBEQ:
-		taken = rs == rt
-	case isa.OpBNE:
-		taken = rs != rt
-	case isa.OpBLEZ:
-		taken = rs <= 0
-	case isa.OpBGTZ:
-		taken = rs > 0
-	case isa.OpBLTZ:
-		taken = rs < 0
-	case isa.OpBGEZ:
-		taken = rs >= 0
-	}
-	target := d.BranchTarget
-	c.stats.CondBranches++
-	if taken {
-		c.stats.TakenBranches++
-	}
-	actualNext = s.pc + 4
-	if taken {
-		actualNext = target
-	}
-	predictedNext := s.pc + 4
-	if s.predRedirect {
-		predictedNext = s.predTarget
-	}
-	if s.predTaken != taken {
-		c.stats.DirMispredicts++
-	} else if taken && !s.predRedirect {
-		c.stats.BTBMissTaken++
-	} else if taken && s.predRedirect && s.predTarget != target {
-		c.stats.BTBWrongTarget++
-	}
-	c.cfg.Branch.Resolve(s.pc, taken, target)
-	if actualNext != predictedNext {
-		c.stats.Mispredicts++
-		return actualNext, true
-	}
-	return actualNext, false
-}
-
-// sbSquash kills the wrong-path front end and redirects fetch to next
-// — the transcription of squashFrontend.
-func (c *CPU) sbSquash(st *sbState, next uint32) {
-	if id := &st.slots[st.idi]; id.valid {
-		c.stats.WrongPath++
-		id.valid = false
-	}
-	st.fetching = false
-	st.fetchBusy = 0
-	st.killFetch = true
-	st.redirectHold = 0
-	st.pc = next
-	st.halting = next == HaltAddress
-}
-
-// sbFused batch-advances the machine while the pipeline is completely
-// full and no stall is possible. It returns false (having consumed no
-// cycles) when the engagement preconditions do not hold; otherwise it
-// plays at least one whole cycle and returns true.
-//
-// Engagement requires the exact steady state the fused cycles
-// perpetuate: the four stages holding four consecutive instructions of
-// a fusible run (WB post-MEM with its final result, MEM executed with
-// its data access pending, EX and ID fresh) and fetch pointed at the
-// next word. Each fused cycle is then exactly one turn of the real
-// pipeline with every stall check removed — legal because nothing in
-// flight can redirect fetch unpredicted, occupy EX for more than a
-// cycle, or raise the load-use interlock:
+// A fused cycle is one turn of the real pipeline restricted to the
+// events the loop models exactly: any word but an fcBreak in any stage
+// (single-cycle work, conditional branches and jumps — see
+// fusedClass), bubbles, one-cycle cache hits, branch prediction and
+// resolution with the mispredict squash and redirect hold, the jump
+// redirects, and the one-cycle load-use interlock. Per cycle, in the
+// per-cycle stage order:
 //
 //	WB   commit the oldest in-flight result
-//	MEM  D-cache access + functional memory op for the next oldest
-//	EX   execute the next instruction, forwarding from the slot that
-//	     just finished MEM (the one-slot sWB forward of the real
-//	     pipeline); conditional branches resolve here, training the
-//	     predictor exactly as the per-cycle loop would
-//	IF   fetch one word along the predicted path, touching the I-cache
-//	     once per line instead of once per word (mem.Cache.AccountHits
-//	     batches the guaranteed same-line hits)
+//	MEM  functional memory op (its D-cache hit was taken at the top of
+//	     the cycle; nothing else in a cycle touches the D-cache)
+//	EX   execute, forwarding from the slot that just finished MEM;
+//	     conditional branches resolve here, training the predictor
+//	     exactly as the per-cycle loop would — a mispredict squashes
+//	     ID, kills this cycle's fetch and starts the redirect hold —
+//	     and jr/jalr squash the same way (no RAS on this engine)
+//	ID   a direct jump leaving ID redirects fetch, killing this cycle's
+//	     fetch
+//	IF   fetch one word along the predicted path (PredictFetch at the
+//	     exact virtual cycle), touching the I-cache once per line
+//	     instead of once per word (mem.Cache.AccountHits batches the
+//	     guaranteed same-line hits)
 //
-// Past the engagement run the fetch stream is dynamic: a fetched
-// conditional branch consults PredictFetch (at its exact virtual fetch
-// cycle, so predictor state stays bit-identical) and fetch follows the
-// prediction — a correctly-predicted branch flows through the pipeline
-// with zero stalls, so the fused loop chains straight-line regions
-// across loop back-edges and if/else joins without leaving the batch.
-// The per-cycle stage order (EX resolve before IF predict) is
-// preserved, so the predictor sees the identical train/lookup
-// interleaving.
-//
-// The only stats a fused cycle touches are Cycles, Instructions,
-// Fetches, cache counters and the branch outcome/prediction counters —
-// precisely what the per-cycle loop would touch. The loop exits back to
-// the per-cycle transcription on a breaker at the fetch lookahead (jump,
-// multi-cycle EX, syscall/break/bitsw, bad word, halt, text overrun, or
-// a load-use pair), at the poll-stride boundary, on an I-cache line
-// miss, on a D-cache miss (the access's timing debt becomes memBusy,
-// exactly the doMEM miss path), on a memory fault, or on a
-// misprediction (replaying the squash in fused representation),
-// rebuilding the in-flight slots so the per-cycle loop resumes
-// mid-pipeline with no seam.
-func (c *CPU) sbFused(st *sbState, end uint64) bool {
-	wb := &st.slots[st.wbi]
-	if !wb.valid || wb.d == nil || wb.d.Fuse < sbMinFuse {
-		// The run-length test rides on wb.d, the cache line the WB
-		// commit is about to touch anyway — this is the common exit on
-		// every non-fused cycle.
+// Every event the loop does not model — a multi-cycle EX, an I- or
+// D-cache miss, a memory fault, a syscall, break or bank switch, an
+// undecodable word, the halt address or a text overrun — is detected at
+// the top of its cycle, before anything in the cycle happens. So every
+// exit is a clean cycle boundary: the four stack slots map back onto the
+// pipeline one to one and the per-cycle stages replay the cycle. The
+// fetch-side checks are conservative (the fetch they vet may still be
+// killed or held), which costs an early exit, never a divergence.
+func (c *CPU) sbFused(st *pipeState, end uint64) bool {
+	if st.fetching || st.memBusy != 0 || st.halting ||
+		c.cfg.ICache.HitCycles > 1 || c.cfg.DCache.HitCycles > 1 {
+		// The loop plays cache hits as stall-free; slower hits stay
+		// with the stages.
 		return false
 	}
-	id, ex := &st.slots[st.idi], &st.slots[st.exi]
-	mm := &st.slots[st.mmi]
-	if st.fetching || st.memBusy != 0 || st.redirectHold != 0 || st.halting {
-		return false
-	}
-	if !id.valid || !ex.valid || !mm.valid {
-		return false
-	}
-	if mm.d == nil || ex.d == nil || id.d == nil {
-		return false
-	}
-	if ex.started || !mm.started || !wb.started {
-		return false
-	}
-	if ex.pc != id.pc-4 || mm.pc != id.pc-8 || wb.pc != id.pc-12 || st.pc != id.pc+4 {
+	wb, mm := &st.slots[st.wbi], &st.slots[st.mmi]
+	ex, id := &st.slots[st.exi], &st.slots[st.idi]
+	if wb.valid && wb.d.fclass == fcBreak || mm.valid && mm.d.fclass == fcBreak ||
+		ex.valid && (ex.d == nil || ex.d.fclass == fcBreak || ex.started) ||
+		id.valid && (id.d == nil || id.d.fclass == fcBreak) {
+		// Valid WB and MEM occupants have executed, so their d is set;
+		// EX and ID may hold a poison (out-of-text) fetch.
 		return false
 	}
 	budget := int(end - c.stats.Cycles)
@@ -609,13 +66,31 @@ func (c *CPU) sbFused(st *sbState, end uint64) bool {
 	// Four stack slots carry the virtual pipeline; a stage advance
 	// rotates the four pointers (the slot freed by this cycle's commit
 	// becomes the fetch target), so no slot struct is copied mid-run.
-	var s0, s1, s2, s3 sbSlot
+	// luHazard is recomputed for the two fresh slots the way the fused
+	// fetch sets it: the slot directly ahead is a load feeding them.
+	var s0, s1, s2, s3 slot
 	s0 = *wb // in WB: MEM complete, result final, commits this cycle
 	s1 = *mm // in MEM: executed, data access pending this cycle
 	s2 = *ex // in EX: fresh, executes this cycle
-	s3 = *id // in ID: fresh (prediction latched if a fused-fetched branch)
+	s3 = *id // in ID: fresh (prediction latched if a branch)
+	for _, s := range [...]*slot{&s0, &s1, &s2, &s3} {
+		s.cls = fcBreak
+		if s.valid {
+			s.cls = s.d.fclass
+		}
+	}
+	s2.luHazard = s1.cls == fcLoad && s2.valid && loadFeeds(s1.d, s2.d)
+	s3.luHazard = s2.cls == fcLoad && s3.valid && loadFeeds(s2.d, s3.d)
+	if s2.luHazard && !s3.valid {
+		// The interlock cycle below assumes a full ID, which holds
+		// instead of fetching (an empty one would fetch). No path is
+		// known to reach this state; the check keeps that assumption
+		// local instead of relying on it.
+		return false
+	}
 	wbVal, mmVal, q0, q1 := &s0, &s1, &s2, &s3
 	fpc := st.pc // the word IF fetches this cycle
+	hold := st.redirectHold
 
 	pre := c.pre
 	lineMask := st.lineMask
@@ -624,128 +99,113 @@ func (c *CPU) sbFused(st *sbState, end uint64) bool {
 	done := 0
 	fetches := 0
 	commits := 0
-	exit := sbRunOut
 	for done < budget {
-		// ---- fetch lookahead: may IF fetch fpc at the end of this
-		// cycle? Exits here are clean cycle boundaries: nothing of this
-		// cycle has happened yet, and the per-cycle loop replays the
-		// offending fetch (halt, wrong-path overrun, a non-fusible
-		// class, or a load-use pair with the word in ID) with its full
-		// stall/poison/halt semantics.
-		if fpc == HaltAddress || !c.prog.InText(fpc) {
+		// ---- top of cycle: leave before anything of this cycle
+		// happens if it holds an event the loop does not model.
+		fd := pre.lookup(fpc)
+		if fpc == HaltAddress || fd == nil || fd.fclass == fcBreak {
 			break
 		}
-		fd := pre.at(fpc)
-		if fd.Fuse == 0 && !fd.CondBranch {
+		if c.icache != nil && fpc&lineMask != lastLine && !c.icache.Contains(fpc) {
 			break
 		}
-		// ---- WB: commit (the slot is invalid only while a load-use
-		// bubble drains) ----
+		memOp := mmVal.cls == fcLoad || mmVal.cls == fcStore
+		if memOp {
+			if c.accessFault(mmVal) {
+				break
+			}
+			if c.dcache != nil && !c.dcache.TryAccess(mmVal.memAddr, mmVal.cls == fcStore) {
+				break
+			}
+		}
+		done++
+		// ---- WB: commit ----
 		if wbVal.valid {
 			if wbVal.d.HasDest {
 				c.regs[wbVal.d.Dest] = wbVal.result
 			}
 			commits++
 		}
-		// ---- MEM: data access ----
-		if d := mmVal.d; mmVal.valid && (d.Load || d.Store) {
-			cycles := 1
-			if c.dcache != nil {
-				cycles = c.dcache.Access(mmVal.memAddr, d.Store)
-			}
-			c.sbAccess(mmVal)
-			if c.err != nil {
-				// The faulting access holds MEM; the stages behind it
-				// neither execute nor fetch this cycle.
-				done++
-				exit = sbFault
-				break
-			}
-			if cycles > 1 {
-				// D-cache miss: the access's functional effect is done
-				// (as in doMEM), only its timing debt remains. The miss
-				// structurally stalls EX, ID and IF this cycle.
-				st.memBusy = cycles - 1
-				done++
-				exit = sbDMiss
-				break
-			}
+		// ---- MEM: functional memory op ----
+		if memOp {
+			c.memOp(mmVal) // validated at the top
 		}
-		// ---- EX: execute, forwarding from the slot leaving MEM;
-		// conditional branches resolve here ----
-		if q0.luHazard {
-			// The load-use interlock: EX holds for one cycle while the
-			// load ahead finishes MEM. ID and IF stall behind it, so the
-			// only stage advances are WB and MEM — the freed commit slot
-			// becomes a bubble that drains through MEM and WB over the
-			// next two cycles (the WB/MEM valid guards above).
-			q0.luHazard = false
-			c.stats.LoadUseStalls++
-			ns := wbVal
-			*ns = sbSlot{}
-			wbVal, mmVal = mmVal, ns
-			done++
-			continue
-		}
-		q0.started = true
-		c.sbExecute(q0, mmVal)
-		if q0.d.CondBranch {
-			if next, mis := c.sbResolveCond(q0); mis {
-				// The squash in fused representation: the predicted-path
-				// word in ID (q1, fetched last cycle) dies, this cycle's
-				// fetch never happens, and fetch restarts at the actual
-				// next address behind the redirect hold.
-				c.stats.WrongPath++
-				st.redirectHold = c.cfg.ExtraMispredictCycles
-				st.halting = next == HaltAddress
-				fpc = next
-				done++
-				exit = sbMispredict
-				break
+		// ---- EX ----
+		kill := false // this cycle's fetch is killed by a redirect
+		if q0.valid {
+			if q0.luHazard {
+				// The load-use interlock: EX holds for one cycle while the
+				// load ahead finishes MEM. ID and IF stall behind it (no
+				// redirect hold is pending: a hold leaves EX empty until
+				// fetch resumes), so the only stage advances are WB and
+				// MEM — the freed commit slot becomes a bubble that drains
+				// through MEM and WB.
+				q0.luHazard = false
+				c.stats.LoadUseStalls++
+				ns := wbVal
+				*ns = slot{}
+				wbVal, mmVal = mmVal, ns
+				continue
 			}
-		}
-		// ---- IF: fetch fpc (vetted by the lookahead) ----
-		if c.icache != nil {
-			if fpc&lineMask != lastLine {
-				if pendingHits > 0 {
-					c.icache.AccountHits(pendingHits)
-					pendingHits = 0
+			q0.started = true
+			c.execute(q0, mmVal)
+			switch q0.cls {
+			case fcBranch:
+				if next, mis := c.resolveCond(q0); mis {
+					c.sbSquash(q1)
+					fpc, kill = next, true
+					hold = c.cfg.ExtraMispredictCycles
 				}
-				cyc := c.icache.Access(fpc, false)
-				lastLine = fpc & lineMask
-				if cyc > 1 {
-					// Line miss: commit, MEM and EX still happened, but
-					// the fetch goes busy instead of delivering —
-					// exactly the doIF miss path.
-					st.fetching = true
-					st.fetchPC = fpc
-					st.fetchBusy = cyc - 1
-					done++
-					exit = sbIMiss
-					break
-				}
-			} else {
-				pendingHits++
+			case fcJumpReg:
+				c.stats.Jumps++
+				c.stats.IndirectJumps++
+				c.sbSquash(q1)
+				fpc, kill = q0.memAddr, true
+				hold = 0
 			}
 		}
-		fetches++
+		// ---- ID: a direct jump moving to EX redirects fetch ----
+		if !kill && q1.cls == fcJump {
+			c.stats.Jumps++
+			fpc, kill = q1.d.In.Target, true
+		}
+		// ---- IF ----
 		ns := wbVal // the committed slot is dead: it becomes the fetch
-		*ns = sbSlot{d: fd, pc: fpc, valid: true}
-		if q1.d.Load && q1.d.HasDest && readsReg(fd, q1.d.Dest) {
-			ns.luHazard = true
-		}
-		nextf := fpc + 4
-		if fd.CondBranch {
-			tkn, tgt, rd := c.cfg.Branch.PredictFetch(fpc)
-			ns.predTaken, ns.predTarget = tkn, tgt
-			ns.predRedirect, ns.predicted = rd, true
-			if rd {
-				nextf = tgt
+		switch {
+		case kill:
+			*ns = slot{}
+		case hold > 0:
+			hold--
+			c.stats.FetchStalls++
+			*ns = slot{}
+		default:
+			if c.icache != nil {
+				if fpc&lineMask != lastLine {
+					if pendingHits > 0 {
+						c.icache.AccountHits(pendingHits)
+						pendingHits = 0
+					}
+					c.icache.Access(fpc, false) // a hit, vetted at the top
+					lastLine = fpc & lineMask
+				} else {
+					pendingHits++
+				}
 			}
+			fetches++
+			*ns = slot{d: fd, pc: fpc, valid: true, cls: fd.fclass}
+			ns.luHazard = q1.cls == fcLoad && loadFeeds(q1.d, fd)
+			next := fpc + 4
+			if ns.cls == fcBranch {
+				tkn, tgt, rd := c.cfg.Branch.PredictFetch(fpc)
+				ns.predTaken, ns.predTarget = tkn, tgt
+				ns.predRedirect, ns.predicted = rd, true
+				if rd {
+					next = tgt
+				}
+			}
+			fpc = next
 		}
 		wbVal, mmVal, q0, q1 = mmVal, q0, q1, ns
-		fpc = nextf
-		done++
 	}
 	if done == 0 {
 		return false
@@ -758,50 +218,31 @@ func (c *CPU) sbFused(st *sbState, end uint64) bool {
 	c.stats.Instructions += uint64(commits)
 	c.stats.Fetches += uint64(fetches)
 
-	// Rebuild the in-flight pipeline so the per-cycle loop resumes
-	// seamlessly. The slots' prediction fields ride along, so a branch
-	// fetched fused resolves identically per-cycle.
+	// Rebuild: every exit is on a cycle boundary, so the virtual
+	// pipeline maps back one to one and the per-cycle stages resume
+	// with no seam. A halt-address redirect leaves halting for the
+	// per-cycle fetch to raise, which it does before fetching anything.
+	*wb = *wbVal
+	*mm = *mmVal
+	*ex = *q0
+	*id = *q1
 	st.pc = fpc
-	switch exit {
-	case sbRunOut:
-		// Cycle-boundary exit (budget exhausted, or a breaker / halt /
-		// overrun / hazard at the fetch lookahead): the virtual pipeline
-		// maps back one-to-one; per-cycle replays the offending fetch.
-		*wb = *wbVal
-		*mm = *mmVal
-		*ex = *q0
-		*id = *q1
-	case sbIMiss:
-		// ID emptied into EX and the fetch went busy: WB post-MEM, MEM
-		// executed, EX fresh, ID empty.
-		*wb = *mmVal
-		*mm = *q0
-		*ex = *q1
-		*id = sbSlot{}
-	case sbMispredict:
-		// The branch moved on to MEM, the wrong-path ID occupant died,
-		// and EX/ID sit empty behind the redirect hold.
-		*wb = *mmVal
-		*mm = *q0
-		*ex = sbSlot{}
-		*id = sbSlot{}
-	case sbDMiss, sbFault:
-		// The access holds MEM (its functional effect done), nothing
-		// reached WB, and EX/ID kept their fresh occupants.
-		*wb = sbSlot{}
-		*mm = *mmVal
-		*ex = *q0
-		*id = *q1
-	}
+	st.redirectHold = hold
 	return true
 }
 
-// Fused-loop exit causes: the state rebuilt for the per-cycle loop
-// differs per cause.
-const (
-	sbRunOut     = iota // cycle-boundary exit: budget, breaker, halt, overrun or hazard at fetch
-	sbIMiss             // I-cache line miss on this cycle's fetch
-	sbDMiss             // D-cache miss in MEM
-	sbFault             // memory fault in MEM (run terminates)
-	sbMispredict        // conditional branch in EX left fetch on the wrong path
-)
+// sbSquash is squash in fused representation: the wrong-path word in
+// ID dies. The caller redirects fetch and kills this cycle's fetch.
+func (c *CPU) sbSquash(id *slot) {
+	if id.valid {
+		c.stats.WrongPath++
+		*id = slot{}
+	}
+}
+
+// loadFeeds reports whether ld is a load whose destination next reads:
+// the pair that costs the one-cycle load-use interlock when next
+// directly follows ld.
+func loadFeeds(ld, next *DecodedInst) bool {
+	return ld.Load && ld.HasDest && readsReg(next, ld.Dest)
+}

@@ -279,6 +279,24 @@ func TestPowerAreaShape(t *testing.T) {
 	}
 }
 
+// TestMotivationSeedSweep requires the hot-branch identification to
+// find exactly Figure 1's five every-iteration branches on every seed,
+// so `-table motivation` cannot fail on an unlucky seed. B3 runs about
+// n/2 times at any n, so whether it crosses a count threshold depends
+// on the seed, not the size: the smallest size covers it.
+func TestMotivationSeedSweep(t *testing.T) {
+	const n = 64
+	for seed := int64(1); seed <= 20; seed++ {
+		res, err := Motivation(n, seed)
+		if err != nil {
+			t.Fatalf("n=%d seed=%d: %v", n, seed, err)
+		}
+		if !res.AccMatch {
+			t.Errorf("n=%d seed=%d: folding changed the program result", n, seed)
+		}
+	}
+}
+
 // TestMotivationFigure1 reproduces §3: B4 (data-correlated with B1) is
 // better predicted by gshare than bimodal but never perfectly; B5
 // (input-dependent) hovers near 50% for every statistical predictor;

@@ -149,13 +149,15 @@ func (s *Sweep) Motivation(n int, seed int64) (*MotivationResult, error) {
 		pc := prog.TextBase + uint32(4*i)
 		in, err := prog.InstAt(pc)
 		if err == nil && in.IsCondBranch() {
-			if st, ok := prof.Stat(pc); ok && st.Count >= uint64(n/2) {
+			if st, ok := prof.Stat(pc); ok && st.Count >= uint64(n) {
 				branchPCs = append(branchPCs, pc)
 			}
 		}
 	}
-	// B3 executes only when B2 is taken (~n/2); it was filtered above,
-	// so the surviving order is B1, B2, B4, B5, loop.
+	// Only branches that run on every iteration survive. B3 runs only
+	// when B2 is taken, about n/2 times, so any threshold near n/2 keeps
+	// it on about half the seeds; requiring every iteration filters it,
+	// and the surviving order is B1, B2, B4, B5, loop.
 	names := []string{"B1", "B2", "B4", "B5", "loop"}
 	if len(branchPCs) != len(names) {
 		return nil, fmt.Errorf("expected %d hot branches, found %d", len(names), len(branchPCs))

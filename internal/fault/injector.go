@@ -57,11 +57,6 @@ var _ obs.Observer = (*Injector)(nil)
 // injector to a machine.
 func (j *Injector) Chain() obs.Observer { return obs.NewChain(j, j.eng) }
 
-// Hook adapts the chain to the legacy cpu.FoldHook interface.
-//
-// Deprecated: set cpu.Config.Obs = j.Chain() instead.
-func (j *Injector) Hook() cpu.FoldHook { return j.Chain() }
-
 // NewInjector wraps eng according to plan. The same plan (kind, rate,
 // seed, max) over the same program run injects the identical fault
 // sequence: the RNG is the plan seed and nothing else.

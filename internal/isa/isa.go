@@ -365,13 +365,14 @@ func (i Inst) DestReg() (Reg, bool) {
 	return r, true
 }
 
-// SrcRegs returns the registers read by the instruction. The result
-// has length 0, 1, or 2 and never contains the zero register.
-func (i Inst) SrcRegs() []Reg {
-	var out []Reg
+// SrcRegs returns the registers read by the instruction: src[:n],
+// with n of 0, 1 or 2 and never the zero register. A fixed array keeps
+// the simulator's per-fetch decode free of allocation.
+func (i Inst) SrcRegs() (src [2]Reg, n int) {
 	add := func(r Reg) {
 		if r != RegZero {
-			out = append(out, r)
+			src[n] = r
+			n++
 		}
 	}
 	switch i.Op {
@@ -403,7 +404,7 @@ func (i Inst) SrcRegs() []Reg {
 		add(RegV0)
 		add(RegA0)
 	}
-	return out
+	return src, n
 }
 
 // NopWord is the canonical encoding of a no-op (sll zero, zero, 0).

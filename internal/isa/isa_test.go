@@ -305,34 +305,40 @@ func TestDestReg(t *testing.T) {
 }
 
 func TestSrcRegs(t *testing.T) {
-	has := func(rs []Reg, want ...Reg) bool {
-		if len(rs) != len(want) {
+	has := func(in Inst, want ...Reg) bool {
+		src, n := in.SrcRegs()
+		if n != len(want) {
 			return false
 		}
-		for i := range rs {
-			if rs[i] != want[i] {
+		for i := range want {
+			if src[i] != want[i] {
 				return false
 			}
 		}
 		return true
 	}
-	if rs := (Inst{Op: OpADDU, Rs: 1, Rt: 2}).SrcRegs(); !has(rs, 1, 2) {
-		t.Errorf("addu srcs = %v", rs)
+	cases := []struct {
+		in   Inst
+		want []Reg
+	}{
+		{Inst{Op: OpADDU, Rs: 1, Rt: 2}, []Reg{1, 2}},
+		{Inst{Op: OpADDU, Rs: 0, Rt: 2}, []Reg{2}},
+		{Inst{Op: OpSW, Rs: 29, Rt: 4}, []Reg{29, 4}},
+		{Inst{Op: OpSLL, Rt: 6}, []Reg{6}},
+		{Inst{Op: OpJ}, nil},
+		{Inst{Op: OpBLEZ, Rs: 8}, []Reg{8}},
+		{Inst{Op: OpSLLV, Rs: 3, Rt: 5}, []Reg{5, 3}},
+		{Inst{Op: OpSYSCALL}, []Reg{RegV0, RegA0}},
 	}
-	if rs := (Inst{Op: OpADDU, Rs: 0, Rt: 2}).SrcRegs(); !has(rs, 2) {
-		t.Errorf("addu zero-src = %v", rs)
+	for _, c := range cases {
+		if !has(c.in, c.want...) {
+			src, n := c.in.SrcRegs()
+			t.Errorf("%v srcs = %v, want %v", c.in, src[:n], c.want)
+		}
 	}
-	if rs := (Inst{Op: OpSW, Rs: 29, Rt: 4}).SrcRegs(); !has(rs, 29, 4) {
-		t.Errorf("sw srcs = %v", rs)
-	}
-	if rs := (Inst{Op: OpSLL, Rt: 6}).SrcRegs(); !has(rs, 6) {
-		t.Errorf("sll srcs = %v", rs)
-	}
-	if rs := (Inst{Op: OpJ}).SrcRegs(); len(rs) != 0 {
-		t.Errorf("j srcs = %v", rs)
-	}
-	if rs := (Inst{Op: OpBLEZ, Rs: 8}).SrcRegs(); !has(rs, 8) {
-		t.Errorf("blez srcs = %v", rs)
+	in := Inst{Op: OpADDU, Rs: 1, Rt: 2}
+	if a := testing.AllocsPerRun(100, func() { in.SrcRegs() }); a != 0 {
+		t.Errorf("SrcRegs allocates %v times per call", a)
 	}
 }
 

@@ -130,40 +130,58 @@ func (c *Cache) Reset() {
 
 // AccountHits records n read hits without touching the line state.
 //
-// It is exact only under the contract the superblock engine honors:
-// each skipped access would have re-touched the line of the
-// immediately preceding Access with no other access in between.
-// Re-touching the most-recently-used line only refreshes an LRU stamp
-// that is already the newest in its set, and LRU comparisons are
-// relative, so eliding those touches leaves every future hit/miss/
-// eviction decision — and therefore every statistic — bit-identical.
+// It is exact only under this contract: each skipped access would have
+// re-touched the line of the immediately preceding Access with no other
+// access in between. Re-touching the most-recently-used line only
+// refreshes an LRU stamp that is already the newest in its set, and LRU
+// comparisons are relative, so eliding those touches leaves every
+// future hit/miss/eviction decision — and therefore every statistic —
+// bit-identical.
+//
+// The simulator's fast and superblock engines rely on it for every
+// I-cache fetch (fetch is the I-cache's only client); the reference
+// engine calls Access on every fetch, so the engine equivalence tests
+// compare the two.
 func (c *Cache) AccountHits(n int) {
 	c.stats.Reads += uint64(n)
+}
+
+// TryAccess performs Access when the line containing addr is resident
+// (a hit, costing HitCycles) and reports true. On a miss it reports
+// false and leaves the lines, the LRU state and the statistics
+// untouched.
+func (c *Cache) TryAccess(addr uint32, write bool) bool {
+	set, tag := c.lookup(addr)
+	lines := c.sets[set]
+	for i := range lines {
+		if lines[i].valid && lines[i].tag == tag {
+			c.tick++
+			lines[i].lru = c.tick
+			if write {
+				// A write-through hit also pays only the hit latency
+				// (write buffer assumed).
+				c.stats.Writes++
+				if c.cfg.WriteBack {
+					lines[i].dirty = true
+				}
+			} else {
+				c.stats.Reads++
+			}
+			return true
+		}
+	}
+	return false
 }
 
 // Access simulates a read (write=false) or write (write=true) of the
 // line containing addr and returns the cycle cost.
 func (c *Cache) Access(addr uint32, write bool) int {
+	if c.TryAccess(addr, write) {
+		return c.cfg.HitCycles
+	}
 	c.tick++
 	set, tag := c.lookup(addr)
 	lines := c.sets[set]
-	for i := range lines {
-		if lines[i].valid && lines[i].tag == tag {
-			lines[i].lru = c.tick
-			if write {
-				c.stats.Writes++
-				if c.cfg.WriteBack {
-					lines[i].dirty = true
-					return c.cfg.HitCycles
-				}
-				// Write-through: hit still pays only the hit latency
-				// (write buffer assumed).
-				return c.cfg.HitCycles
-			}
-			c.stats.Reads++
-			return c.cfg.HitCycles
-		}
-	}
 	// Miss.
 	if write {
 		c.stats.Writes++

@@ -272,3 +272,103 @@ func TestDefaultConfigs(t *testing.T) {
 		}
 	}
 }
+
+// TestAccountHitsMatchesAccess feeds one fetch-like address stream
+// (sequential runs broken by random jumps over a footprint larger than
+// the cache) to three caches: one calls Access on every fetch, one
+// replaces each same-line repeat with AccountHits(1), and one batches
+// the same-line repeats and flushes them when the line changes. The
+// hit/miss sequence, the statistics and the final residency must agree.
+func TestAccountHitsMatchesAccess(t *testing.T) {
+	for _, assoc := range []int{1, 2, 4} {
+		cfg := testCfg(assoc, false)
+		full, _ := NewCache(cfg)
+		each, _ := NewCache(cfg)
+		batch, _ := NewCache(cfg)
+		line := ^uint32(cfg.LineBytes - 1)
+		r := rand.New(rand.NewSource(int64(assoc)))
+		var pc, eachLast, batchLast uint32
+		known, pending := false, 0
+		for i := 0; i < 20000; i++ {
+			if r.Intn(8) == 0 {
+				pc = uint32(r.Intn(4*cfg.SizeBytes)) &^ 3
+			} else {
+				pc += 4
+			}
+			want := full.Access(pc, false)
+
+			got := cfg.HitCycles
+			if known && pc&line == eachLast {
+				each.AccountHits(1)
+			} else {
+				got = each.Access(pc, false)
+				eachLast = pc & line
+			}
+			if got != want {
+				t.Fatalf("assoc %d fetch %d pc %#x: AccountHits(1) path %d cycles, Access %d", assoc, i, pc, got, want)
+			}
+
+			got = cfg.HitCycles
+			if known && pc&line == batchLast {
+				pending++
+			} else {
+				batch.AccountHits(pending)
+				pending = 0
+				got = batch.Access(pc, false)
+				batchLast = pc & line
+			}
+			if got != want {
+				t.Fatalf("assoc %d fetch %d pc %#x: batched path %d cycles, Access %d", assoc, i, pc, got, want)
+			}
+			known = true
+		}
+		batch.AccountHits(pending)
+		for _, c := range []*Cache{each, batch} {
+			if c.Stats() != full.Stats() {
+				t.Fatalf("assoc %d: stats %+v, want %+v", assoc, c.Stats(), full.Stats())
+			}
+			for a := uint32(0); a < uint32(4*cfg.SizeBytes); a += uint32(cfg.LineBytes) {
+				if c.Contains(a) != full.Contains(a) {
+					t.Fatalf("assoc %d: residency of %#x differs", assoc, a)
+				}
+			}
+		}
+		if full.Stats().ReadMisses == 0 || full.Stats().ReadMisses == full.Stats().Reads {
+			t.Fatalf("assoc %d: degenerate stream, stats %+v", assoc, full.Stats())
+		}
+	}
+}
+
+// TestTryAccess checks that TryAccess is Access on a hit and a no-op on
+// a miss: a cache driven by TryAccess-then-Access-on-miss tracks one
+// driven by Access alone, and a failed TryAccess changes no statistic.
+func TestTryAccess(t *testing.T) {
+	for _, wb := range []bool{false, true} {
+		cfg := testCfg(2, wb)
+		ref, _ := NewCache(cfg)
+		c, _ := NewCache(cfg)
+		r := rand.New(rand.NewSource(3))
+		for i := 0; i < 20000; i++ {
+			addr := uint32(r.Intn(4 * cfg.SizeBytes))
+			write := r.Intn(4) == 0
+			resident := ref.Contains(addr)
+			want := ref.Access(addr, write)
+			before := c.Stats()
+			if hit := c.TryAccess(addr, write); hit != resident {
+				t.Fatalf("wb=%v access %d: TryAccess hit=%v, line resident=%v", wb, i, hit, resident)
+			} else if !hit {
+				if c.Stats() != before {
+					t.Fatalf("wb=%v access %d: missing TryAccess changed stats %+v -> %+v", wb, i, before, c.Stats())
+				}
+				if got := c.Access(addr, write); got != want {
+					t.Fatalf("wb=%v access %d: Access after TryAccess = %d cycles, want %d", wb, i, got, want)
+				}
+			} else if want != cfg.HitCycles {
+				t.Fatalf("wb=%v access %d: resident line cost %d cycles", wb, i, want)
+			}
+		}
+		if c.Stats() != ref.Stats() {
+			t.Fatalf("wb=%v: stats %+v, want %+v", wb, c.Stats(), ref.Stats())
+		}
+	}
+}

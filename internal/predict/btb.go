@@ -147,7 +147,7 @@ func AuxBimodal512() *Unit { return NewUnit(Must(NewBimodal(512)), Must(NewBTB(5
 // reduced to a quarter of the baseline (512 entries).
 func AuxBimodal256() *Unit { return NewUnit(Must(NewBimodal(256)), Must(NewBTB(512))) }
 
-// Predictor name resolution (Names/ByName) lives in spec.go: the
+// Predictor name resolution (ParseSpec/Spec.Build) lives in spec.go: the
 // registry resolves any "family[:k=v,...]" spec plus the legacy
 // aliases, so every caller that accepts a predictor name —
 // cpu.Config.Predictor, the CLIs, the serve API — shares one open

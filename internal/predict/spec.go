@@ -341,16 +341,3 @@ func init() {
 func Names() []string {
 	return []string{"nottaken", "bimodal", "gshare", "bi512", "bi256"}
 }
-
-// ByName builds a fresh branch unit from a predictor name or spec.
-//
-// Deprecated: ByName is a thin wrapper over ParseSpec + Spec.Build,
-// kept for source compatibility. New code should ParseSpec once (for
-// validation and Canonical cache keys) and Build from the spec.
-func ByName(name string) (*Unit, error) {
-	s, err := ParseSpec(name)
-	if err != nil {
-		return nil, err
-	}
-	return s.Build()
-}

@@ -6,6 +6,15 @@ import (
 	"testing"
 )
 
+// build resolves a predictor name or spec the way cpu.New does.
+func build(name string) (*Unit, error) {
+	s, err := ParseSpec(name)
+	if err != nil {
+		return nil, err
+	}
+	return s.Build()
+}
+
 // Every legacy name must canonicalize to a spec and build a unit
 // identical to what the old closed ByName switch constructed.
 func TestLegacyAliasesCanonicalAndIdentical(t *testing.T) {
@@ -128,23 +137,23 @@ func TestParseSpecHelpListing(t *testing.T) {
 // must produce a unit that cannot redirect.
 func TestFamiliesBuildWithDefaults(t *testing.T) {
 	for _, f := range Families() {
-		u, err := ByName(f.Name)
+		u, err := build(f.Name)
 		if err != nil {
-			t.Errorf("ByName(%q): %v", f.Name, err)
+			t.Errorf("build(%q): %v", f.Name, err)
 			continue
 		}
 		if u == nil || u.Dir == nil {
 			t.Errorf("%q built a nil unit", f.Name)
 		}
 	}
-	u, err := ByName("bimodal:btb=0")
+	u, err := build("bimodal:btb=0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if u.BTB != nil {
 		t.Error("btb=0 must build a unit without a BTB")
 	}
-	if Must(ByName("nottaken")).BTB != nil {
+	if Must(build("nottaken")).BTB != nil {
 		t.Error("nottaken must have no BTB")
 	}
 }
@@ -161,7 +170,7 @@ func TestFamilyNamesSorted(t *testing.T) {
 	}
 	// The deprecated legacy vocabulary still resolves.
 	for _, n := range Names() {
-		if _, err := ByName(n); err != nil {
+		if _, err := build(n); err != nil {
 			t.Errorf("legacy name %q: %v", n, err)
 		}
 	}

@@ -139,7 +139,7 @@ func TestTAGEResetDeterminism(t *testing.T) {
 // superblock engine relies on this (it may re-probe at fetch).
 func TestZooPredictIsReadOnly(t *testing.T) {
 	for _, spec := range []string{"tage", "loop", "tageloop", "gshare", "bimodal"} {
-		a, b := Must(ByName(spec)).Dir, Must(ByName(spec)).Dir
+		a, b := Must(build(spec)).Dir, Must(build(spec)).Dir
 		r := rand.New(rand.NewSource(5))
 		for i := 0; i < 3000; i++ {
 			pc := uint32(0x400000 + 4*r.Intn(64))
@@ -235,7 +235,7 @@ func TestTAGELoopBeatsTAGEOnLongTrips(t *testing.T) {
 
 func TestZooResetRestoresPowerOn(t *testing.T) {
 	for _, spec := range []string{"tage", "loop", "tageloop"} {
-		p := Must(ByName(spec)).Dir
+		p := Must(build(spec)).Dir
 		pc := uint32(0x500000)
 		before := p.Predict(pc)
 		r := rand.New(rand.NewSource(3))

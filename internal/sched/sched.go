@@ -211,7 +211,8 @@ func dependences(body []isa.Inst) [][]int {
 		if rd, has := in.DestReg(); has {
 			defs[i] = append(defs[i], int(rd))
 		}
-		for _, r := range in.SrcRegs() {
+		src, n := in.SrcRegs()
+		for _, r := range src[:n] {
 			uses[i] = append(uses[i], int(r))
 		}
 		switch in.Op {

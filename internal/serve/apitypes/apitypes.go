@@ -22,14 +22,6 @@ import (
 	"asbr/internal/workload"
 )
 
-// PredictorNames lists the legacy predictor aliases. The protocol
-// vocabulary is open now — any "family[:key=value,...]" spec the
-// predict registry resolves (see predict.ParseSpec) is accepted — so
-// this is only the historical subset, kept for enumerating clients.
-//
-// Deprecated: use predict.FamilyNames/ParseSpec.
-func PredictorNames() []string { return predict.Names() }
-
 // SimRequestV1 asks for one simulation. Exactly one of Bench and
 // Source must be set: Bench runs a built-in MediaBench workload over
 // the synthetic input trace (with golden-model output checking),
@@ -51,9 +43,9 @@ type SimRequestV1 struct {
 	// zero always means the paper-default platform.
 	BITBanks int    `json:"bit_banks,omitempty"` // BIT bank count (0 = 1)
 	Update   string `json:"update,omitempty"`    // BDT update point ex|mem|wb ("" = mem)
-	ICacheKB int    `json:"icache_kb,omitempty"`  // I-cache size in KB (0 = the paper's 8)
-	DCacheKB int    `json:"dcache_kb,omitempty"`  // D-cache size in KB (0 = the paper's 8)
-	Sched    string `json:"sched,omitempty"`      // Bench mode: scheduling level none|compiler|full ("" = full)
+	ICacheKB int    `json:"icache_kb,omitempty"` // I-cache size in KB (0 = the paper's 8)
+	DCacheKB int    `json:"dcache_kb,omitempty"` // D-cache size in KB (0 = the paper's 8)
+	Sched    string `json:"sched,omitempty"`     // Bench mode: scheduling level none|compiler|full ("" = full)
 
 	Samples int   `json:"samples,omitempty"` // Bench mode: audio samples (default server-side)
 	Seed    int64 `json:"seed,omitempty"`    // Bench mode: synthetic-trace seed (default 1)

@@ -8,7 +8,6 @@ import (
 
 	"asbr/internal/cpu"
 	"asbr/internal/obs"
-	"asbr/internal/predict"
 )
 
 // roundTrip marshals v, unmarshals into a fresh value of the same
@@ -208,19 +207,5 @@ func TestEncodeStats(t *testing.T) {
 	}
 	if ws.Folded != 5 {
 		t.Fatalf("Folded = %d, want 5", ws.Folded)
-	}
-}
-
-// TestPredictorNames requires the protocol vocabulary to stay in sync
-// with the predict package's registry.
-func TestPredictorNames(t *testing.T) {
-	names := PredictorNames()
-	if len(names) == 0 {
-		t.Fatal("no predictor names")
-	}
-	for _, n := range names {
-		if _, err := predict.ByName(n); err != nil {
-			t.Fatalf("predictor %q in names but not resolvable: %v", n, err)
-		}
 	}
 }

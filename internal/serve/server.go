@@ -320,7 +320,7 @@ func (s *Server) simulateCtx(ctx context.Context, req *SimRequest, tr *obs.Trace
 // constructor — the same one record replay and the DSE evaluators use,
 // so a served job and its cold replay cannot configure differently.
 // The predictor rides by name in cpu.Config — cpu.New resolves it
-// through predict.ByName, the same vocabulary normalizeSim validated
+// through predict.ParseSpec, the same vocabulary normalizeSim validated
 // against.
 func (s *Server) machineFor(req *SimRequest) cpu.Config {
 	cfg, err := corpus.MachineFor(s.machineSpec(req))
