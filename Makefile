@@ -1,7 +1,7 @@
 # Development targets for the ASBR reproduction. `make ci` is what the
 # CI workflow runs: vet, build, race-enabled tests, a 1-iteration
-# benchmark smoke, the benchmark module's vet and tests, a
-# fault-injection smoke, a serving-layer smoke and
+# benchmark smoke, the benchmark module's vet and tests, the run loop's
+# escape check, a fault-injection smoke, a serving-layer smoke and
 # load check, the branch-predictability smoke, the corpus
 # differential-replay gate, and short fuzz
 # smokes of the assembler round-trip, the fault-plan grammar and the
@@ -13,7 +13,7 @@ FAULT_FUZZTIME ?= 2m
 CORPUS_FUZZTIME ?= 2m
 CORPUS_ENTRIES ?= 30
 
-.PHONY: all build vet test race bench bench-check bench-smoke bench-module fault-smoke serve-smoke cluster-smoke dse-smoke trace-smoke predict-smoke corpus-check loadgen fuzz-smoke fuzz-fault fuzz-corpus tables ci clean
+.PHONY: all build vet test race bench bench-check bench-smoke bench-module escape-check fault-smoke serve-smoke cluster-smoke dse-smoke trace-smoke predict-smoke corpus-check loadgen fuzz-smoke fuzz-fault fuzz-corpus tables ci clean
 
 all: build
 
@@ -56,6 +56,14 @@ bench-smoke:
 # internal API change that breaks the benchmark build fails CI.
 bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# The run loop keeps the pipeline (`st` in cpu.RunContext) on its
+# stack; on the heap every stage advance would pay a write barrier.
+# Choosing a fused loop through a method value is one way to move it
+# there. Fail if the compiler's escape analysis reports the move.
+escape-check:
+	@if $(GO) build -gcflags=-m ./internal/cpu 2>&1 | grep -E 'moved to heap: st$$'; then \
+		echo "escape-check: cpu.RunContext's pipeline moved to the heap"; exit 1; fi
 
 # Reliability table at a small sample count: the clean control must not
 # diverge and every injected corruption must be caught (nonzero exit on
@@ -135,7 +143,7 @@ fuzz-corpus:
 tables:
 	$(GO) run ./cmd/asbr-tables
 
-ci: vet build race bench-smoke bench-module fault-smoke serve-smoke cluster-smoke dse-smoke trace-smoke predict-smoke corpus-check loadgen fuzz-smoke fuzz-fault fuzz-corpus
+ci: vet build race bench-smoke bench-module escape-check fault-smoke serve-smoke cluster-smoke dse-smoke trace-smoke predict-smoke corpus-check loadgen fuzz-smoke fuzz-fault fuzz-corpus
 
 clean:
 	$(GO) clean ./...

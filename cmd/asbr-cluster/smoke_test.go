@@ -77,8 +77,10 @@ func TestClusterSmoke(t *testing.T) {
 	}
 
 	// Launch the coordinator and watch its stderr: once at least one
-	// cell has completed and some worker still has a cell in flight,
-	// that worker is the SIGKILL target — guaranteed mid-sweep.
+	// cell has completed, the worker with the most cells in flight is
+	// the SIGKILL target — guaranteed mid-sweep. A worker with a single
+	// short cell in flight can finish it before the kill lands, and
+	// then the coordinator never needs it again.
 	cluster := exec.Command(clusterBin,
 		"-workers", strings.Join(addrs, ","),
 		"-tables", "fig6,fig11", "-n", "1024")
@@ -114,12 +116,19 @@ func TestClusterSmoke(t *testing.T) {
 				delete(inFlight, m[1]+"/"+m[2])
 				completions++
 			}
-			if !chosen && completions >= 1 {
+			if !chosen && completions >= 1 && len(inFlight) > 0 {
+				load := make(map[string]int)
 				for _, worker := range inFlight {
-					victimCh <- worker
-					chosen = true
-					break
+					load[worker]++
 				}
+				victim := ""
+				for worker, n := range load {
+					if n > load[victim] || n == load[victim] && worker < victim {
+						victim = worker
+					}
+				}
+				victimCh <- victim
+				chosen = true
 			}
 		}
 		close(victimCh)

@@ -1,8 +1,8 @@
 // Command asbr-corpus is the corpus-scale differential-testing tool:
 // it generates seeded control-dominated MiniC corpora, replays recorded
 // simulation jobs, diffs replay logs, and runs the differential check
-// harness (fast vs reference engine in lockstep, optionally through a
-// live serving round-trip).
+// harness (fast and superblock vs reference engine, plain and folded,
+// optionally through a live serving round-trip).
 //
 //	asbr-corpus gen -entries 30 -o corpus.jsonl     # manifest from seeds
 //	asbr-corpus gen -seed 42 -entries 1 -dump -     # print one program
@@ -146,8 +146,8 @@ func cmdGen(args []string) error {
 	return corpus.WriteManifest(w, list)
 }
 
-// cmdCheck runs the differential harness: fast vs reference over the
-// regenerated corpus, optional fault injection (which must make it
+// cmdCheck runs the differential harness: fast and superblock vs
+// reference over the regenerated corpus, optional fault injection (which must make it
 // fail), optional serving round-trip, optional manifest drift check.
 func cmdCheck(args []string) error {
 	fs := flag.NewFlagSet("check", flag.ExitOnError)

@@ -33,7 +33,6 @@ package core
 import (
 	"fmt"
 
-	"asbr/internal/cpu"
 	"asbr/internal/isa"
 	"asbr/internal/obs"
 )
@@ -58,6 +57,23 @@ type BIT struct {
 	cap     int
 	entries []BITEntry
 	byPC    map[uint32]int
+	// screen is a direct-mapped membership filter over the loaded PCs:
+	// bit screenIndex(pc) is set for every entry. Most fetches miss the
+	// BIT, and a clear bit answers them without the map probe.
+	screen [screenBits / 64]uint64
+}
+
+// screenBits is the size of a BIT's membership screen: one bit per
+// word of a 4 KB text window, so a text segment up to that size maps
+// every PC to its own bit.
+const screenBits = 1024
+
+func screenIndex(pc uint32) uint32 { return (pc >> 2) % screenBits }
+
+// mark sets the screen bit of pc.
+func (b *BIT) mark(pc uint32) {
+	i := screenIndex(pc)
+	b.screen[i/64] |= 1 << (i % 64)
 }
 
 // NewBIT returns an empty table with the given capacity.
@@ -92,11 +108,16 @@ func (b *BIT) Add(e BITEntry) error {
 	}
 	b.byPC[e.PC] = len(b.entries)
 	b.entries = append(b.entries, e)
+	b.mark(e.PC)
 	return nil
 }
 
-// Lookup finds the entry for a branch PC.
+// Lookup finds the entry for a branch PC. The screen answers most
+// misses; only a PC whose screen bit is set pays the map probe.
 func (b *BIT) Lookup(pc uint32) (BITEntry, bool) {
+	if i := screenIndex(pc); b.screen[i/64]&(1<<(i%64)) == 0 {
+		return BITEntry{}, false
+	}
 	i, ok := b.byPC[pc]
 	if !ok {
 		return BITEntry{}, false
@@ -108,6 +129,7 @@ func (b *BIT) Lookup(pc uint32) (BITEntry, bool) {
 func (b *BIT) Clear() {
 	b.entries = b.entries[:0]
 	b.byPC = make(map[uint32]int, b.cap)
+	b.screen = [screenBits / 64]uint64{}
 }
 
 // BDT is the Branch Direction Table: per-register direction bits and
@@ -208,10 +230,16 @@ func (s Stats) FoldRate() float64 {
 	return float64(s.Folds) / float64(s.Hits)
 }
 
-// Engine is the ASBR unit: it implements cpu.FoldHook (and, via the
-// embedded obs.Base, the full obs.Observer) and plugs into the
-// simulator's fetch stage — either through cpu.Config.Fold or as a
-// member of an obs.NewChain attached to cpu.Config.Obs.
+// Engine is the ASBR unit: the BIT banks and the BDT of one machine.
+// It attaches to the simulator in one of two ways:
+//
+//   - cpu.Config.Fold, the machine's own ASBR unit. The CPU calls the
+//     engine directly, and such a machine runs on the superblock
+//     engine (cpu.SelectEngine), whose fused loop folds at fetch.
+//   - As a member of an obs.NewChain attached to cpu.Config.Obs (it
+//     embeds obs.Base, so it is a full obs.Observer). The fault
+//     injector attaches it this way; Obs keeps a machine on the
+//     per-cycle fast engine.
 type Engine struct {
 	obs.Base
 	cfg    Config
@@ -223,10 +251,7 @@ type Engine struct {
 	sink   obs.EventSink     // nil unless SetEventSink was called
 }
 
-var (
-	_ cpu.FoldHook = (*Engine)(nil)
-	_ obs.Observer = (*Engine)(nil)
-)
+var _ obs.Observer = (*Engine)(nil)
 
 // SetEventSink attaches a pipeline event sink (typically an
 // obs.Tracer): the engine then emits EvBITHit, EvFoldFallback,
@@ -298,13 +323,13 @@ func (e *Engine) Reset() {
 // BDTState exposes the BDT for tests and visualization.
 func (e *Engine) BDTState() *BDT { return &e.bdt }
 
-// TryFold implements cpu.FoldHook: the fetch-stage BIT lookup and, on
-// a valid predicate, the branch replacement of the paper's Figure 4.
-func (e *Engine) TryFold(pc uint32) (cpu.Fold, bool) {
+// TryFold is the fetch-stage BIT lookup and, on a valid predicate,
+// the branch replacement of the paper's Figure 4.
+func (e *Engine) TryFold(pc uint32) (obs.Fold, bool) {
 	e.stats.Lookups++
 	en, ok := e.banks[e.active].Lookup(pc)
 	if !ok {
-		return cpu.Fold{}, false
+		return obs.Fold{}, false
 	}
 	e.stats.Hits++
 	if e.sink != nil {
@@ -315,7 +340,7 @@ func (e *Engine) TryFold(pc uint32) (cpu.Fold, bool) {
 		if e.sink != nil {
 			e.sink.OnEvent(obs.Event{Kind: obs.EvFoldFallback, PC: pc, Arg: uint64(en.Reg)})
 		}
-		return cpu.Fold{}, false
+		return obs.Fold{}, false
 	}
 	taken := e.bdt.Holds(en.Reg, en.Cond)
 	e.stats.Folds++
@@ -323,18 +348,24 @@ func (e *Engine) TryFold(pc uint32) (cpu.Fold, bool) {
 	if taken {
 		e.stats.FoldsTaken++
 		// "PC=BranchTargetAddress+4; instr=BranchTargetInstruction"
-		return cpu.Fold{Word: en.BTI, PC: en.BTA, Next: en.BTA + 4, Taken: true}, true
+		return obs.Fold{Word: en.BTI, PC: en.BTA, Next: en.BTA + 4, Taken: true}, true
 	}
 	// "PC=PC+8; instr=BranchFallthroughInstr"
-	return cpu.Fold{Word: en.BFI, PC: pc + 4, Next: pc + 8, Taken: false}, true
+	return obs.Fold{Word: en.BFI, PC: pc + 4, Next: pc + 8, Taken: false}, true
 }
 
-// OnIssue implements cpu.FoldHook.
+// OnIssue notes that a producer of rd entered decode. The untraced
+// path is kept small enough to inline into the superblock engine's
+// fused loop.
 func (e *Engine) OnIssue(rd isa.Reg) {
 	if e.sink == nil {
 		e.bdt.OnIssue(rd)
-		return
+	} else {
+		e.onIssueTraced(rd)
 	}
+}
+
+func (e *Engine) onIssueTraced(rd isa.Reg) {
 	was := e.bdt.Valid(rd)
 	e.bdt.OnIssue(rd)
 	if was && !e.bdt.Valid(rd) {
@@ -342,9 +373,10 @@ func (e *Engine) OnIssue(rd isa.Reg) {
 	}
 }
 
-// OnValue implements cpu.FoldHook: the paper's Early Condition
-// Evaluation (Figure 3) — "every time a register is being committed,
-// all possible conditions associated with this register are updated".
+// OnValue delivers rd's value at the update point: the paper's Early
+// Condition Evaluation (Figure 3) — "every time a register is being
+// committed, all possible conditions associated with this register
+// are updated".
 func (e *Engine) OnValue(rd isa.Reg, v int32) {
 	if e.sink == nil {
 		e.bdt.OnValue(rd, v)
@@ -357,7 +389,7 @@ func (e *Engine) OnValue(rd isa.Reg, v int32) {
 	}
 }
 
-// OnBankSwitch implements cpu.FoldHook (bitsw commit).
+// OnBankSwitch handles the bitsw commit: it activates bank.
 func (e *Engine) OnBankSwitch(bank int) {
 	e.stats.BankSwitches++
 	if bank >= 0 && bank < len(e.banks) {

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"math/rand"
@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"asbr/internal/asm"
+	"asbr/internal/core"
 	"asbr/internal/cpu"
 	"asbr/internal/isa"
 )
 
 func TestBITAddLookup(t *testing.T) {
-	b := NewBIT(2)
-	e1 := BITEntry{PC: 0x400010, BTA: 0x400020, Reg: 8, Cond: isa.CondNE}
+	b := core.NewBIT(2)
+	e1 := core.BITEntry{PC: 0x400010, BTA: 0x400020, Reg: 8, Cond: isa.CondNE}
 	if err := b.Add(e1); err != nil {
 		t.Fatal(err)
 	}
@@ -25,10 +26,10 @@ func TestBITAddLookup(t *testing.T) {
 	if err := b.Add(e1); err == nil {
 		t.Fatal("duplicate PC accepted")
 	}
-	if err := b.Add(BITEntry{PC: 0x400030}); err != nil {
+	if err := b.Add(core.BITEntry{PC: 0x400030}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Add(BITEntry{PC: 0x400040}); err == nil {
+	if err := b.Add(core.BITEntry{PC: 0x400040}); err == nil {
 		t.Fatal("capacity exceeded silently")
 	}
 	if b.Len() != 2 || b.Capacity() != 2 {
@@ -43,10 +44,33 @@ func TestBITAddLookup(t *testing.T) {
 	}
 }
 
+// TestBITScreen checks the membership screen in front of the map: a
+// PC sharing an entry's screen bit still misses, and Realias moves the
+// entry's bit with it.
+func TestBITScreen(t *testing.T) {
+	b := core.NewBIT(4)
+	const pc = 0x400010
+	if err := b.Add(core.BITEntry{PC: pc}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := b.Lookup(pc + 4096); ok {
+		t.Fatal("screen alias hit")
+	}
+	if err := b.Realias(pc, 0x400024); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := b.Lookup(pc); ok {
+		t.Fatal("realiased entry still hits its old PC")
+	}
+	if e, ok := b.Lookup(0x400024); !ok || e.PC != 0x400024 {
+		t.Fatalf("realiased entry: %+v, %v", e, ok)
+	}
+}
+
 // TestBDTFigure8 reproduces the paper's Figure 8 scenario: a small BDT
 // with "!=0" and "<=0" columns tracked per register.
 func TestBDTFigure8(t *testing.T) {
-	var d BDT
+	var d core.BDT
 	// R0 (paper figure's first row): value 5 -> !=0 true, <=0 false.
 	d.OnIssue(1)
 	d.OnValue(1, 5)
@@ -68,7 +92,7 @@ func TestBDTFigure8(t *testing.T) {
 }
 
 func TestBDTValidityCounter(t *testing.T) {
-	var d BDT
+	var d core.BDT
 	r := isa.Reg(9)
 	if d.Valid(r) {
 		t.Fatal("unknown register must be invalid")
@@ -98,7 +122,7 @@ func TestBDTValidityCounter(t *testing.T) {
 }
 
 func TestBDTZeroRegisterIgnored(t *testing.T) {
-	var d BDT
+	var d core.BDT
 	d.OnIssue(isa.RegZero)
 	d.OnValue(isa.RegZero, 7)
 	if d.Valid(isa.RegZero) {
@@ -116,7 +140,7 @@ func TestBDTCounterInvariant(t *testing.T) {
 	r := isa.Reg(5)
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 100; trial++ {
-		var d BDT
+		var d core.BDT
 		inflight, delivered := 0, 0
 		for i := 0; i < 200; i++ {
 			if rng.Intn(2) == 0 {
@@ -180,7 +204,7 @@ func branchPC(t *testing.T, p *isa.Program, n int) uint32 {
 func TestBuildEntry(t *testing.T) {
 	p := mustProgram(t, takenLoopSrc)
 	pc := branchPC(t, p, 0)
-	e, err := BuildEntry(p, pc)
+	e, err := core.BuildEntry(p, pc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,42 +229,42 @@ main:	addu	t0, t1, t2
 	jr	ra
 `)
 	base := p.TextBase
-	if _, err := BuildEntry(p, base); err == nil || !strings.Contains(err.Error(), "not a conditional branch") {
+	if _, err := core.BuildEntry(p, base); err == nil || !strings.Contains(err.Error(), "not a conditional branch") {
 		t.Errorf("non-branch: %v", err)
 	}
-	if _, err := BuildEntry(p, base+4); err == nil || !strings.Contains(err.Error(), "two registers") {
+	if _, err := core.BuildEntry(p, base+4); err == nil || !strings.Contains(err.Error(), "two registers") {
 		t.Errorf("two-register: %v", err)
 	}
-	if _, err := BuildEntry(p, base+8); err == nil || !strings.Contains(err.Error(), "zero register") {
+	if _, err := core.BuildEntry(p, base+8); err == nil || !strings.Contains(err.Error(), "zero register") {
 		t.Errorf("zero-register: %v", err)
 	}
 	// Branch as the last instruction has no in-text fall-through.
 	p2 := mustProgram(t, "main:\tbnez t0, main\n")
-	if _, err := BuildEntry(p2, p2.TextBase); err == nil {
+	if _, err := core.BuildEntry(p2, p2.TextBase); err == nil {
 		t.Error("missing fall-through accepted")
 	}
 }
 
 func TestBuildBITAndFoldable(t *testing.T) {
 	p := mustProgram(t, takenLoopSrc)
-	pcs := FoldableBranches(p)
+	pcs := core.FoldableBranches(p)
 	if len(pcs) != 1 {
 		t.Fatalf("foldable = %v", pcs)
 	}
-	entries, err := BuildBIT(p, pcs)
+	entries, err := core.BuildBIT(p, pcs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(entries) != 1 {
 		t.Fatalf("entries = %d", len(entries))
 	}
-	if _, err := BuildBIT(p, []uint32{pcs[0], pcs[0]}); err == nil {
+	if _, err := core.BuildBIT(p, []uint32{pcs[0], pcs[0]}); err == nil {
 		t.Fatal("duplicate PCs accepted")
 	}
 }
 
 // runWith runs src with an optional engine, returning machine + stats.
-func runWith(t *testing.T, src string, eng *Engine, update cpu.Stage) (*cpu.CPU, cpu.Stats) {
+func runWith(t *testing.T, src string, eng *core.Engine, update cpu.Stage) (*cpu.CPU, cpu.Stats) {
 	t.Helper()
 	p := mustProgram(t, src)
 	cfg := cpu.Config{BDTUpdate: update}
@@ -257,11 +281,11 @@ func runWith(t *testing.T, src string, eng *Engine, update cpu.Stage) (*cpu.CPU,
 
 func TestEngineFoldsLoopBranch(t *testing.T) {
 	p := mustProgram(t, takenLoopSrc)
-	entries, err := BuildBIT(p, FoldableBranches(p))
+	entries, err := core.BuildBIT(p, core.FoldableBranches(p))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(DefaultConfig())
+	eng := core.NewEngine(core.DefaultConfig())
 	if err := eng.Load(entries); err != nil {
 		t.Fatal(err)
 	}
@@ -345,11 +369,11 @@ data:	.word	5, -3, 0, 7, -1, 2, 0, 9
 		for _, up := range []cpu.Stage{cpu.StageEX, cpu.StageMEM, cpu.StageWB} {
 			base, _ := runWith(t, src, nil, up)
 			p := mustProgram(t, src)
-			entries, err := BuildBIT(p, FoldableBranches(p))
+			entries, err := core.BuildBIT(p, core.FoldableBranches(p))
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			eng := NewEngine(DefaultConfig())
+			eng := core.NewEngine(core.DefaultConfig())
 			if err := eng.Load(entries); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -387,11 +411,11 @@ loop:	addiu	t0, t0, -1
 	folds := map[cpu.Stage]uint64{}
 	for _, up := range []cpu.Stage{cpu.StageEX, cpu.StageMEM, cpu.StageWB} {
 		p := mustProgram(t, src)
-		entries, err := BuildBIT(p, FoldableBranches(p))
+		entries, err := core.BuildBIT(p, core.FoldableBranches(p))
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := NewEngine(DefaultConfig())
+		eng := core.NewEngine(core.DefaultConfig())
 		if err := eng.Load(entries); err != nil {
 			t.Fatal(err)
 		}
@@ -425,11 +449,11 @@ loop:	addu	t1, t1, t0
 	jr	ra
 `
 	p := mustProgram(t, src)
-	entries, err := BuildBIT(p, FoldableBranches(p))
+	entries, err := core.BuildBIT(p, core.FoldableBranches(p))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(DefaultConfig())
+	eng := core.NewEngine(core.DefaultConfig())
 	if err := eng.Load(entries); err != nil {
 		t.Fatal(err)
 	}
@@ -455,8 +479,8 @@ loop:	addu	t1, t1, t0
 	jr	ra
 `
 	p := mustProgram(t, src)
-	entries, _ := BuildBIT(p, FoldableBranches(p))
-	unsafe := NewEngine(Config{TrackValidity: false})
+	entries, _ := core.BuildBIT(p, core.FoldableBranches(p))
+	unsafe := core.NewEngine(core.Config{TrackValidity: false})
 	if err := unsafe.Load(entries); err != nil {
 		t.Fatal(err)
 	}
@@ -487,19 +511,19 @@ l2:	addiu	t1, t1, -1
 	jr	ra
 `
 	p := mustProgram(t, src)
-	pcs := FoldableBranches(p)
+	pcs := core.FoldableBranches(p)
 	if len(pcs) != 2 {
 		t.Fatalf("foldable = %v", pcs)
 	}
-	e1, err := BuildBIT(p, pcs[:1])
+	e1, err := core.BuildBIT(p, pcs[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := BuildBIT(p, pcs[1:])
+	e2, err := core.BuildBIT(p, pcs[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(Config{BITEntries: 1, Banks: 2, TrackValidity: true})
+	eng := core.NewEngine(core.Config{BITEntries: 1, Banks: 2, TrackValidity: true})
 	if err := eng.LoadBank(0, e1); err != nil {
 		t.Fatal(err)
 	}
@@ -525,23 +549,23 @@ l2:	addiu	t1, t1, -1
 }
 
 func TestLoadBankErrors(t *testing.T) {
-	eng := NewEngine(Config{BITEntries: 1, Banks: 1})
+	eng := core.NewEngine(core.Config{BITEntries: 1, Banks: 1})
 	if err := eng.LoadBank(5, nil); err == nil {
 		t.Fatal("bad bank index accepted")
 	}
-	two := []BITEntry{{PC: 4}, {PC: 8}}
+	two := []core.BITEntry{{PC: 4}, {PC: 8}}
 	if err := eng.Load(two); err == nil {
 		t.Fatal("overflow accepted")
 	}
 }
 
 func TestEngineReset(t *testing.T) {
-	eng := NewEngine(DefaultConfig())
+	eng := core.NewEngine(core.DefaultConfig())
 	eng.OnIssue(7)
 	eng.OnValue(7, 1)
 	eng.OnBankSwitch(0)
 	eng.Reset()
-	if eng.Stats() != (Stats{}) {
+	if eng.Stats() != (core.Stats{}) {
 		t.Fatal("Reset left stats")
 	}
 	if eng.BDTState().Valid(7) {
@@ -550,11 +574,11 @@ func TestEngineReset(t *testing.T) {
 }
 
 func TestFoldRateAndStats(t *testing.T) {
-	s := Stats{Hits: 10, Folds: 7}
+	s := core.Stats{Hits: 10, Folds: 7}
 	if s.FoldRate() != 0.7 {
 		t.Fatalf("fold rate = %v", s.FoldRate())
 	}
-	if (Stats{}).FoldRate() != 0 {
+	if (core.Stats{}).FoldRate() != 0 {
 		t.Fatal("empty fold rate")
 	}
 }

@@ -53,6 +53,10 @@ func (b *BIT) Realias(oldPC, newPC uint32) error {
 	delete(b.byPC, oldPC)
 	b.byPC[newPC] = i
 	b.entries[i].PC = newPC
+	b.screen = [screenBits / 64]uint64{}
+	for _, e := range b.entries {
+		b.mark(e.PC)
+	}
 	return nil
 }
 

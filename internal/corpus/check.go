@@ -88,7 +88,7 @@ type DivergenceError struct {
 	Name  string
 	Seed  int64
 	Knobs Knobs
-	Leg   string // fast-vs-reference | asbr-fast-vs-reference | serve-vs-local
+	Leg   string // e.g. fast-vs-reference, asbr-superblock-vs-reference, serve-vs-local
 	Diffs []obs.FieldDiff
 }
 
@@ -103,9 +103,9 @@ func (e *DivergenceError) Error() string {
 }
 
 // Check regenerates the corpus from seeds alone and replays every
-// entry differentially: fast vs reference engine on the plain run,
-// fast vs reference on the ASBR (folded) run when the program has
-// foldable branches, and optionally through a serving round-trip. It
+// entry differentially: fast and superblock vs reference engine on the
+// plain run and on the ASBR (folded) run when the program has foldable
+// branches, and optionally through a serving round-trip. It
 // fails on the first snapshot divergence. A corpus in which no entry
 // ever folds a branch is an error too — the ASBR leg would be vacuous.
 func Check(ctx context.Context, opt CheckOptions) (*CheckResult, error) {
@@ -216,9 +216,12 @@ func checkOne(ctx context.Context, opt CheckOptions, knobs Knobs, seed int64, re
 		return Entry{}, diverged("zoo["+zoo+"]-superblock-vs-reference", zooSuper, zooRef)
 	}
 
-	// Leg 2: ASBR run with every foldable branch loaded, fast vs
-	// reference. The fast side optionally runs under the fault
-	// injector — state corruption must surface as divergence here.
+	// Leg 2: ASBR run with every foldable branch loaded: the fast and
+	// superblock engines vs the reference. The fast side optionally
+	// runs under the fault injector (an Obs chain, which keeps it on
+	// the fast engine) — state corruption must surface as divergence
+	// here. The superblock side is always clean: it checks the fused
+	// loop's folding.
 	bits, err := core.BuildBIT(prog, core.FoldableBranches(prog))
 	if err != nil {
 		return Entry{}, fmt.Errorf("corpus: entry %s (seed %d): %v", name, seed, err)
@@ -257,6 +260,17 @@ func checkOne(ctx context.Context, opt CheckOptions, knobs Knobs, seed int64, re
 		res.Folds += engRef.Stats().Folds
 		if asbrRef != asbrFast {
 			return Entry{}, diverged("asbr-fast-vs-reference", asbrFast, asbrRef)
+		}
+		engSuper, err := newEngine()
+		if err != nil {
+			return Entry{}, err
+		}
+		asbrSuper, err := run(cpu.EngineSuperblock, func(cfg *cpu.Config) { cfg.Fold = engSuper })
+		if err != nil {
+			return Entry{}, err
+		}
+		if asbrRef != asbrSuper {
+			return Entry{}, diverged("asbr-superblock-vs-reference", asbrSuper, asbrRef)
 		}
 	}
 

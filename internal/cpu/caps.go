@@ -3,20 +3,20 @@ package cpu
 // Caps is the capability vocabulary of the engine-selection API: each
 // field names one way a caller can demand cycle-by-cycle visibility
 // into (or influence over) the pipeline. The superblock engine's fused
-// loop batch-advances straight-line regions without running the
-// per-cycle stages' hooks, so it can honor none of them — any set
-// capability makes SelectEngine fall back to the fast engine, whose
-// per-cycle stages support them all.
+// loops batch-advance whole cycles without running the per-cycle
+// stages' hooks, so they can honor none of them — any set capability
+// makes SelectEngine fall back to the fast engine, whose per-cycle
+// stages support them all.
+//
+// The ASBR unit (Config.Fold) and the branch observer
+// (Config.Observer) are not capabilities: the fused loops drive the
+// unit and call the observer themselves.
 //
 // Caps is derived from a Config by (*Config).Caps: the hook fields the
 // caller attached OR'd with the external demands it declared in
 // Config.Demand. Builders (corpus, serve, dse) never branch on Engine
 // themselves; they assemble a Config and let SelectEngine decide.
 type Caps struct {
-	// FoldHook: an ASBR fold hook intercepts fetch (Config.Fold).
-	FoldHook bool
-	// BranchObs: a per-branch outcome tap is attached (Config.Observer).
-	BranchObs bool
 	// CommitObs: a per-commit architectural tap is attached
 	// (Config.Commits) — the fault harness's lockstep checker.
 	CommitObs bool
@@ -43,12 +43,6 @@ func (cp Caps) CycleAccurate() bool { return cp != Caps{} }
 // hooks plus the externally declared Config.Demand.
 func (c *Config) Caps() Caps {
 	cp := c.Demand
-	if c.Fold != nil {
-		cp.FoldHook = true
-	}
-	if c.Observer != nil {
-		cp.BranchObs = true
-	}
 	if c.Commits != nil {
 		cp.CommitObs = true
 	}
@@ -71,9 +65,14 @@ func (c *Config) Caps() Caps {
 //     honored verbatim (both support every capability).
 //   - EngineAuto and EngineSuperblock resolve to EngineSuperblock when
 //     the configuration demands no capability (Caps), and fall back to
-//     EngineFast otherwise. The fallback is silent by design: attaching
-//     an observer to an `auto` machine must change its speed, never its
-//     meaning — all engines produce bit-identical counters.
+//     EngineFast otherwise. An ASBR unit (Config.Fold) and a branch
+//     observer (Config.Observer) demand none, so the profiling and
+//     folded runs of the ASBR flow stay on the superblock engine; a
+//     commit observer, an Obs observer, a pipeline trace, a RAS or a
+//     Record demand forces the fast engine. The fallback is silent by
+//     design: attaching an observer to an `auto` machine must change
+//     its speed, never its meaning — all engines produce bit-identical
+//     counters.
 //
 // New applies this rule once per machine; callers that want to know
 // the outcome ahead of construction (or report it afterwards) use this

@@ -1,6 +1,7 @@
 // Table-driven contract tests for the capability-driven engine
 // selection API: auto (and an explicit superblock request) must never
-// resolve to the superblock engine when any hook or demand is
+// resolve to the superblock engine when any capability is demanded,
+// must resolve to it with only an ASBR unit or a branch observer
 // attached, and explicit fast/reference choices are always honored.
 package cpu_test
 
@@ -9,6 +10,7 @@ import (
 	"io"
 	"testing"
 
+	"asbr/internal/core"
 	"asbr/internal/cpu"
 	"asbr/internal/mem"
 	"asbr/internal/obs"
@@ -25,19 +27,27 @@ func (nullCommits) OnCommit(cpu.Commit) {}
 // nullObs is a do-nothing unified observer.
 type nullObs struct{ obs.Base }
 
-// nullFold is a do-nothing fold hook that never folds.
-type nullFold struct{ obs.Base }
-
-// capHooks enumerates every way a Config can demand cycle-by-cycle
-// visibility, one hook per entry.
-var capHooks = []struct {
+type hook struct {
 	name   string
 	attach func(*cpu.Config)
-}{
-	{"fold", func(cfg *cpu.Config) { cfg.Fold = nullFold{} }},
+}
+
+// fusedHooks are the attachments the superblock engine's fused loops
+// drive themselves: they demand no capability.
+var fusedHooks = []hook{
+	{"fold", func(cfg *cpu.Config) { cfg.Fold = core.NewEngine(core.DefaultConfig()) }},
 	{"observer", func(cfg *cpu.Config) {
 		cfg.Observer = profile.New(predict.Must(predict.NewBimodal(64)))
 	}},
+	{"fold+observer", func(cfg *cpu.Config) {
+		cfg.Fold = core.NewEngine(core.DefaultConfig())
+		cfg.Observer = profile.New(predict.Must(predict.NewBimodal(64)))
+	}},
+}
+
+// capHooks enumerates every way a Config can demand cycle-by-cycle
+// visibility, one hook per entry.
+var capHooks = []hook{
 	{"commits", func(cfg *cpu.Config) { cfg.Commits = nullCommits{} }},
 	{"obs", func(cfg *cpu.Config) { cfg.Obs = nullObs{} }},
 	{"trace", func(cfg *cpu.Config) { cfg.Trace = io.Discard }},
@@ -65,6 +75,26 @@ func TestSelectEngineCapabilityFallback(t *testing.T) {
 	}
 }
 
+// TestSelectEngineFusedHooks: an ASBR unit or a branch observer
+// demands no capability, so auto and superblock requests stay on the
+// superblock engine.
+func TestSelectEngineFusedHooks(t *testing.T) {
+	for _, h := range fusedHooks {
+		for _, req := range []cpu.Engine{cpu.EngineAuto, cpu.EngineSuperblock} {
+			t.Run(h.name+"/"+req.String(), func(t *testing.T) {
+				cfg := cpu.Config{Engine: req}
+				h.attach(&cfg)
+				if cfg.Caps().CycleAccurate() {
+					t.Errorf("%s demands capabilities: %+v", h.name, cfg.Caps())
+				}
+				if got := cpu.SelectEngine(cfg); got != cpu.EngineSuperblock {
+					t.Errorf("SelectEngine(%s + %s) = %s, want superblock", req, h.name, got)
+				}
+			})
+		}
+	}
+}
+
 // TestSelectEngineHookless: with no capability demanded, auto and
 // superblock both resolve to the superblock engine.
 func TestSelectEngineHookless(t *testing.T) {
@@ -86,7 +116,7 @@ func TestSelectEngineExplicitHonored(t *testing.T) {
 		if got := cpu.SelectEngine(cpu.Config{Engine: req}); got != req {
 			t.Errorf("SelectEngine(%s, hookless) = %s, want %s", req, got, req)
 		}
-		for _, h := range capHooks {
+		for _, h := range append(capHooks, fusedHooks...) {
 			cfg := cpu.Config{Engine: req}
 			h.attach(&cfg)
 			if got := cpu.SelectEngine(cfg); got != req {

@@ -17,8 +17,8 @@
 //   - mult/div occupy EX for a configurable number of cycles; HI/LO
 //     are read by mfhi/mflo in EX.
 //   - I-cache and D-cache misses stall fetch and MEM respectively.
-//   - An optional ASBR fold hook (package core) is consulted at fetch:
-//     a folded branch never enters the pipeline; its replacement
+//   - An optional ASBR unit (package core) is consulted at fetch: a
+//     folded branch never enters the pipeline; its replacement
 //     instruction (branch target or fall-through instruction) is
 //     injected into the fetch slot instead, exactly as in the paper's
 //     Figure 4.
@@ -34,6 +34,7 @@ import (
 	"io"
 	"strings"
 
+	"asbr/internal/core"
 	"asbr/internal/isa"
 	"asbr/internal/mem"
 	"asbr/internal/obs"
@@ -105,13 +106,16 @@ const (
 	// against; all engines share the stage code, so their counters are
 	// identical.
 	EngineReference
-	// EngineSuperblock is EngineFast plus the fused loop (sbFused, see
-	// superblock.go): it batch-advances whole cycles — branches,
-	// mispredictions, jumps and load-use bubbles included — and hands
-	// the cycles it does not model (cache misses, mult/div, syscalls)
-	// back to the per-cycle stages. Its counters are bit-identical to
-	// the other engines, but the fused loop runs no hooks: a machine
-	// that attaches any (Caps) falls back to EngineFast.
+	// EngineSuperblock is EngineFast plus a fused loop (superblock.go):
+	// it batch-advances whole cycles — branches, mispredictions, jumps
+	// and load-use bubbles included — and hands the cycles it does not
+	// model (cache misses, mult/div, syscalls) back to the per-cycle
+	// stages. A machine with an ASBR unit (Config.Fold) runs the
+	// fold-aware variant, which also drives the BDT and folds at fetch;
+	// a branch observer (Config.Observer) is called from either loop.
+	// Its counters are bit-identical to the other engines. The other
+	// hooks (Caps) run only in the per-cycle stages, so a machine that
+	// attaches any falls back to EngineFast.
 	EngineSuperblock
 )
 
@@ -148,42 +152,14 @@ func ParseEngine(name string) (Engine, error) {
 	return EngineAuto, fmt.Errorf("cpu: unknown engine %q (want auto|fast|superblock|reference)", name)
 }
 
-// Fold describes a successful ASBR branch fold returned by a FoldHook:
-// the fetched branch is replaced in the fetch slot by the instruction
-// word Word whose architectural address is PC, and fetch continues at
-// Next (paper Figure 4: BTA+4 when taken, branch PC+8 when not).
+// Fold describes a successful ASBR branch fold: the fetched branch is
+// replaced in the fetch slot by the instruction word Word whose
+// architectural address is PC, and fetch continues at Next (paper
+// Figure 4: BTA+4 when taken, branch PC+8 when not).
 //
-// Fold is an alias of obs.Fold — the architectural hook types live in
-// the observability layer so an obs.Observer satisfies FoldHook without
-// conversion.
+// Fold is an alias of obs.Fold, the type an obs.Observer's TryFold
+// returns.
 type Fold = obs.Fold
-
-// FoldHook is the microarchitectural customization interface the ASBR
-// engine (internal/core) plugs into the fetch stage.
-//
-// Deprecated: new code should implement obs.Observer (which subsumes
-// this interface) and attach it via Config.Obs; FoldHook remains for
-// existing callers and is composed with Config.Obs when both are set.
-//
-// Call-ordering invariant maintained by the CPU: OnIssue(rd) fires
-// exactly once when a register-writing instruction enters decode, and
-// the matching OnValue(rd, v) fires exactly once when its value is
-// delivered at the configured update point. Squashed wrong-path
-// instructions are killed before decode, so an OnIssue is never
-// orphaned and validity counters cannot leak.
-type FoldHook interface {
-	// TryFold is consulted for every delivered fetch. It returns a
-	// fold when pc hits the Branch Identification Table and the
-	// branch's precomputed direction is valid.
-	TryFold(pc uint32) (Fold, bool)
-	// OnIssue notes that an instruction producing rd entered decode.
-	OnIssue(rd isa.Reg)
-	// OnValue delivers the produced value of rd at the update point.
-	OnValue(rd isa.Reg, v int32)
-	// OnBankSwitch handles the bitsw control-register write (BIT bank
-	// selection at loop transitions, paper §7).
-	OnBankSwitch(bank int)
-}
 
 // BranchObserver receives every dynamic conditional-branch outcome,
 // including folded ones. It is the profiling tap (internal/profile).
@@ -249,10 +225,15 @@ type Config struct {
 	// their return address, returns pop it). An extension beyond the
 	// paper's platform; disabled by default.
 	RAS *predict.RAS
-	// Fold is the optional ASBR engine hook.
-	Fold FoldHook
+	// Fold is the machine's optional ASBR unit: the BIT banks and BDT
+	// of package core, consulted at fetch. The CPU calls it directly
+	// (OnIssue at decode, OnValue at the BDTUpdate point, TryFold at
+	// fetch, OnBankSwitch at a bitsw commit), and a machine with an
+	// ASBR unit runs on the superblock engine, whose fused loop folds
+	// branches itself (see SelectEngine).
+	Fold *core.Engine
 	// BDTUpdate selects where register values are delivered to the
-	// fold hook: StageEX, StageMEM (default) or StageWB.
+	// ASBR unit: StageEX, StageMEM (default) or StageWB.
 	BDTUpdate Stage
 	// MultCycles and DivCycles are EX occupancies (defaults 4 and 16).
 	MultCycles int
@@ -282,12 +263,13 @@ type Config struct {
 	// divergence-checker tap; see the Commit type).
 	Commits CommitObserver
 	// Obs, when non-nil, is the unified observer (obs.Observer): it
-	// subsumes Fold, Observer and Commits and additionally receives the
-	// typed pipeline event stream. When legacy hooks are set alongside
-	// Obs they compose — legacy hooks are notified first, and a fold
-	// from a legacy Fold hook wins over one from Obs. If Obs implements
-	// obs.Clocked, New installs the machine's cycle counter as its
-	// clock. Use obs.NewChain to attach several observers at once.
+	// can fold like Fold, observe like Observer and Commits, and
+	// additionally receives the typed pipeline event stream. When Fold,
+	// Observer or Commits are set alongside Obs they compose — they are
+	// notified first, and a fold from Fold wins over one from Obs. If
+	// Obs implements obs.Clocked, New installs the machine's cycle
+	// counter as its clock. Use obs.NewChain to attach several
+	// observers at once.
 	Obs obs.Observer
 	// Trace, when non-nil, receives a per-cycle pipeline-occupancy
 	// row (a textbook pipeline diagram; ASBR-injected instructions
@@ -415,11 +397,10 @@ type CPU struct {
 	prog *isa.Program
 	mem  *mem.Memory
 
-	// Resolved observability hooks: the legacy Config hooks composed
-	// with Config.Obs by New. The stage code consults only these; all
-	// four are nil when observability is disabled, so the hot loop pays
-	// one predictable branch per site.
-	fold  FoldHook
+	// Resolved hooks: the Config hooks composed with Config.Obs by New.
+	// The stage code consults only these; all four are nil when nothing
+	// is attached, so the hot loop pays one predictable branch per site.
+	fold  foldHook
 	brObs BranchObserver
 	cmObs CommitObserver
 	ev    obs.EventSink
@@ -608,14 +589,15 @@ func (c *CPU) Run() (Stats, error) {
 // to the remaining MaxCycles budget, so ErrCycleLimit still fires at
 // exactly Cycle == MaxCycles while the hot path pays no per-cycle
 // poll. The pipeline lives on this function's stack for the run; on
-// the superblock engine each cycle first offers the fused loop a
-// chance to batch-advance.
+// the superblock engine each cycle first offers a fused loop — sbFold
+// with an ASBR unit, sbFused without — a chance to batch-advance.
 func (c *CPU) RunContext(ctx context.Context) (Stats, error) {
 	stride := uint64(c.cfg.PollStride)
 	if stride == 0 {
 		stride = 1024 // machine built before fillDefaults learned PollStride
 	}
 	fused := c.resolved == EngineSuperblock
+	asbr := c.cfg.Fold
 	st := c.pipe
 	for !c.halted && c.err == nil {
 		if err := ctx.Err(); err != nil {
@@ -632,8 +614,16 @@ func (c *CPU) RunContext(ctx context.Context) (Stats, error) {
 		}
 		end := c.stats.Cycles + n
 		for c.stats.Cycles < end && !c.halted && c.err == nil {
-			if fused && c.sbFused(&st, end) {
-				continue
+			if fused {
+				// A plain if, never a method value: binding the loop to
+				// a variable moves st to the heap.
+				if asbr != nil {
+					if c.sbFold(&st, end, asbr) {
+						continue
+					}
+				} else if c.sbFused(&st, end) {
+					continue
+				}
 			}
 			c.cycle(&st)
 		}

@@ -12,6 +12,7 @@ import (
 	"asbr/internal/asm"
 	"asbr/internal/isa"
 	"asbr/internal/mem"
+	"asbr/internal/obs"
 	"asbr/internal/predict"
 )
 
@@ -492,23 +493,24 @@ func TestBitswReachesHook(t *testing.T) {
 main:	bitsw	2
 	bitsw	0
 	jr	ra
-`, Config{Fold: h})
+`, Config{Obs: h})
 	if len(h.banks) != 2 || h.banks[0] != 2 || h.banks[1] != 0 {
 		t.Errorf("banks = %v", h.banks)
 	}
 }
 
-// recordingHook records hook events without folding anything.
+// recordingHook records the ASBR notifications of an Obs observer
+// without folding anything.
 type recordingHook struct {
+	obs.Base
 	issues []isa.Reg
 	values []isa.Reg
 	banks  []int
 }
 
-func (h *recordingHook) TryFold(uint32) (Fold, bool) { return Fold{}, false }
-func (h *recordingHook) OnIssue(r isa.Reg)           { h.issues = append(h.issues, r) }
-func (h *recordingHook) OnValue(r isa.Reg, v int32)  { h.values = append(h.values, r) }
-func (h *recordingHook) OnBankSwitch(b int)          { h.banks = append(h.banks, b) }
+func (h *recordingHook) OnIssue(r isa.Reg)          { h.issues = append(h.issues, r) }
+func (h *recordingHook) OnValue(r isa.Reg, v int32) { h.values = append(h.values, r) }
+func (h *recordingHook) OnBankSwitch(b int)         { h.banks = append(h.banks, b) }
 
 // Property: every OnIssue is matched by exactly one OnValue with the
 // same register, in order — the validity-counter pairing invariant the
@@ -533,7 +535,7 @@ f:	addiu	v0, zero, 9
 	jr	ra
 	.data
 x:	.word	77
-`, Config{Fold: h, BDTUpdate: up})
+`, Config{Obs: h, BDTUpdate: up})
 		if len(h.issues) != len(h.values) {
 			t.Fatalf("update=%v: %d issues vs %d values", up, len(h.issues), len(h.values))
 		}
@@ -545,8 +547,10 @@ x:	.word	77
 	}
 }
 
-// foldingHook folds a fixed branch PC with a predetermined outcome.
+// foldingHook is an Obs observer that folds a fixed branch PC with a
+// predetermined outcome.
 type foldingHook struct {
+	obs.Base
 	pc   uint32
 	fold Fold
 	hits int
@@ -559,9 +563,6 @@ func (h *foldingHook) TryFold(pc uint32) (Fold, bool) {
 	}
 	return Fold{}, false
 }
-func (h *foldingHook) OnIssue(isa.Reg)        {}
-func (h *foldingHook) OnValue(isa.Reg, int32) {}
-func (h *foldingHook) OnBankSwitch(int)       {}
 
 func TestFoldHookReplacesBranch(t *testing.T) {
 	src := `
@@ -584,7 +585,7 @@ skip:	addiu	t2, zero, 5
 		pc:   branchPC,
 		fold: Fold{Word: bti, PC: targetPC, Next: targetPC + 4, Taken: true},
 	}
-	c := MustNew(Config{Fold: h}, p)
+	c := MustNew(Config{Obs: h}, p)
 	st, err := c.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -629,7 +630,7 @@ skip:	addiu	t2, zero, 5
 		pc:   branchPC,
 		fold: Fold{Word: bfi, PC: branchPC + 4, Next: branchPC + 8, Taken: false},
 	}
-	c := MustNew(Config{Fold: h}, p)
+	c := MustNew(Config{Obs: h}, p)
 	st, err := c.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -940,7 +941,7 @@ func traceFold(t *testing.T, e Engine) string {
 	bti, _ := p.WordAt(p.Symbols["skip"])
 	h := &foldingHook{pc: branchPC, fold: Fold{Word: bti, PC: p.Symbols["skip"], Next: p.Symbols["skip"] + 4, Taken: true}}
 	var buf strings.Builder
-	c := MustNew(Config{Fold: h, Trace: &buf, Engine: e}, p)
+	c := MustNew(Config{Obs: h, Trace: &buf, Engine: e}, p)
 	if _, err := c.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"testing"
 
+	"asbr/internal/asm"
 	"asbr/internal/core"
 	"asbr/internal/cpu"
 	"asbr/internal/fault"
@@ -234,21 +235,125 @@ func TestEngineStepThenRun(t *testing.T) {
 	}
 }
 
+// foldResult is everything observable about one folded run.
+type foldResult struct {
+	Engine   cpu.Engine
+	Stats    cpu.Stats
+	Core     core.Stats
+	ByPC     map[uint32]uint64
+	Branches branchDigest
+	Output   []int32 // the benchmark's output array, or the syscall output
+	Regs     [isa.NumRegs]int32
+	Err      string
+}
+
+// branchDigest is a branch observer that hashes the outcome stream.
+type branchDigest struct {
+	N   int
+	Sum uint64
+}
+
+func (b *branchDigest) OnBranch(pc uint32, taken, folded bool) {
+	b.N++
+	b.Sum = (b.Sum ^ uint64(pc)<<2 ^ uint64(b2u(taken))<<1 ^ uint64(b2u(folded))) * 1099511628211
+}
+
+func b2u(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// runFolded runs prog under cfg with eng as its ASBR unit and a
+// branch observer. prep pours the input (nil for self-contained
+// programs). A run that fails still yields its counters: engines must
+// agree on failures too.
+func runFolded(t *testing.T, prog *isa.Program, cfg cpu.Config, eng *core.Engine, prep func(*cpu.CPU) error) foldResult {
+	t.Helper()
+	var br branchDigest
+	cfg.Fold, cfg.Observer = eng, &br
+	c, err := cpu.New(cfg, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prep != nil {
+		if err := prep(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := c.RunContext(context.Background())
+	r := foldResult{Engine: c.ResolvedEngine(), Stats: st, Core: eng.Stats(), ByPC: eng.FoldsByPC(), Branches: br, Output: c.Output}
+	if err != nil {
+		r.Err = err.Error()
+	} else if prep != nil {
+		if r.Output, err = workload.ReadOutput(c, prog); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range r.Regs {
+		r.Regs[i] = c.Reg(isa.Reg(i))
+	}
+	return r
+}
+
+// requireFoldEquivalent runs the folded configuration on the
+// reference, fast and superblock engines (fresh ASBR units from
+// newEng) and requires identical results; the superblock request must
+// stay on the superblock engine. It returns the reference result.
+func requireFoldEquivalent(t *testing.T, prog *isa.Program, cfg cpu.Config, newEng func() *core.Engine, prep func(*cpu.CPU) error) foldResult {
+	t.Helper()
+	var ref foldResult
+	for _, e := range []cpu.Engine{cpu.EngineReference, cpu.EngineFast, cpu.EngineSuperblock} {
+		cfg.Engine = e
+		r := runFolded(t, prog, cfg, newEng(), prep)
+		if r.Engine != e {
+			t.Fatalf("folded %s config resolved to %s", e, r.Engine)
+		}
+		if e == cpu.EngineReference {
+			ref = r
+			continue
+		}
+		r.Engine = ref.Engine
+		if !reflect.DeepEqual(ref, r) {
+			t.Fatalf("folded %s run differs from reference:\nreference %+v\n%-9s %+v", e, ref, e, r)
+		}
+	}
+	return ref
+}
+
 // TestEngineFoldEquivalence runs the full ASBR flow (profile, select,
-// fold) on both engines and requires identical fold decisions: the
-// same Folded/FoldedTaken/FoldFallbacks counters and the same core
-// engine statistics, on top of lockstep-clean commit streams.
+// fold) and requires every engine to make the same fold decisions.
+// The profiling leg under EngineAuto must run on the superblock engine
+// and leave the profiler exactly as a reference run does. The folded
+// leg runs every BDT update point with validity tracking on and off on
+// all three engines: identical cpu.Stats, core.Stats, per-branch fold
+// counts, branch-observer streams, output and registers. A lockstep
+// pass compares the commit streams of the reference and
+// superblock-requested machines, which the commit observer moves to
+// the fast engine.
 func TestEngineFoldEquivalence(t *testing.T) {
 	for _, name := range workload.Names() {
 		t.Run(name, func(t *testing.T) {
 			prog, in := buildBench(t, name)
 
-			// Profile once to pick the fold set, as asbr-sim -asbr does.
-			prof := profile.New(predict.Must(predict.NewBimodal(512)))
-			pcfg := engCfg(cpu.EngineFast)
-			pcfg.Observer = prof
-			if _, err := workload.RunContext(context.Background(), prog, pcfg, in, equivSamples); err != nil {
-				t.Fatalf("profile run: %v", err)
+			// Profile to pick the fold set, as asbr-sim -asbr does.
+			profileOn := func(e cpu.Engine) *profile.Profiler {
+				prof := profile.New(predict.Must(predict.NewBimodal(512)))
+				pcfg := engCfg(e)
+				pcfg.Observer = prof
+				res, err := workload.RunContext(context.Background(), prog, pcfg, in, equivSamples)
+				if err != nil {
+					t.Fatalf("profile run: %v", err)
+				}
+				if e == cpu.EngineAuto && res.CPU.ResolvedEngine() != cpu.EngineSuperblock {
+					t.Fatalf("auto profiling run resolved to %s", res.CPU.ResolvedEngine())
+				}
+				return prof
+			}
+			prof, refProf := profileOn(cpu.EngineAuto), profileOn(cpu.EngineReference)
+			if !reflect.DeepEqual(prof.Stats(), refProf.Stats()) {
+				t.Fatal("superblock profiling run differs from the reference run")
 			}
 			cands, err := profile.Select(prog, prof, profile.SelectOptions{
 				Aux: "bimodal-512", MinDistance: 3, K: core.DefaultBITEntries,
@@ -263,48 +368,204 @@ func TestEngineFoldEquivalence(t *testing.T) {
 			if len(entries) == 0 {
 				t.Skipf("%s selected no fold candidates at n=%d", name, equivSamples)
 			}
-
-			foldEng := func() *core.Engine {
-				e := core.NewEngine(core.Config{BITEntries: core.DefaultBITEntries, TrackValidity: true})
-				if err := e.Load(entries); err != nil {
-					t.Fatalf("load BIT: %v", err)
+			newEng := func(validity bool) func() *core.Engine {
+				return func() *core.Engine {
+					e := core.NewEngine(core.Config{BITEntries: core.DefaultBITEntries, TrackValidity: validity})
+					if err := e.Load(entries); err != nil {
+						t.Fatalf("load BIT: %v", err)
+					}
+					return e
 				}
-				return e
 			}
 
-			refEng, fastEng := foldEng(), foldEng()
-			refCfg := engCfg(cpu.EngineReference)
-			refCfg.Fold = refEng
-			fastCfg := engCfg(cpu.EngineFast)
-			fastCfg.Fold = fastEng
+			for _, up := range []cpu.Stage{cpu.StageEX, cpu.StageMEM, cpu.StageWB} {
+				for _, validity := range []bool{true, false} {
+					t.Run(fmt.Sprintf("%s/validity=%t", up, validity), func(t *testing.T) {
+						cfg := engCfg(cpu.EngineReference)
+						cfg.BDTUpdate = up
+						if !validity {
+							// Unsafe folds may derail the program: bound it.
+							cfg.MaxCycles = 20_000_000
+						}
+						ref := requireFoldEquivalent(t, prog, cfg, newEng(validity), pour(prog, in))
+						if ref.Stats.Folded == 0 {
+							t.Errorf("folded run performed no folds (entries=%d)", len(entries))
+						}
+						// The superblock run above is the run an auto request
+						// gets; check that it resolves there.
+						cfg.Engine, cfg.Fold = cpu.EngineAuto, newEng(validity)()
+						c, err := cpu.New(cfg, prog)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got := c.ResolvedEngine(); got != cpu.EngineSuperblock {
+							t.Errorf("auto folded machine resolved to %s", got)
+						}
+					})
+				}
+			}
 
-			rep, err := fault.RunPair(prog, refCfg, fastCfg, pour(prog, in))
+			refCfg, testCfg := engCfg(cpu.EngineReference), engCfg(cpu.EngineSuperblock)
+			refEng, testEng := newEng(true)(), newEng(true)()
+			refCfg.Fold, testCfg.Fold = refEng, testEng
+			rep, err := fault.RunPair(prog, refCfg, testCfg, pour(prog, in))
 			if err != nil {
 				t.Fatalf("RunPair: %v", err)
 			}
 			if rep.Diverged || rep.BaseErr != nil || rep.TestErr != nil {
 				t.Fatalf("folded engines diverged: %s (base %v, test %v)", rep, rep.BaseErr, rep.TestErr)
 			}
-			if !reflect.DeepEqual(refEng.Stats(), fastEng.Stats()) {
-				t.Errorf("fold decisions differ:\nreference %+v\nfast      %+v", refEng.Stats(), fastEng.Stats())
+			if !reflect.DeepEqual(refEng.Stats(), testEng.Stats()) {
+				t.Errorf("lockstep fold decisions differ:\nreference %+v\ntest      %+v", refEng.Stats(), testEng.Stats())
 			}
-			// Lockstep consumed both machines; rerun independently for the
-			// CPU-side fold counters.
-			refEng2, fastEng2 := foldEng(), foldEng()
-			refCfg.Fold, fastCfg.Fold = refEng2, fastEng2
-			refRes, err := workload.RunContext(context.Background(), prog, refCfg, in, equivSamples)
+		})
+	}
+}
+
+// assemble assembles a directed test program.
+func assemble(t *testing.T, src string) *isa.Program {
+	t.Helper()
+	p, err := asm.Assemble(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// foldDirectedSrc counts s0 down from 40. The beqz at "test" is taken
+// on even s0, so its BIT entry injects the mult at "even" when it
+// folds taken (an fcBreak word, which the fused loop does not play),
+// and the addiu after it when it folds not taken. The bnez at "sys"
+// falls through only when s0 is a multiple of 8, so its fall-through
+// word is a syscall (print a0). The pipeline delivers both conditions
+// well ahead of their branches, so the BDT holds valid predicates.
+const foldDirectedSrc = `
+main:	li	s0, 40
+	li	s1, 0
+	li	v0, 1
+loop:	addiu	s0, s0, -1
+	andi	t1, s0, 1
+	andi	t2, s0, 7
+	move	a0, s0
+	nop
+	nop
+	nop
+test:	beqz	t1, even
+	addiu	s1, s1, 3
+	j	next
+even:	mult	s0, s0
+	mflo	t3
+	addu	s1, s1, t3
+next:	nop
+	nop
+sys:	bnez	t2, skip
+	syscall
+skip:	bnez	s0, loop
+	move	a0, s1
+	syscall
+	jr	ra
+`
+
+// TestEngineFoldDirected folds branches whose injected words the
+// superblock engine's fused loop does not play — a mult, a syscall, and
+// a word that differs from the text's own (a stale BIT copy) — which
+// must take the loop's top-of-cycle exit and leave every engine in
+// agreement.
+func TestEngineFoldDirected(t *testing.T) {
+	prog := assemble(t, foldDirectedSrc)
+	entries, err := core.BuildBIT(prog, []uint32{prog.Symbols["test"], prog.Symbols["sys"]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w, _ := prog.WordAt(prog.Symbols["even"]); entries[0].BTI != w {
+		t.Fatal("entry 0 is not the mult branch")
+	}
+	stale := append([]core.BITEntry(nil), entries...)
+	stale[0].BFI = isa.MustEncode(isa.Inst{Op: isa.OpADDIU, Rt: isa.RegT0 + 4, Rs: isa.RegZero, Imm: 7})
+	for name, bit := range map[string][]core.BITEntry{"text": entries, "stale-word": stale} {
+		for _, up := range []cpu.Stage{cpu.StageEX, cpu.StageMEM, cpu.StageWB} {
+			t.Run(fmt.Sprintf("%s/%s", name, up), func(t *testing.T) {
+				cfg := cpu.Config{BDTUpdate: up, Predictor: "bimodal", ICache: mem.DefaultICache(), DCache: mem.DefaultDCache()}
+				ref := requireFoldEquivalent(t, prog, cfg, func() *core.Engine {
+					e := core.NewEngine(core.DefaultConfig())
+					if err := e.Load(bit); err != nil {
+						t.Fatal(err)
+					}
+					return e
+				}, nil)
+				if ref.Err != "" {
+					t.Fatalf("run failed: %s", ref.Err)
+				}
+				if ref.ByPC[prog.Symbols["test"]] == 0 || ref.ByPC[prog.Symbols["sys"]] == 0 || ref.Stats.FoldedTaken == 0 {
+					t.Errorf("directed branches did not fold: %v (taken %d)", ref.ByPC, ref.Stats.FoldedTaken)
+				}
+				if len(ref.Output) != 6 {
+					t.Errorf("output = %v, want 5 syscall prints and the sum", ref.Output)
+				}
+			})
+		}
+	}
+}
+
+// bankSwitchSrc runs two loops with a bitsw before each: bank 0 holds
+// the first loop's branch, bank 1 the second's.
+const bankSwitchSrc = `
+main:	li	t0, 30
+	bitsw	0
+	nop
+	nop
+	nop
+l1:	addiu	t0, t0, -1
+	addiu	t2, t2, 1
+	nop
+	nop
+	nop
+	bnez	t0, l1
+	li	t1, 30
+	bitsw	1
+	nop
+	nop
+	nop
+l2:	addiu	t1, t1, -1
+	addiu	t3, t3, 2
+	nop
+	nop
+	nop
+	bnez	t1, l2
+	bitsw	0
+	jr	ra
+`
+
+// TestEngineFoldBankSwitch runs bitsw BIT-bank switching on every
+// engine: the switch commits in the per-cycle stages, and the fused
+// loop must fold from whichever bank is active when it resumes.
+func TestEngineFoldBankSwitch(t *testing.T) {
+	prog := assemble(t, bankSwitchSrc)
+	pcs := core.FoldableBranches(prog)
+	if len(pcs) != 2 {
+		t.Fatalf("foldable branches = %d, want 2", len(pcs))
+	}
+	newEng := func() *core.Engine {
+		e := core.NewEngine(core.Config{BITEntries: 1, Banks: 2, TrackValidity: true})
+		for bank, pc := range pcs {
+			en, err := core.BuildEntry(prog, pc)
 			if err != nil {
-				t.Fatalf("reference folded run: %v", err)
+				t.Fatal(err)
 			}
-			fastRes, err := workload.RunContext(context.Background(), prog, fastCfg, in, equivSamples)
-			if err != nil {
-				t.Fatalf("fast folded run: %v", err)
+			if err := e.LoadBank(bank, []core.BITEntry{en}); err != nil {
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(refRes.Stats, fastRes.Stats) {
-				t.Errorf("folded stats mismatch:\nreference %+v\nfast      %+v", refRes.Stats, fastRes.Stats)
+		}
+		return e
+	}
+	for _, up := range []cpu.Stage{cpu.StageEX, cpu.StageMEM, cpu.StageWB} {
+		t.Run(up.String(), func(t *testing.T) {
+			ref := requireFoldEquivalent(t, prog, cpu.Config{BDTUpdate: up, Predictor: "bimodal"}, newEng, nil)
+			if ref.Err != "" {
+				t.Fatalf("run failed: %s", ref.Err)
 			}
-			if refRes.Stats.Folded == 0 {
-				t.Errorf("folded run performed no folds (entries=%d)", len(entries))
+			if ref.Core.BankSwitches != 3 || ref.ByPC[pcs[0]] == 0 || ref.ByPC[pcs[1]] == 0 {
+				t.Errorf("bank switching did not fold both loops: switches %d, folds %v", ref.Core.BankSwitches, ref.ByPC)
 			}
 		})
 	}

@@ -5,16 +5,37 @@ import (
 	"asbr/internal/obs"
 )
 
-// resolveObservers composes the legacy per-aspect hooks (Config.Fold,
+// foldHook is the fetch-stage ASBR interface the per-cycle stages
+// consult: the machine's ASBR unit (Config.Fold), a folding obs.Observer
+// (Config.Obs), or both composed.
+//
+// Call-ordering invariant: OnIssue(rd) fires exactly once when a
+// register-writing instruction enters decode, and the matching
+// OnValue(rd, v) exactly once at the configured update point.
+// Wrong-path instructions are squashed before decode, so no OnIssue is
+// orphaned and validity counters cannot leak.
+type foldHook interface {
+	// TryFold is consulted for every delivered fetch.
+	TryFold(pc uint32) (Fold, bool)
+	// OnIssue notes that an instruction producing rd entered decode.
+	OnIssue(rd isa.Reg)
+	// OnValue delivers rd's value at the BDT update point.
+	OnValue(rd isa.Reg, v int32)
+	// OnBankSwitch handles a bitsw commit.
+	OnBankSwitch(bank int)
+}
+
+// resolveObservers composes the per-aspect hooks (Config.Fold,
 // Config.Observer, Config.Commits) with the unified Config.Obs into the
-// machine's resolved hook fields. Legacy hooks run first in every
-// composition, so existing behaviour — including a legacy fold hook's
-// precedence — is unchanged by attaching an Obs. When Obs is Clocked it
-// receives the machine's cycle counter, so events emitted by chained
-// components (the ASBR core, the fault injector) get stamped with the
-// cycle they occurred in.
+// machine's resolved hook fields. The per-aspect hooks run first in
+// every composition, so a fold from Config.Fold wins over one from Obs.
+// When Obs is Clocked it receives the machine's cycle counter, so
+// events emitted by chained components (the ASBR core, the fault
+// injector) get stamped with the cycle they occurred in.
 func (c *CPU) resolveObservers() {
-	c.fold = c.cfg.Fold
+	if c.cfg.Fold != nil {
+		c.fold = c.cfg.Fold
+	}
 	c.brObs = c.cfg.Observer
 	c.cmObs = c.cfg.Commits
 	o := c.cfg.Obs
@@ -49,7 +70,7 @@ func (c *CPU) emit(k obs.EventKind, pc uint32, arg uint64, taken bool) {
 }
 
 // foldPair consults a before b; a successful fold from a wins.
-type foldPair struct{ a, b FoldHook }
+type foldPair struct{ a, b foldHook }
 
 func (p foldPair) TryFold(pc uint32) (Fold, bool) {
 	if f, ok := p.a.TryFold(pc); ok {

@@ -1,13 +1,18 @@
 package cpu
 
-// The superblock engine's accelerator. The superblock engine runs the
+import "asbr/internal/core"
+
+// The superblock engine's accelerators. The superblock engine runs the
 // same per-cycle stages as the fast engine (stages.go); before each
-// cycle RunContext offers sbFused the chance to batch-advance instead.
+// cycle RunContext offers a fused loop the chance to batch-advance
+// instead: sbFold when the machine has an ASBR unit, sbFused otherwise.
 // That is legal only because SelectEngine guarantees no capability is
-// attached (no fold hook, no observers, no event sink, no tracer, no
-// RAS, no recording), so the hooks the fused loop skips are provably
-// absent, and the architectural state and Stats it leaves behind are
-// bit-identical to what the per-cycle stages would leave.
+// attached (no commit observer, no event sink, no tracer, no RAS, no
+// recording), so the hooks the fused loops skip are provably absent,
+// and the architectural state and Stats they leave behind are
+// bit-identical to what the per-cycle stages would leave. The branch
+// observer is the one hook they call, through resolveCond and at a
+// fold.
 
 // sbFused batch-advances the machine through whole cycles of the
 // hookless pipeline. It returns false (having consumed no cycles) when
@@ -222,6 +227,235 @@ func (c *CPU) sbFused(st *pipeState, end uint64) bool {
 	// pipeline maps back one to one and the per-cycle stages resume
 	// with no seam. A halt-address redirect leaves halting for the
 	// per-cycle fetch to raise, which it does before fetching anything.
+	*wb = *wbVal
+	*mm = *mmVal
+	*ex = *q0
+	*id = *q1
+	st.pc = fpc
+	st.redirectHold = hold
+	return true
+}
+
+// sbFold is sbFused for a machine with an ASBR unit: the same cycles,
+// plus the unit's work at the points the per-cycle stages do it.
+//
+//	OnIssue  as the ID slot advances to EX — never for a slot squashed
+//	         this cycle or held by the load-use interlock
+//	OnValue  at the configured update point (WB, MEM, or EX for ALU
+//	         results and MEM for loads), queued and delivered after IF
+//	         in stage order, as cycle's flushValues does
+//	TryFold  on every delivered fetch; a fold counts Folded and
+//	         FoldedTaken, tells the branch observer, injects the BIT's
+//	         word (never predicted) and continues fetch at Fold.Next
+//
+// A fold may inject a word the loop does not play: one of class
+// fcBreak, or one outside the text or unlike the text's own word at
+// that address, which the stages decode afresh (fclass fcBreak too).
+// The fold's cycle is still exact, so the loop finishes it and exits
+// at the cycle boundary with that word in ID, before it advances; a
+// fold that continues at HaltAddress exits at the top of the next
+// cycle like any halt redirect.
+//
+// It is a separate function because folding work inside sbFused slows
+// hookless runs measurably even when skipped (DESIGN.md §14).
+func (c *CPU) sbFold(st *pipeState, end uint64, eng *core.Engine) bool {
+	if st.fetching || st.memBusy != 0 || st.halting ||
+		c.cfg.ICache.HitCycles > 1 || c.cfg.DCache.HitCycles > 1 {
+		return false
+	}
+	wb, mm := &st.slots[st.wbi], &st.slots[st.mmi]
+	ex, id := &st.slots[st.exi], &st.slots[st.idi]
+	if wb.valid && wb.d.fclass == fcBreak || mm.valid && mm.d.fclass == fcBreak ||
+		ex.valid && (ex.d == nil || ex.d.fclass == fcBreak || ex.started) ||
+		id.valid && (id.d == nil || id.d.fclass == fcBreak) {
+		return false
+	}
+	budget := int(end - c.stats.Cycles)
+
+	var s0, s1, s2, s3 slot
+	s0, s1, s2, s3 = *wb, *mm, *ex, *id
+	for _, s := range [...]*slot{&s0, &s1, &s2, &s3} {
+		s.cls = fcBreak
+		if s.valid {
+			s.cls = s.d.fclass
+		}
+	}
+	s2.luHazard = s1.cls == fcLoad && s2.valid && loadFeeds(s1.d, s2.d)
+	s3.luHazard = s2.cls == fcLoad && s3.valid && loadFeeds(s2.d, s3.d)
+	if s2.luHazard && !s3.valid {
+		return false // see sbFused
+	}
+	wbVal, mmVal, q0, q1 := &s0, &s1, &s2, &s3
+	fpc := st.pc
+	hold := st.redirectHold
+
+	pre := c.pre
+	up := c.cfg.BDTUpdate
+	lineMask := st.lineMask
+	lastLine := st.lastLine
+	pendingHits := 0
+	done := 0
+	fetches := 0
+	commits := 0
+	for done < budget {
+		// ---- top of cycle ----
+		fd := pre.lookup(fpc)
+		if fpc == HaltAddress || fd == nil || fd.fclass == fcBreak {
+			break
+		}
+		if c.icache != nil && fpc&lineMask != lastLine && !c.icache.Contains(fpc) {
+			break
+		}
+		memOp := mmVal.cls == fcLoad || mmVal.cls == fcStore
+		if memOp {
+			if c.accessFault(mmVal) {
+				break
+			}
+			if c.dcache != nil && !c.dcache.TryAccess(mmVal.memAddr, mmVal.cls == fcStore) {
+				break
+			}
+		}
+		done++
+		// Values produced this cycle, delivered after IF in stage order:
+		// at most one leaving WB or MEM and one leaving EX.
+		var vals [2]pendingVal
+		nv := 0
+		// ---- WB ----
+		if wbVal.valid {
+			if d := wbVal.d; d.HasDest {
+				c.regs[d.Dest] = wbVal.result
+				if up == StageWB && wbVal.counted && !wbVal.valueSent {
+					vals[nv] = pendingVal{d.Dest, wbVal.result}
+					nv++
+				}
+			}
+			commits++
+		}
+		// ---- MEM ----
+		if memOp {
+			c.memOp(mmVal)
+		}
+		if d := mmVal.d; mmVal.valid && d.HasDest && mmVal.counted && !mmVal.valueSent &&
+			(up == StageMEM || up == StageEX && d.Load) {
+			vals[nv] = pendingVal{d.Dest, mmVal.result}
+			nv++
+			mmVal.valueSent = true
+		}
+		// ---- EX ----
+		kill := false
+		if q0.valid {
+			if q0.luHazard {
+				q0.luHazard = false
+				c.stats.LoadUseStalls++
+				ns := wbVal
+				*ns = slot{}
+				wbVal, mmVal = mmVal, ns
+				for _, v := range vals[:nv] {
+					eng.OnValue(v.reg, v.val)
+				}
+				continue
+			}
+			q0.started = true
+			c.execute(q0, mmVal)
+			switch q0.cls {
+			case fcBranch:
+				if next, mis := c.resolveCond(q0); mis {
+					c.sbSquash(q1)
+					fpc, kill = next, true
+					hold = c.cfg.ExtraMispredictCycles
+				}
+			case fcJumpReg:
+				c.stats.Jumps++
+				c.stats.IndirectJumps++
+				c.sbSquash(q1)
+				fpc, kill = q0.memAddr, true
+				hold = 0
+			}
+			if d := q0.d; up == StageEX && d.HasDest && q0.counted && !q0.valueSent && !d.Load {
+				vals[nv] = pendingVal{d.Dest, q0.result}
+				nv++
+				q0.valueSent = true
+			}
+		}
+		// ---- ID ----
+		if q1.valid && q1.d.HasDest {
+			eng.OnIssue(q1.d.Dest)
+			q1.counted = true
+		}
+		if !kill && q1.cls == fcJump {
+			c.stats.Jumps++
+			fpc, kill = q1.d.In.Target, true
+		}
+		// ---- IF ----
+		ns := wbVal
+		stop := false // a fold injected a word the loop does not play
+		switch {
+		case kill:
+			*ns = slot{}
+		case hold > 0:
+			hold--
+			c.stats.FetchStalls++
+			*ns = slot{}
+		default:
+			if c.icache != nil {
+				if fpc&lineMask != lastLine {
+					if pendingHits > 0 {
+						c.icache.AccountHits(pendingHits)
+						pendingHits = 0
+					}
+					c.icache.Access(fpc, false)
+					lastLine = fpc & lineMask
+				} else {
+					pendingHits++
+				}
+			}
+			fetches++
+			if f, ok := eng.TryFold(fpc); ok {
+				c.stats.Folded++
+				if f.Taken {
+					c.stats.FoldedTaken++
+				}
+				if c.brObs != nil {
+					c.brObs.OnBranch(fpc, f.Taken, true)
+				}
+				inj := c.injected(f)
+				*ns = slot{d: inj, pc: f.PC, valid: true, folded: true, cls: inj.fclass}
+				ns.luHazard = q1.cls == fcLoad && loadFeeds(q1.d, inj)
+				fpc = f.Next
+				stop = ns.cls == fcBreak
+				break
+			}
+			*ns = slot{d: fd, pc: fpc, valid: true, cls: fd.fclass}
+			ns.luHazard = q1.cls == fcLoad && loadFeeds(q1.d, fd)
+			next := fpc + 4
+			if ns.cls == fcBranch {
+				tkn, tgt, rd := c.cfg.Branch.PredictFetch(fpc)
+				ns.predTaken, ns.predTarget = tkn, tgt
+				ns.predRedirect, ns.predicted = rd, true
+				if rd {
+					next = tgt
+				}
+			}
+			fpc = next
+		}
+		for _, v := range vals[:nv] {
+			eng.OnValue(v.reg, v.val)
+		}
+		wbVal, mmVal, q0, q1 = mmVal, q0, q1, ns
+		if stop {
+			break
+		}
+	}
+	if done == 0 {
+		return false
+	}
+	if pendingHits > 0 {
+		c.icache.AccountHits(pendingHits)
+	}
+	st.lastLine = lastLine
+	c.stats.Cycles += uint64(done)
+	c.stats.Instructions += uint64(commits)
+	c.stats.Fetches += uint64(fetches)
 	*wb = *wbVal
 	*mm = *mmVal
 	*ex = *q0

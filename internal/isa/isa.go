@@ -262,15 +262,17 @@ func (c Cond) Holds(v int32) bool {
 
 // DirBits returns the bitmask of all conditions that hold for value v,
 // with bit i corresponding to Cond(i). This is exactly the per-register
-// direction-bit vector stored in a BDT entry (paper Figure 8).
+// direction-bit vector stored in a BDT entry (paper Figure 8). Every
+// zero comparison depends only on the sign of v, so there are three
+// vectors.
 func DirBits(v int32) uint8 {
-	var m uint8
-	for c := Cond(0); c < NumConds; c++ {
-		if c.Holds(v) {
-			m |= 1 << c
-		}
+	switch {
+	case v < 0:
+		return 1<<CondNE | 1<<CondLE | 1<<CondLT
+	case v == 0:
+		return 1<<CondEQ | 1<<CondLE | 1<<CondGE
 	}
-	return m
+	return 1<<CondNE | 1<<CondGT | 1<<CondGE
 }
 
 // IsCondBranch reports whether the instruction is a conditional branch.

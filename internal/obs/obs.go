@@ -6,12 +6,13 @@
 // format, and the canonical statistics Snapshot shared by the CPU, the
 // experiment tables and the serving layer's wire protocol.
 //
-// The package sits below internal/cpu in the dependency order: the
-// architectural types a fold hook exchanges with the fetch stage (Fold,
-// Commit) are defined here and aliased by package cpu, so an Observer
-// composes with the legacy hooks without conversion. Everything is
-// stdlib-only and allocation-free on the disabled path — a nil Observer
-// in cpu.Config costs one predictable branch per emission site.
+// The package sits below internal/cpu and internal/core in the
+// dependency order: the architectural types the fetch stage exchanges
+// with a folding unit (Fold, Commit) are defined here and aliased by
+// package cpu, so an Observer composes with the per-aspect hooks
+// without conversion. Everything is stdlib-only and allocation-free on
+// the disabled path — a nil Observer in cpu.Config costs one
+// predictable branch per emission site.
 package obs
 
 import (
@@ -67,11 +68,12 @@ type Clocked interface {
 }
 
 // Observer is the single observability interface of the simulator: it
-// subsumes the CPU's legacy FoldHook (TryFold/OnIssue/OnValue/
-// OnBankSwitch), BranchObserver (OnBranch) and CommitObserver
-// (OnCommit), and adds the typed event stream (OnEvent). Because
-// package cpu aliases Fold and Commit from this package, any Observer
-// satisfies all three legacy interfaces and can stand in for them.
+// receives the calls the CPU makes on its ASBR unit (TryFold/OnIssue/
+// OnValue/OnBankSwitch), the BranchObserver (OnBranch) and the
+// CommitObserver (OnCommit) calls, and the typed event stream
+// (OnEvent). Because package cpu aliases Fold and Commit from this
+// package, any Observer satisfies cpu.BranchObserver and
+// cpu.CommitObserver and can stand in for them.
 //
 // Implementations embed Base and override the methods they care about;
 // NewChain composes several observers — a fault injector, the ASBR

@@ -43,6 +43,7 @@ func (b *BranchStat) Accuracy(shadow string) float64 {
 // simulation — the data behind the paper's Figures 7, 9 and 10.
 type Profiler struct {
 	shadows []predict.DirectionPredictor
+	names   []string // shadows[i].Name(), computed once: Name formats a string per call
 	stats   map[uint32]*BranchStat
 }
 
@@ -51,7 +52,11 @@ var _ cpu.BranchObserver = (*Profiler)(nil)
 // New builds a profiler over the given shadow predictors. With no
 // shadows it still collects execution counts and taken rates.
 func New(shadows ...predict.DirectionPredictor) *Profiler {
-	return &Profiler{shadows: shadows, stats: make(map[uint32]*BranchStat)}
+	names := make([]string, len(shadows))
+	for i, s := range shadows {
+		names[i] = s.Name()
+	}
+	return &Profiler{shadows: shadows, names: names, stats: make(map[uint32]*BranchStat)}
 }
 
 // NewStandard builds a profiler with the paper's three reference
@@ -62,11 +67,7 @@ func NewStandard() *Profiler {
 
 // ShadowNames lists the shadow predictors in construction order.
 func (p *Profiler) ShadowNames() []string {
-	names := make([]string, len(p.shadows))
-	for i, s := range p.shadows {
-		names[i] = s.Name()
-	}
-	return names
+	return append([]string(nil), p.names...)
 }
 
 // OnBranch implements cpu.BranchObserver.
@@ -80,9 +81,9 @@ func (p *Profiler) OnBranch(pc uint32, taken, folded bool) {
 	if taken {
 		st.Taken++
 	}
-	for _, s := range p.shadows {
+	for i, s := range p.shadows {
 		if s.Predict(pc) == taken {
-			st.Correct[s.Name()]++
+			st.Correct[p.names[i]]++
 		}
 		s.Update(pc, taken)
 	}
@@ -136,6 +137,12 @@ const CrossBlockDistance = 1 << 20
 // the branch in its block, and -1 when the branch is not a foldable
 // zero-comparison branch.
 func DefDistance(p *isa.Program, branchPC uint32) int {
+	return defDistance(p, branchPC, blockLeaders(p))
+}
+
+// defDistance is DefDistance over the program's precomputed block
+// leaders, so a caller measuring many branches builds them once.
+func defDistance(p *isa.Program, branchPC uint32, leaders map[uint32]bool) int {
 	in, err := p.InstAt(branchPC)
 	if err != nil {
 		return -1
@@ -144,7 +151,6 @@ func DefDistance(p *isa.Program, branchPC uint32) int {
 	if !ok || reg == isa.RegZero {
 		return -1
 	}
-	leaders := blockLeaders(p)
 	dist := 0
 	for pc := branchPC; pc > p.TextBase; {
 		if leaders[pc] {

@@ -89,12 +89,13 @@ func Select(p *isa.Program, prof *Profiler, opt SelectOptions) ([]Candidate, err
 		return reach * (injectedFlush - baselineFlush) * penalty
 	}
 	var out []Candidate
+	leaders := blockLeaders(p)
 	for _, pc := range core.FoldableBranches(p) {
 		st, ok := prof.Stat(pc)
 		if !ok || st.Count < opt.MinCount || st.Count == 0 {
 			continue
 		}
-		d := DefDistance(p, pc)
+		d := defDistance(p, pc, leaders)
 		if d < opt.MinDistance {
 			continue
 		}

@@ -53,7 +53,7 @@ func TestFuzzFoldEquivalence(t *testing.T) {
 			return out
 		}
 
-		run := func(fold cpu.FoldHook, up cpu.Stage) []int32 {
+		run := func(fold *core.Engine, up cpu.Stage) []int32 {
 			c := cpu.MustNew(cpu.Config{
 				ICache:    mem.DefaultICache(),
 				DCache:    mem.DefaultDCache(),
