@@ -43,8 +43,9 @@ func main() {
 	check(err)
 	prof := profile.NewStandard()
 	cfg.Observer = prof
-	// -trace on the profiled run: the profiler (legacy hook) and the
-	// tracer compose through the observer chain in cpu.New.
+	// -trace on the profiled run: the profiler takes the branch
+	// outcomes (Config.Observer), the tracer the event stream
+	// (Config.Obs), which moves the run to the fast engine.
 	tr := sf.NewTracer()
 	if tr != nil {
 		cfg.Obs = tr

@@ -226,8 +226,6 @@ func simulate(w io.Writer, path string, opt options) error {
 			return err
 		}
 		inj := fault.NewInjector(plan, eng)
-		fcfg.Fold = nil
-		fcfg.Obs = inj.Chain()
 		rep, err := fault.RunPair(prog, cfg, fcfg, nil)
 		if err != nil {
 			return err

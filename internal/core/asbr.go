@@ -230,18 +230,28 @@ func (s Stats) FoldRate() float64 {
 	return float64(s.Folds) / float64(s.Hits)
 }
 
-// Engine is the ASBR unit: the BIT banks and the BDT of one machine.
-// It attaches to the simulator in one of two ways:
+// Fold describes a successful branch fold returned by TryFold: the
+// fetched branch is replaced in the fetch slot by the instruction word
+// Word whose architectural address is PC, and fetch continues at Next
+// (paper Figure 4: BTA+4 when taken, branch PC+8 when not).
+type Fold struct {
+	Word  uint32 // replacement instruction (BTI or BFI)
+	PC    uint32 // architectural address of the replacement instruction
+	Next  uint32 // next fetch address
+	Taken bool   // folded direction
+}
+
+// Engine is the ASBR unit: the BIT banks and the BDT of one machine,
+// attached as cpu.Config.Fold. The CPU calls it directly (OnIssue at
+// decode, OnValue at the BDT update point, TryFold at fetch,
+// OnBankSwitch at a bitsw commit) on every engine; the superblock
+// engine's fused loop makes the same calls.
 //
-//   - cpu.Config.Fold, the machine's own ASBR unit. The CPU calls the
-//     engine directly, and such a machine runs on the superblock
-//     engine (cpu.SelectEngine), whose fused loop folds at fetch.
-//   - As a member of an obs.NewChain attached to cpu.Config.Obs (it
-//     embeds obs.Base, so it is a full obs.Observer). The fault
-//     injector attaches it this way; Obs keeps a machine on the
-//     per-cycle fast engine.
+// A mutation policy (SetMutator) corrupts the unit's own storage at
+// each fetch before the BIT lookup; the fault injector is one. The
+// lookup and the BDT protocol are those of a clean run, only the
+// stored state differs.
 type Engine struct {
-	obs.Base
 	cfg    Config
 	banks  []*BIT
 	active int
@@ -249,15 +259,19 @@ type Engine struct {
 	stats  Stats
 	perPC  map[uint32]uint64 // folds per branch
 	sink   obs.EventSink     // nil unless SetEventSink was called
+	mutate func(pc uint32)   // nil unless SetMutator was called
 }
-
-var _ obs.Observer = (*Engine)(nil)
 
 // SetEventSink attaches a pipeline event sink (typically an
 // obs.Tracer): the engine then emits EvBITHit, EvFoldFallback,
 // EvBDTValid/EvBDTInvalid transition and EvBankSwitch events. Events
 // carry no cycle; a Clocked sink installed into the CPU stamps them.
 func (e *Engine) SetEventSink(s obs.EventSink) { e.sink = s }
+
+// SetMutator installs a per-fetch state-mutation policy: TryFold calls
+// m(pc) first, before the BIT lookup, so m may rewrite BIT and BDT
+// cells (mutate.go) and the lookup sees the result. Nil removes it.
+func (e *Engine) SetMutator(m func(pc uint32)) { e.mutate = m }
 
 // Sink returns the attached event sink, if any (so collaborators like
 // the fault injector can emit into the same stream).
@@ -324,12 +338,16 @@ func (e *Engine) Reset() {
 func (e *Engine) BDTState() *BDT { return &e.bdt }
 
 // TryFold is the fetch-stage BIT lookup and, on a valid predicate,
-// the branch replacement of the paper's Figure 4.
-func (e *Engine) TryFold(pc uint32) (obs.Fold, bool) {
+// the branch replacement of the paper's Figure 4. A mutation policy,
+// if installed, runs first.
+func (e *Engine) TryFold(pc uint32) (Fold, bool) {
+	if e.mutate != nil {
+		e.mutate(pc)
+	}
 	e.stats.Lookups++
 	en, ok := e.banks[e.active].Lookup(pc)
 	if !ok {
-		return obs.Fold{}, false
+		return Fold{}, false
 	}
 	e.stats.Hits++
 	if e.sink != nil {
@@ -340,7 +358,7 @@ func (e *Engine) TryFold(pc uint32) (obs.Fold, bool) {
 		if e.sink != nil {
 			e.sink.OnEvent(obs.Event{Kind: obs.EvFoldFallback, PC: pc, Arg: uint64(en.Reg)})
 		}
-		return obs.Fold{}, false
+		return Fold{}, false
 	}
 	taken := e.bdt.Holds(en.Reg, en.Cond)
 	e.stats.Folds++
@@ -348,10 +366,10 @@ func (e *Engine) TryFold(pc uint32) (obs.Fold, bool) {
 	if taken {
 		e.stats.FoldsTaken++
 		// "PC=BranchTargetAddress+4; instr=BranchTargetInstruction"
-		return obs.Fold{Word: en.BTI, PC: en.BTA, Next: en.BTA + 4, Taken: true}, true
+		return Fold{Word: en.BTI, PC: en.BTA, Next: en.BTA + 4, Taken: true}, true
 	}
 	// "PC=PC+8; instr=BranchFallthroughInstr"
-	return obs.Fold{Word: en.BFI, PC: pc + 4, Next: pc + 8, Taken: false}, true
+	return Fold{Word: en.BFI, PC: pc + 4, Next: pc + 8, Taken: false}, true
 }
 
 // OnIssue notes that a producer of rd entered decode. The untraced

@@ -6,12 +6,13 @@ import (
 	"asbr/internal/isa"
 )
 
-// This file is the state-mutation surface the fault injector
-// (internal/fault) uses to corrupt ASBR structures mid-run. The
-// methods model single-event upsets in the BDT/BIT storage cells: they
-// change stored state only, never the engine's statistics or the
-// update protocol, so a corrupted run exercises exactly the hardware
-// paths a real bit-flip would.
+// This file is the state-mutation surface a mutation policy
+// (Engine.SetMutator; the fault injector in internal/fault is one)
+// uses to corrupt ASBR structures mid-run. The methods model
+// single-event upsets in the BDT/BIT storage cells: they change stored
+// state only, never the engine's statistics or the update protocol, so
+// a corrupted run exercises exactly the hardware paths a real bit-flip
+// would.
 
 // FlipDir inverts the stored direction bit of condition c for register
 // r, as a particle strike on one BDT direction cell would.

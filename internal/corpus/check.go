@@ -25,10 +25,12 @@ type CheckOptions struct {
 	Predictor string // machine predictor (default bimodal)
 	MaxCycles uint64 // per-run watchdog (default 50M)
 
-	// Fault, when its kind is not KindNone, corrupts the fast leg's
-	// ASBR engine through the internal/fault injector. A correct
-	// harness must then FAIL: the injected corruption shows up as a
-	// snapshot divergence with the generating seed pinned.
+	// Fault, when its kind is not KindNone, corrupts the superblock
+	// leg's ASBR engine through the internal/fault injector, on the
+	// engine production ASBR runs use. A correct harness must then
+	// FAIL: the injected corruption shows up as an
+	// asbr-superblock-vs-reference divergence with the generating seed
+	// pinned.
 	Fault fault.Plan
 
 	// Serve, when non-nil, adds a service round-trip leg per entry:
@@ -217,11 +219,10 @@ func checkOne(ctx context.Context, opt CheckOptions, knobs Knobs, seed int64, re
 	}
 
 	// Leg 2: ASBR run with every foldable branch loaded: the fast and
-	// superblock engines vs the reference. The fast side optionally
-	// runs under the fault injector (an Obs chain, which keeps it on
-	// the fast engine) — state corruption must surface as divergence
-	// here. The superblock side is always clean: it checks the fused
-	// loop's folding.
+	// superblock engines vs the reference. The superblock side
+	// optionally runs under the fault injector, a mutation policy on
+	// its unit that keeps it on the superblock engine — state
+	// corruption must surface as divergence there.
 	bits, err := core.BuildBIT(prog, core.FoldableBranches(prog))
 	if err != nil {
 		return Entry{}, fmt.Errorf("corpus: entry %s (seed %d): %v", name, seed, err)
@@ -247,13 +248,7 @@ func checkOne(ctx context.Context, opt CheckOptions, knobs Knobs, seed int64, re
 		if err != nil {
 			return Entry{}, err
 		}
-		asbrFast, err := run(cpu.EngineFast, func(cfg *cpu.Config) {
-			if opt.Fault.Kind != fault.KindNone {
-				cfg.Obs = fault.NewInjector(opt.Fault, engFast).Chain()
-			} else {
-				cfg.Fold = engFast
-			}
-		})
+		asbrFast, err := run(cpu.EngineFast, func(cfg *cpu.Config) { cfg.Fold = engFast })
 		if err != nil {
 			return Entry{}, err
 		}
@@ -265,6 +260,7 @@ func checkOne(ctx context.Context, opt CheckOptions, knobs Knobs, seed int64, re
 		if err != nil {
 			return Entry{}, err
 		}
+		fault.NewInjector(opt.Fault, engSuper)
 		asbrSuper, err := run(cpu.EngineSuperblock, func(cfg *cpu.Config) { cfg.Fold = engSuper })
 		if err != nil {
 			return Entry{}, err

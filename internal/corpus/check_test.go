@@ -69,8 +69,8 @@ func TestCheckClean(t *testing.T) {
 }
 
 // TestCheckDetectsFault is the harness's negative contract — the reason
-// it exists. An injected BDT corruption on the fast leg must surface as
-// a divergence error naming the generating seed.
+// it exists. An injected BDT corruption on the superblock leg must
+// surface as a divergence error naming the generating seed.
 func TestCheckDetectsFault(t *testing.T) {
 	opt := checkOpts()
 	opt.Fault = fault.Plan{Kind: fault.KindBDTFlip, Rate: 1}
@@ -82,8 +82,8 @@ func TestCheckDetectsFault(t *testing.T) {
 	if !errors.As(err, &div) {
 		t.Fatalf("want *DivergenceError, got %T: %v", err, err)
 	}
-	if div.Leg != "asbr-fast-vs-reference" {
-		t.Errorf("divergence on leg %q, want asbr-fast-vs-reference", div.Leg)
+	if div.Leg != "asbr-superblock-vs-reference" {
+		t.Errorf("divergence on leg %q, want asbr-superblock-vs-reference", div.Leg)
 	}
 	if div.Seed < opt.BaseSeed || div.Seed >= opt.BaseSeed+int64(opt.Entries) {
 		t.Errorf("pinned seed %d outside corpus range", div.Seed)

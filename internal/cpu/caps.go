@@ -8,9 +8,9 @@ package cpu
 // makes SelectEngine fall back to the fast engine, whose per-cycle
 // stages support them all.
 //
-// The ASBR unit (Config.Fold) and the branch observer
-// (Config.Observer) are not capabilities: the fused loops drive the
-// unit and call the observer themselves.
+// The ASBR unit (Config.Fold), with any mutation policy installed on
+// it, and the branch observer (Config.Observer) are not capabilities:
+// the fused loops drive the unit and call the observer themselves.
 //
 // Caps is derived from a Config by (*Config).Caps: the hook fields the
 // caller attached OR'd with the external demands it declared in
@@ -20,8 +20,8 @@ type Caps struct {
 	// CommitObs: a per-commit architectural tap is attached
 	// (Config.Commits) — the fault harness's lockstep checker.
 	CommitObs bool
-	// Events: a unified observer wants the typed pipeline event stream
-	// (Config.Obs).
+	// Events: an event sink wants the typed pipeline event stream
+	// (Config.Obs). The fused loops emit no events.
 	Events bool
 	// PipeTrace: a per-cycle pipeline-diagram writer is attached
 	// (Config.Trace).
@@ -67,12 +67,12 @@ func (c *Config) Caps() Caps {
 //     the configuration demands no capability (Caps), and fall back to
 //     EngineFast otherwise. An ASBR unit (Config.Fold) and a branch
 //     observer (Config.Observer) demand none, so the profiling and
-//     folded runs of the ASBR flow stay on the superblock engine; a
-//     commit observer, an Obs observer, a pipeline trace, a RAS or a
-//     Record demand forces the fast engine. The fallback is silent by
-//     design: attaching an observer to an `auto` machine must change
-//     its speed, never its meaning — all engines produce bit-identical
-//     counters.
+//     folded runs of the ASBR flow, faulted or not, stay on the
+//     superblock engine; a commit observer, an event sink (Obs), a
+//     pipeline trace, a RAS or a Record demand forces the fast
+//     engine. The fallback is silent by design: attaching an observer
+//     to an `auto` machine must change its speed, never its meaning —
+//     all engines produce bit-identical counters.
 //
 // New applies this rule once per machine; callers that want to know
 // the outcome ahead of construction (or report it afterwards) use this

@@ -24,8 +24,10 @@ type nullCommits struct{}
 
 func (nullCommits) OnCommit(cpu.Commit) {}
 
-// nullObs is a do-nothing unified observer.
-type nullObs struct{ obs.Base }
+// nullSink is a do-nothing event sink.
+type nullSink struct{}
+
+func (nullSink) OnEvent(obs.Event) {}
 
 type hook struct {
 	name   string
@@ -49,7 +51,7 @@ var fusedHooks = []hook{
 // visibility, one hook per entry.
 var capHooks = []hook{
 	{"commits", func(cfg *cpu.Config) { cfg.Commits = nullCommits{} }},
-	{"obs", func(cfg *cpu.Config) { cfg.Obs = nullObs{} }},
+	{"obs", func(cfg *cpu.Config) { cfg.Obs = nullSink{} }},
 	{"trace", func(cfg *cpu.Config) { cfg.Trace = io.Discard }},
 	{"ras", func(cfg *cpu.Config) { cfg.RAS = predict.NewRAS(8) }},
 	{"demand-record", func(cfg *cpu.Config) { cfg.Demand.Record = true }},

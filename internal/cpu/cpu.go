@@ -152,15 +152,6 @@ func ParseEngine(name string) (Engine, error) {
 	return EngineAuto, fmt.Errorf("cpu: unknown engine %q (want auto|fast|superblock|reference)", name)
 }
 
-// Fold describes a successful ASBR branch fold: the fetched branch is
-// replaced in the fetch slot by the instruction word Word whose
-// architectural address is PC, and fetch continues at Next (paper
-// Figure 4: BTA+4 when taken, branch PC+8 when not).
-//
-// Fold is an alias of obs.Fold, the type an obs.Observer's TryFold
-// returns.
-type Fold = obs.Fold
-
 // BranchObserver receives every dynamic conditional-branch outcome,
 // including folded ones. It is the profiling tap (internal/profile).
 type BranchObserver interface {
@@ -172,9 +163,21 @@ type BranchObserver interface {
 // divergence checker compares across machines, so it carries everything
 // architecturally observable about the instruction — register write and
 // store effect — but not timing.
-//
-// Commit is an alias of obs.Commit (see Fold).
-type Commit = obs.Commit
+type Commit struct {
+	PC    uint32
+	Cycle uint64
+	Op    isa.Op
+
+	HasDest bool
+	Dest    isa.Reg
+	Value   int32
+
+	Store    bool
+	Addr     uint32
+	StoreVal int32
+
+	Branch bool // conditional branch (absent from a run that folded it)
+}
 
 // CommitObserver receives every committed instruction in program order.
 // It is the architectural tap the divergence checker (internal/fault)
@@ -217,10 +220,6 @@ type Config struct {
 	// Nil makes New build a private one. Ignored by EngineReference,
 	// which decodes every fetch.
 	Predecoded *Predecoded
-	// PollStride is how many cycles RunContext batches between
-	// context/watchdog polls (default 1024). Larger strides keep the
-	// hot loop tighter; cancellation latency grows accordingly.
-	PollStride int
 	// RAS, when non-nil, predicts `jr ra` targets at fetch (calls push
 	// their return address, returns pop it). An extension beyond the
 	// paper's platform; disabled by default.
@@ -230,7 +229,9 @@ type Config struct {
 	// (OnIssue at decode, OnValue at the BDTUpdate point, TryFold at
 	// fetch, OnBankSwitch at a bitsw commit), and a machine with an
 	// ASBR unit runs on the superblock engine, whose fused loop folds
-	// branches itself (see SelectEngine).
+	// branches itself (see SelectEngine). A fault-injection policy
+	// lives on the unit (core.Engine.SetMutator), so a faulted unit
+	// attaches here the same way.
 	Fold *core.Engine
 	// BDTUpdate selects where register values are delivered to the
 	// ASBR unit: StageEX, StageMEM (default) or StageWB.
@@ -262,15 +263,14 @@ type Config struct {
 	// Commits, when non-nil, sees every committed instruction (the
 	// divergence-checker tap; see the Commit type).
 	Commits CommitObserver
-	// Obs, when non-nil, is the unified observer (obs.Observer): it
-	// can fold like Fold, observe like Observer and Commits, and
-	// additionally receives the typed pipeline event stream. When Fold,
-	// Observer or Commits are set alongside Obs they compose — they are
-	// notified first, and a fold from Fold wins over one from Obs. If
-	// Obs implements obs.Clocked, New installs the machine's cycle
-	// counter as its clock. Use obs.NewChain to attach several
-	// observers at once.
-	Obs obs.Observer
+	// Obs, when non-nil, receives the typed pipeline event stream
+	// (fetch, fold, issue, branch, mispredict, commit), stamped with
+	// the cycle. If it implements obs.Clocked, New installs the
+	// machine's cycle counter as its clock, so events the ASBR unit
+	// emits into the same sink (core.Engine.SetEventSink) are stamped
+	// too. Obs is the only hook for events; Fold, Observer and Commits
+	// each own their aspect.
+	Obs obs.EventSink
 	// Trace, when non-nil, receives a per-cycle pipeline-occupancy
 	// row (a textbook pipeline diagram; ASBR-injected instructions
 	// are starred). Expensive; for debugging and teaching.
@@ -303,9 +303,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.BDTUpdate != StageEX && c.BDTUpdate != StageWB {
 		c.BDTUpdate = StageMEM
-	}
-	if c.PollStride <= 0 {
-		c.PollStride = 1024
 	}
 	if c.Branch == nil {
 		c.Branch = predict.BaselineNotTaken()
@@ -397,14 +394,6 @@ type CPU struct {
 	prog *isa.Program
 	mem  *mem.Memory
 
-	// Resolved hooks: the Config hooks composed with Config.Obs by New.
-	// The stage code consults only these; all four are nil when nothing
-	// is attached, so the hot loop pays one predictable branch per site.
-	fold  foldHook
-	brObs BranchObserver
-	cmObs CommitObserver
-	ev    obs.EventSink
-
 	// pre is the predecode table fetch reads; nil on the reference
 	// engine, which decodes every fetch. resolved is the engine
 	// SelectEngine chose. traceBuf is the reusable trace line buffer.
@@ -427,7 +416,7 @@ type CPU struct {
 	err    error
 	exit   int32
 
-	// Values produced this cycle, delivered to the fold hook at the
+	// Values produced this cycle, delivered to the ASBR unit at the
 	// end of the cycle: a value leaving stage S is usable by fetches
 	// from the *next* cycle on, which makes the BDT update points
 	// EX/MEM/WB correspond exactly to the paper's thresholds 2/3/4.
@@ -478,7 +467,9 @@ func New(cfg Config, prog *isa.Program) (*CPU, error) {
 	}
 	cfg.fillDefaults()
 	c := &CPU{cfg: cfg, prog: prog, mem: mem.NewMemory()}
-	c.resolveObservers()
+	if cl, ok := cfg.Obs.(obs.Clocked); ok {
+		cl.SetClock(func() uint64 { return c.stats.Cycles })
+	}
 	c.resolved = SelectEngine(cfg)
 	if c.resolved != EngineReference {
 		if cfg.Predecoded != nil {
@@ -578,24 +569,25 @@ func (c *CPU) Run() (Stats, error) {
 	return c.RunContext(context.Background())
 }
 
+// pollStride is how many cycles RunContext batches between
+// context/watchdog polls. Larger strides keep the hot loop tighter;
+// cancellation latency grows accordingly.
+const pollStride = 1024
+
 // RunContext steps the machine until it halts, errors, exhausts the
 // MaxCycles budget (ErrCycleLimit), or ctx is done (ErrCanceled). The
 // machine is left exactly at the cycle it stopped on, so a watchdog
 // trip still yields the full statistics and architectural state up to
 // that point.
 //
-// Context and watchdog checks run once per PollStride cycles (default
-// 1024): the inner loop is a bare cycle batch whose length is clamped
-// to the remaining MaxCycles budget, so ErrCycleLimit still fires at
-// exactly Cycle == MaxCycles while the hot path pays no per-cycle
-// poll. The pipeline lives on this function's stack for the run; on
-// the superblock engine each cycle first offers a fused loop — sbFold
-// with an ASBR unit, sbFused without — a chance to batch-advance.
+// Context and watchdog checks run once per pollStride cycles: the
+// inner loop is a bare cycle batch whose length is clamped to the
+// remaining MaxCycles budget, so ErrCycleLimit still fires at exactly
+// Cycle == MaxCycles while the hot path pays no per-cycle poll. The
+// pipeline lives on this function's stack for the run; on the
+// superblock engine each cycle first offers a fused loop — sbFold with
+// an ASBR unit, sbFused without — a chance to batch-advance.
 func (c *CPU) RunContext(ctx context.Context) (Stats, error) {
-	stride := uint64(c.cfg.PollStride)
-	if stride == 0 {
-		stride = 1024 // machine built before fillDefaults learned PollStride
-	}
 	fused := c.resolved == EngineSuperblock
 	asbr := c.cfg.Fold
 	st := c.pipe
@@ -608,7 +600,7 @@ func (c *CPU) RunContext(ctx context.Context) (Stats, error) {
 			c.fail(ErrCycleLimit, st.pc, "exceeded MaxCycles=%d", c.cfg.MaxCycles)
 			break
 		}
-		n := stride
+		n := uint64(pollStride)
 		if left := c.cfg.MaxCycles - c.stats.Cycles; left < n {
 			n = left
 		}
@@ -667,14 +659,14 @@ func (c *CPU) queueValue(r isa.Reg, v int32) {
 	c.pendingVals = append(c.pendingVals, pendingVal{r, v})
 }
 
-// flushValues delivers this cycle's produced values to the fold hook.
+// flushValues delivers this cycle's produced values to the ASBR unit.
 func (c *CPU) flushValues() {
-	if c.fold == nil {
+	if c.cfg.Fold == nil {
 		c.pendingVals = c.pendingVals[:0]
 		return
 	}
 	for _, pv := range c.pendingVals {
-		c.fold.OnValue(pv.reg, pv.val)
+		c.cfg.Fold.OnValue(pv.reg, pv.val)
 	}
 	c.pendingVals = c.pendingVals[:0]
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"asbr/internal/asm"
+	"asbr/internal/core"
 	"asbr/internal/isa"
 	"asbr/internal/mem"
 	"asbr/internal/obs"
@@ -487,46 +488,61 @@ ok:	li	t2, 5
 	}
 }
 
+// asbrUnit returns an ASBR unit with the paper's default
+// configuration whose BIT holds the conditional branches at pcs.
+func asbrUnit(t *testing.T, p *isa.Program, pcs ...uint32) *core.Engine {
+	t.Helper()
+	entries, err := core.BuildBIT(p, pcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := core.NewEngine(core.DefaultConfig())
+	if err := eng.Load(entries); err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// sinkFunc adapts a function to obs.EventSink.
+type sinkFunc func(obs.Event)
+
+func (f sinkFunc) OnEvent(e obs.Event) { f(e) }
+
 func TestBitswReachesHook(t *testing.T) {
-	h := &recordingHook{}
+	eng := core.NewEngine(core.Config{Banks: 3, TrackValidity: true})
+	var banks []uint64
+	eng.SetEventSink(sinkFunc(func(e obs.Event) {
+		if e.Kind == obs.EvBankSwitch {
+			banks = append(banks, e.Arg)
+		}
+	}))
 	_, _ = run(t, `
 main:	bitsw	2
 	bitsw	0
 	jr	ra
-`, Config{Obs: h})
-	if len(h.banks) != 2 || h.banks[0] != 2 || h.banks[1] != 0 {
-		t.Errorf("banks = %v", h.banks)
+`, Config{Fold: eng})
+	if len(banks) != 2 || banks[0] != 2 || banks[1] != 0 {
+		t.Errorf("banks = %v", banks)
+	}
+	if got := eng.Stats().BankSwitches; got != 2 || eng.ActiveBank() != 0 {
+		t.Errorf("unit saw %d switches, active bank %d", got, eng.ActiveBank())
 	}
 }
 
-// recordingHook records the ASBR notifications of an Obs observer
-// without folding anything.
-type recordingHook struct {
-	obs.Base
-	issues []isa.Reg
-	values []isa.Reg
-	banks  []int
-}
-
-func (h *recordingHook) OnIssue(r isa.Reg)          { h.issues = append(h.issues, r) }
-func (h *recordingHook) OnValue(r isa.Reg, v int32) { h.values = append(h.values, r) }
-func (h *recordingHook) OnBankSwitch(b int)         { h.banks = append(h.banks, b) }
-
-// Property: every OnIssue is matched by exactly one OnValue with the
-// same register, in order — the validity-counter pairing invariant the
-// ASBR engine relies on.
-func TestIssueValuePairing(t *testing.T) {
-	for _, up := range []Stage{StageEX, StageMEM, StageWB} {
-		h := &recordingHook{}
-		_, _ = run(t, `
+// pairingSrc writes registers through ALU ops, a load, mult/mflo and a
+// call, and loops on a branch the unit folds once the loop counter's
+// producer has delivered.
+const pairingSrc = `
 main:	move	s7, ra		# preserve the halt sentinel across the call
 	li	t0, 3
 	li	t1, 4
-loop:	addu	t2, t0, t1
+loop:	addiu	t1, t1, -1
+	addu	t2, t0, t1
 	lw	t3, x
 	mult	t0, t1
 	mflo	t4
-	addiu	t1, t1, -1
+	nop
+	nop
 	bnez	t1, loop
 	jal	f
 	move	ra, s7
@@ -535,38 +551,58 @@ f:	addiu	v0, zero, 9
 	jr	ra
 	.data
 x:	.word	77
-`, Config{Obs: h, BDTUpdate: up})
-		if len(h.issues) != len(h.values) {
-			t.Fatalf("update=%v: %d issues vs %d values", up, len(h.issues), len(h.values))
-		}
-		for i := range h.issues {
-			if h.issues[i] != h.values[i] {
-				t.Fatalf("update=%v: event %d: issue %v vs value %v", up, i, h.issues[i], h.values[i])
+`
+
+// Property: the BDT validity counter of every register equals the
+// number of its producers in flight that issued (OnIssue at decode) but
+// have not delivered their value yet, after every cycle and at every
+// update point — the pairing invariant the ASBR unit relies on.
+func TestIssueValuePairing(t *testing.T) {
+	p, err := asm.Assemble(pairingSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, up := range []Stage{StageEX, StageMEM, StageWB} {
+		eng := asbrUnit(t, p, core.FoldableBranches(p)...)
+		c := MustNew(Config{Fold: eng, BDTUpdate: up, NoExtraMispredict: true}, p)
+		peak := int32(0)
+		for !c.Halted() && c.Err() == nil {
+			c.Step()
+			var want [isa.NumRegs]int32
+			for i := range c.pipe.slots {
+				s := &c.pipe.slots[i]
+				if s.valid && s.counted && !s.valueSent && s.d.Dest != isa.RegZero {
+					want[s.d.Dest]++
+				}
+			}
+			for r := range want {
+				if got := eng.BDTState().Counter(isa.Reg(r)); got != want[r] {
+					t.Fatalf("update=%v cycle %d: counter[%v] = %d, %d producers in flight",
+						up, c.Stats().Cycles, isa.Reg(r), got, want[r])
+				}
+				peak = max(peak, want[r])
 			}
 		}
+		if c.Err() != nil {
+			t.Fatalf("update=%v: %v", up, c.Err())
+		}
+		if peak == 0 || eng.Stats().Hits == 0 {
+			t.Fatalf("update=%v: vacuous run (peak in flight %d, BIT hits %d)", up, peak, eng.Stats().Hits)
+		}
+		if c.Stats().Folded == 0 {
+			t.Errorf("update=%v: the loop branch never folded", up)
+		}
 	}
-}
-
-// foldingHook is an Obs observer that folds a fixed branch PC with a
-// predetermined outcome.
-type foldingHook struct {
-	obs.Base
-	pc   uint32
-	fold Fold
-	hits int
-}
-
-func (h *foldingHook) TryFold(pc uint32) (Fold, bool) {
-	if pc == h.pc {
-		h.hits++
-		return h.fold, true
-	}
-	return Fold{}, false
 }
 
 func TestFoldHookReplacesBranch(t *testing.T) {
+	// The nops let li's value reach the BDT (MEM update point) before
+	// the branch is fetched, so the predicate is valid and it folds.
 	src := `
 main:	li	t0, 1
+	nop
+	nop
+	nop
 	bnez	t0, skip	# always taken
 	addiu	t1, zero, 99
 skip:	addiu	t2, zero, 5
@@ -577,21 +613,14 @@ skip:	addiu	t2, zero, 5
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := isa.DefaultTextBase
-	branchPC := base + 4
-	targetPC := p.Symbols["skip"]
-	bti, _ := p.WordAt(targetPC)
-	h := &foldingHook{
-		pc:   branchPC,
-		fold: Fold{Word: bti, PC: targetPC, Next: targetPC + 4, Taken: true},
-	}
-	c := MustNew(Config{Obs: h}, p)
+	eng := asbrUnit(t, p, isa.DefaultTextBase+16)
+	c := MustNew(Config{Fold: eng}, p)
 	st, err := c.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.hits != 1 {
-		t.Fatalf("fold hits = %d", h.hits)
+	if es := eng.Stats(); es.Folds != 1 || es.Fallbacks != 0 {
+		t.Fatalf("unit folds = %d, fallbacks = %d", es.Folds, es.Fallbacks)
 	}
 	if st.Folded != 1 || st.FoldedTaken != 1 {
 		t.Fatalf("folded = %d/%d", st.Folded, st.FoldedTaken)
@@ -603,9 +632,9 @@ skip:	addiu	t2, zero, 5
 		t.Fatalf("architectural results wrong: t1=%d t2=%d t3=%d",
 			c.Reg(isa.RegT0+1), c.Reg(isa.RegT0+2), c.Reg(isa.RegT0+3))
 	}
-	// li, BTI(addiu t2), addiu t3, jr: the branch never committed.
-	if st.Instructions != 4 {
-		t.Fatalf("instructions = %d, want 4", st.Instructions)
+	// li, 3 nops, BTI(addiu t2), addiu t3, jr: the branch never committed.
+	if st.Instructions != 7 {
+		t.Fatalf("instructions = %d, want 7", st.Instructions)
 	}
 	if st.Mispredicts != 0 {
 		t.Fatalf("folding must not flush: %d", st.Mispredicts)
@@ -615,6 +644,9 @@ skip:	addiu	t2, zero, 5
 func TestFoldFallThrough(t *testing.T) {
 	src := `
 main:	li	t0, 0
+	nop
+	nop
+	nop
 	bnez	t0, skip	# never taken
 	addiu	t1, zero, 99
 skip:	addiu	t2, zero, 5
@@ -624,13 +656,8 @@ skip:	addiu	t2, zero, 5
 	if err != nil {
 		t.Fatal(err)
 	}
-	branchPC := isa.DefaultTextBase + 4
-	bfi, _ := p.WordAt(branchPC + 4)
-	h := &foldingHook{
-		pc:   branchPC,
-		fold: Fold{Word: bfi, PC: branchPC + 4, Next: branchPC + 8, Taken: false},
-	}
-	c := MustNew(Config{Obs: h}, p)
+	eng := asbrUnit(t, p, isa.DefaultTextBase+16)
+	c := MustNew(Config{Fold: eng}, p)
 	st, err := c.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -899,8 +926,8 @@ loop:	addiu	t0, t0, -1
 	jr	ra
 `
 
-// traceFoldSrc is the fold program: the bnez at text+16 is folded by a
-// foldingHook (see traceFold), so its target instruction is injected
+// traceFoldSrc is the fold program: the bnez at text+16 is folded by
+// the ASBR unit (see traceFold), so its target instruction is injected
 // into the fetch slot and starred in the trace.
 const traceFoldSrc = `
 main:	li	t0, 1
@@ -937,11 +964,9 @@ func traceFold(t *testing.T, e Engine) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	branchPC := isa.DefaultTextBase + 16
-	bti, _ := p.WordAt(p.Symbols["skip"])
-	h := &foldingHook{pc: branchPC, fold: Fold{Word: bti, PC: p.Symbols["skip"], Next: p.Symbols["skip"] + 4, Taken: true}}
+	eng := asbrUnit(t, p, isa.DefaultTextBase+16)
 	var buf strings.Builder
-	c := MustNew(Config{Obs: h, Trace: &buf, Engine: e}, p)
+	c := MustNew(Config{Fold: eng, Trace: &buf, Engine: e}, p)
 	if _, err := c.Run(); err != nil {
 		t.Fatal(err)
 	}

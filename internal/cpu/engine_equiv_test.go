@@ -59,9 +59,12 @@ var zooSpecs = []string{"tage:tables=4,entries=256,hist=32", "loop:entries=64", 
 
 // pour preps a machine the way workload.RunContext does, so the
 // lockstep pair sees the benchmark's real input.
-func pour(prog *isa.Program, in []int32) func(*cpu.CPU) error {
+func pour(prog *isa.Program, in []int32) func(*cpu.CPU) error { return pourN(prog, in, equivSamples) }
+
+// pourN is pour for an input of n samples.
+func pourN(prog *isa.Program, in []int32, n int) func(*cpu.CPU) error {
 	return func(c *cpu.CPU) error {
-		if err := workload.Pour(c, prog, "n_samples", []int32{int32(equivSamples)}); err != nil {
+		if err := workload.Pour(c, prog, "n_samples", []int32{int32(n)}); err != nil {
 			return err
 		}
 		return workload.Pour(c, prog, "input", in)
@@ -419,6 +422,98 @@ func TestEngineFoldEquivalence(t *testing.T) {
 				t.Errorf("lockstep fold decisions differ:\nreference %+v\ntest      %+v", refEng.Stats(), testEng.Stats())
 			}
 		})
+	}
+}
+
+// faultSamples and faultMaxCycles size TestEngineFaultEquivalence. The
+// budget is a few times a clean run's length: a corrupted BIT can send
+// a guest into a loop it never leaves, and engines must agree on the
+// watchdog trip too.
+const (
+	faultSamples   = 128
+	faultMaxCycles = 1_000_000
+)
+
+// TestEngineFaultEquivalence runs the folded leg under every fault plan
+// with the injector installed on the ASBR unit, on the reference, fast
+// and superblock engines: every kind at rate 1, and two sampled plans
+// whose RNG draws must line up across engines. It requires identical
+// cpu.Stats, core.Stats, per-branch folds, branch-observer streams,
+// output, registers, error and injected-fault log, and a superblock
+// request must stay on the superblock engine. All benchmarks run at
+// the MEM update point; ADPCM encode runs all three.
+func TestEngineFaultEquivalence(t *testing.T) {
+	plans := []fault.Plan{}
+	for _, k := range fault.Kinds() {
+		plans = append(plans, fault.DefaultPlan(k))
+	}
+	for _, spec := range []string{"bdt-flip:rate=0.25,seed=7", "bit-alias:rate=0.1,seed=3,max=4"} {
+		p, err := fault.ParsePlan(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, p)
+	}
+	injected := map[fault.Kind]int{}
+	for _, name := range workload.Names() {
+		prog, in := buildBenchN(t, name, faultSamples)
+		// Select as the reliability table does: no distance filter, so
+		// stale-prone branches keep the validity counters load-bearing.
+		prof := profile.New(predict.Must(predict.NewBimodal(512)))
+		pcfg := engCfg(cpu.EngineAuto)
+		pcfg.Observer = prof
+		if _, err := workload.RunContext(context.Background(), prog, pcfg, in, faultSamples); err != nil {
+			t.Fatalf("%s profile run: %v", name, err)
+		}
+		cands, err := profile.Select(prog, prof, profile.SelectOptions{
+			Aux: "bimodal-512", K: core.DefaultBITEntries, MinCount: faultSamples / 16,
+		})
+		if err != nil {
+			t.Fatalf("%s select: %v", name, err)
+		}
+		entries, err := profile.BuildBITFromCandidates(prog, cands)
+		if err != nil || len(entries) == 0 {
+			t.Fatalf("%s BIT: %d entries, %v", name, len(entries), err)
+		}
+		ups := []cpu.Stage{cpu.StageMEM}
+		if name == workload.ADPCMEncode {
+			ups = []cpu.Stage{cpu.StageEX, cpu.StageMEM, cpu.StageWB}
+		}
+		for _, up := range ups {
+			for _, plan := range plans {
+				t.Run(fmt.Sprintf("%s/%s/%s", name, up, plan), func(t *testing.T) {
+					var injs []*fault.Injector
+					newEng := func() *core.Engine {
+						e := core.NewEngine(core.Config{BITEntries: core.DefaultBITEntries, TrackValidity: true})
+						if err := e.Load(entries); err != nil {
+							t.Fatalf("load BIT: %v", err)
+						}
+						injs = append(injs, fault.NewInjector(plan, e))
+						return e
+					}
+					cfg := engCfg(cpu.EngineReference)
+					cfg.BDTUpdate, cfg.MaxCycles = up, faultMaxCycles
+					ref := requireFoldEquivalent(t, prog, cfg, newEng, pourN(prog, in, faultSamples))
+					if plan.Kind == fault.KindNone && ref.Err != "" {
+						t.Fatalf("clean run failed: %s", ref.Err)
+					}
+					// requireFoldEquivalent built the units in engine order:
+					// reference, fast, superblock.
+					want := injs[0].Events()
+					for i, e := range []cpu.Engine{cpu.EngineFast, cpu.EngineSuperblock} {
+						if got := injs[i+1].Events(); !reflect.DeepEqual(want, got) {
+							t.Fatalf("injected faults differ: reference %d events, %s %d events", len(want), e, len(got))
+						}
+					}
+					injected[plan.Kind] += len(want)
+				})
+			}
+		}
+	}
+	for _, k := range fault.Kinds()[1:] {
+		if injected[k] == 0 {
+			t.Errorf("%s never injected a fault", k)
+		}
 	}
 }
 

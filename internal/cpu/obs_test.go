@@ -35,7 +35,6 @@ func buildBenchN(t *testing.T, name string, n int) (*isa.Program, []int32) {
 
 // evCollector retains every event, unsampled.
 type evCollector struct {
-	obs.Base
 	events []obs.Event
 }
 
@@ -115,10 +114,12 @@ func TestTracerCountsMatchStats(t *testing.T) {
 	}
 }
 
-// TestTracerASBRChainCounts runs a folded machine with the engine and
-// the tracer composed on one observer chain and requires three-way
+// TestTracerASBRChainCounts runs a folded machine whose ASBR unit and
+// pipeline both emit into one tracer (Config.Fold plus
+// Engine.SetEventSink, and Config.Obs) and requires three-way
 // agreement: tracer totals, cpu.Stats, and the core engine's own
-// counters.
+// counters. The unit's events carry no cycle; the tracer must stamp
+// each with the machine cycle, the cycle of the fetch that caused it.
 func TestTracerASBRChainCounts(t *testing.T) {
 	prog, in := buildBenchN(t, workload.ADPCMEncode, obsSamples)
 	pcs := core.FoldableBranches(prog)
@@ -138,8 +139,8 @@ func TestTracerASBRChainCounts(t *testing.T) {
 	}
 	tr := obs.NewTracer(obs.TracerConfig{})
 	eng.SetEventSink(tr)
-	cfg := engCfg(cpu.EngineFast)
-	cfg.Obs = obs.NewChain(eng, tr)
+	cfg := engCfg(cpu.EngineAuto)
+	cfg.Fold, cfg.Obs = eng, tr
 	res, err := workload.RunContext(context.Background(), prog, cfg, in, obsSamples)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -159,5 +160,32 @@ func TestTracerASBRChainCounts(t *testing.T) {
 	}
 	if got := tr.Count(obs.EvCommit); got != st.Instructions {
 		t.Errorf("Count(commit) = %d, stats say %d", got, st.Instructions)
+	}
+	if got := res.CPU.ResolvedEngine(); got != cpu.EngineFast {
+		t.Errorf("machine with an event sink resolved to %s, want fast", got)
+	}
+
+	// Every BIT hit follows the fetch that probed the BIT, in the same
+	// cycle.
+	evs := tr.Events()
+	if tr.Dropped() != 0 || uint64(len(evs)) != tr.Total() {
+		t.Fatalf("tracer dropped events: retained %d of %d", len(evs), tr.Total())
+	}
+	hits := 0
+	for i, e := range evs {
+		if e.Kind != obs.EvBITHit {
+			continue
+		}
+		hits++
+		var f obs.Event
+		if i > 0 {
+			f = evs[i-1]
+		}
+		if f.Kind != obs.EvFetch || f.PC != e.PC || e.Cycle != f.Cycle || e.Cycle == 0 {
+			t.Fatalf("bit_hit %+v not stamped with its fetch's cycle (preceded by %+v)", e, f)
+		}
+	}
+	if uint64(hits) != es.Hits {
+		t.Errorf("retained %d bit_hit events, engine says %d hits", hits, es.Hits)
 	}
 }

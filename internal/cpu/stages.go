@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"asbr/internal/core"
 	"asbr/internal/isa"
 	"asbr/internal/obs"
 )
@@ -28,7 +29,7 @@ type slot struct {
 	poison       bool // wrong-path fetch outside the text segment
 	valid        bool // the slot holds an instruction
 
-	folded    bool // injected by the fold hook in place of a branch
+	folded    bool // injected by the ASBR unit in place of a branch
 	counted   bool // OnIssue fired
 	valueSent bool // OnValue already fired (EX-point ALU results)
 
@@ -112,6 +113,13 @@ func (c *CPU) cycle(st *pipeState) {
 	}
 }
 
+// emit sends one pipeline event, stamped with the current cycle. Call
+// sites guard on c.cfg.Obs != nil so the disabled path costs one
+// branch.
+func (c *CPU) emit(k obs.EventKind, pc uint32, arg uint64, taken bool) {
+	c.cfg.Obs.OnEvent(obs.Event{Cycle: c.stats.Cycles, Kind: k, PC: pc, Arg: arg, Taken: taken})
+}
+
 // doWB commits the instruction in WB: architectural register write,
 // syscall side effects, and (in StageWB update mode) BDT delivery.
 // Only executed instructions reach WB, so s.d is a decoded word.
@@ -124,7 +132,7 @@ func (c *CPU) doWB(st *pipeState) {
 	d := s.d
 	if d.HasDest {
 		c.regs[d.Dest] = s.result
-		if c.fold != nil && s.counted && !s.valueSent && c.cfg.BDTUpdate == StageWB {
+		if c.cfg.Fold != nil && s.counted && !s.valueSent && c.cfg.BDTUpdate == StageWB {
 			c.queueValue(d.Dest, s.result)
 		}
 	}
@@ -133,17 +141,17 @@ func (c *CPU) doWB(st *pipeState) {
 		c.stats.Syscalls++
 		c.syscall(s.pc)
 	case isa.OpBITSW:
-		if c.fold != nil {
-			c.fold.OnBankSwitch(int(d.In.Imm))
+		if c.cfg.Fold != nil {
+			c.cfg.Fold.OnBankSwitch(int(d.In.Imm))
 		}
 	case isa.OpBREAK:
 		c.fail(ErrBreak, s.pc, "break instruction")
 	}
 	c.stats.Instructions++
-	if c.ev != nil {
+	if c.cfg.Obs != nil {
 		c.emit(obs.EvCommit, s.pc, 0, false)
 	}
-	if c.cmObs != nil {
+	if c.cfg.Commits != nil {
 		cm := Commit{
 			PC:     s.pc,
 			Cycle:  c.stats.Cycles,
@@ -156,7 +164,7 @@ func (c *CPU) doWB(st *pipeState) {
 		if d.Store {
 			cm.Store, cm.Addr, cm.StoreVal = true, s.memAddr, s.storeVal
 		}
-		c.cmObs.OnCommit(cm)
+		c.cfg.Commits.OnCommit(cm)
 	}
 }
 
@@ -208,7 +216,7 @@ func (c *CPU) doMEM(st *pipeState) {
 		}
 	}
 	// Leave MEM.
-	if c.fold != nil && d.HasDest && s.counted && !s.valueSent && c.cfg.BDTUpdate != StageWB {
+	if c.cfg.Fold != nil && d.HasDest && s.counted && !s.valueSent && c.cfg.BDTUpdate != StageWB {
 		// StageMEM mode delivers everything here; StageEX mode
 		// delivers loads here (their value exists only now).
 		if c.cfg.BDTUpdate == StageMEM || d.Load {
@@ -351,7 +359,7 @@ func (c *CPU) doEX(st *pipeState) {
 			c.squash(st, s.memAddr)
 		}
 	}
-	if c.fold != nil && d.HasDest && s.counted && !s.valueSent &&
+	if c.cfg.Fold != nil && d.HasDest && s.counted && !s.valueSent &&
 		c.cfg.BDTUpdate == StageEX && !d.Load {
 		c.queueValue(d.Dest, s.result)
 		s.valueSent = true
@@ -389,10 +397,10 @@ func (c *CPU) resolveCond(s *slot) (actualNext uint32, mispredict bool) {
 	if taken {
 		c.stats.TakenBranches++
 	}
-	if c.brObs != nil {
-		c.brObs.OnBranch(s.pc, taken, false)
+	if c.cfg.Observer != nil {
+		c.cfg.Observer.OnBranch(s.pc, taken, false)
 	}
-	if c.ev != nil {
+	if c.cfg.Obs != nil {
 		c.emit(obs.EvBranch, s.pc, 0, taken)
 	}
 	actualNext = s.pc + 4
@@ -415,7 +423,7 @@ func (c *CPU) resolveCond(s *slot) (actualNext uint32, mispredict bool) {
 		return actualNext, false
 	}
 	c.stats.Mispredicts++
-	if c.ev != nil {
+	if c.cfg.Obs != nil {
 		c.emit(obs.EvMispredict, s.pc, uint64(actualNext), taken)
 	}
 	return actualNext, true
@@ -451,11 +459,11 @@ func (c *CPU) doID(st *pipeState) {
 		return
 	}
 	if d.HasDest {
-		if c.fold != nil {
-			c.fold.OnIssue(d.Dest)
+		if c.cfg.Fold != nil {
+			c.cfg.Fold.OnIssue(d.Dest)
 			s.counted = true
 		}
-		if c.ev != nil {
+		if c.cfg.Obs != nil {
 			c.emit(obs.EvIssue, s.pc, uint64(d.Dest), false)
 		}
 	}
@@ -472,7 +480,7 @@ func (c *CPU) doID(st *pipeState) {
 }
 
 // doIF fetches one instruction. I-cache misses hold the fetch for the
-// miss latency. A completing fetch consults the ASBR fold hook first
+// miss latency. A completing fetch consults the ASBR unit first
 // (the BIT lookup happens in the fetch stage, paper Figure 4); on a
 // miss the word's decoded form is taken from the predecode table (or,
 // on the reference engine, decoded afresh) and conditional branches
@@ -533,20 +541,20 @@ func (c *CPU) doIF(st *pipeState) {
 
 	// Deliver the fetch of pc (a text address) into ID.
 	c.stats.Fetches++
-	if c.ev != nil {
+	if c.cfg.Obs != nil {
 		c.emit(obs.EvFetch, pc, 0, false)
 	}
 	id := &st.slots[st.idi]
-	if c.fold != nil {
-		if f, ok := c.fold.TryFold(pc); ok {
+	if c.cfg.Fold != nil {
+		if f, ok := c.cfg.Fold.TryFold(pc); ok {
 			c.stats.Folded++
 			if f.Taken {
 				c.stats.FoldedTaken++
 			}
-			if c.brObs != nil {
-				c.brObs.OnBranch(pc, f.Taken, true)
+			if c.cfg.Observer != nil {
+				c.cfg.Observer.OnBranch(pc, f.Taken, true)
 			}
-			if c.ev != nil {
+			if c.cfg.Obs != nil {
 				c.emit(obs.EvFold, pc, uint64(f.Next), f.Taken)
 			}
 			*id = slot{d: c.injected(f), pc: f.PC, folded: true, valid: true}
@@ -600,7 +608,7 @@ func (c *CPU) doIF(st *pipeState) {
 }
 
 // injected returns the decoded form of a fold's replacement word.
-func (c *CPU) injected(f Fold) *DecodedInst {
+func (c *CPU) injected(f core.Fold) *DecodedInst {
 	if c.pre != nil && c.prog.InText(f.PC) {
 		if d := c.pre.at(f.PC); d.Word == f.Word {
 			// The injected word is the program's own instruction at f.PC
@@ -608,8 +616,8 @@ func (c *CPU) injected(f Fold) *DecodedInst {
 			return d
 		}
 	}
-	// The reference engine, or a fault plan (or an exotic hook) that
-	// injected a word not in the text image: decode it directly.
+	// The reference engine, or a BIT entry (a stale or corrupted one)
+	// that injected a word not in the text image: decode it directly.
 	d := new(DecodedInst)
 	decodeWord(d, f.Word, f.PC)
 	return d

@@ -415,8 +415,8 @@ func (c *CPU) sbFold(st *pipeState, end uint64, eng *core.Engine) bool {
 				if f.Taken {
 					c.stats.FoldedTaken++
 				}
-				if c.brObs != nil {
-					c.brObs.OnBranch(fpc, f.Taken, true)
+				if c.cfg.Observer != nil {
+					c.cfg.Observer.OnBranch(fpc, f.Taken, true)
 				}
 				inj := c.injected(f)
 				*ns = slot{d: inj, pc: f.PC, valid: true, folded: true, cls: inj.fclass}

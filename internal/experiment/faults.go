@@ -66,7 +66,7 @@ func Faults(opt Options) ([]FaultRow, error) {
 
 // Faults generates the reliability table: every benchmark under every
 // fault plan, each cell a lockstep pair (clean baseline machine vs
-// ASBR machine wrapped by the injector) on the shared compiled program
+// ASBR machine whose unit runs the plan) on the shared compiled program
 // and input trace. Like the other tables, a failed cell is annotated
 // rather than fatal, and the first error is returned alongside the
 // complete row set.
@@ -101,7 +101,7 @@ func (s *Sweep) Faults() ([]FaultRow, error) {
 		inj := fault.NewInjector(j.plan, eng)
 		baseCfg := s.machine(predict.AuxBimodal512())
 		testCfg := baseCfg
-		testCfg.Obs = inj.Chain()
+		testCfg.Fold = eng
 		testCfg.BDTUpdate = s.opt.Update
 		rep, err := fault.RunPair(pa.prog, baseCfg, testCfg, func(c *cpu.CPU) error {
 			return pourBenchmark(c, pa.prog, in, s.opt.Samples)

@@ -140,7 +140,7 @@ func machineCfg() cpu.Config {
 }
 
 // runSkew lockstep-compares a baseline machine against an ASBR machine
-// wrapped by an injector running plan.
+// whose unit runs plan.
 func runSkew(t *testing.T, plan Plan) (Report, *Injector) {
 	t.Helper()
 	prog, entries, _ := buildSkewPair(t)
@@ -151,7 +151,7 @@ func runSkew(t *testing.T, plan Plan) (Report, *Injector) {
 	inj := NewInjector(plan, eng)
 	baseCfg := machineCfg()
 	testCfg := machineCfg()
-	testCfg.Obs = inj.Chain()
+	testCfg.Fold = eng
 	rep, err := RunPair(prog, baseCfg, testCfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +243,7 @@ func runFlip(t *testing.T, plan Plan) (Report, []Event) {
 	}
 	inj := NewInjector(plan, eng)
 	testCfg := machineCfg()
-	testCfg.Obs = inj.Chain()
+	testCfg.Fold = eng
 	rep, err := RunPair(p, machineCfg(), testCfg, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"asbr/internal/core"
-	"asbr/internal/cpu"
 	"asbr/internal/isa"
 	"asbr/internal/obs"
 )
@@ -27,48 +26,34 @@ func (e Event) String() string {
 	return fmt.Sprintf("%s at pc=0x%08x: %s", e.Kind, e.PC, e.Detail)
 }
 
-// Injector pairs an ASBR engine with seed-driven state corruption. It
-// is an obs.Observer whose only active method is TryFold: every
-// fetch-time fold consultation gives the injector a chance to corrupt
-// the engine's BDT/BIT state, after which it declines the fold so the
-// engine — next in the observer chain — makes the real decision. The
-// CPU and engine code paths are exactly those of a clean run, only the
-// stored state differs.
-//
-// Attach it via Chain (cpu.Config.Obs = inj.Chain()): the chain places
-// the injector before the engine, preserving the historical
-// corrupt-then-delegate order. The bare injector deliberately does not
-// forward OnIssue/OnValue/OnBankSwitch — the chain delivers those to
-// the engine directly — so installing the injector alone would silently
-// disable BDT updates; always install the chain.
+// Injector is a seeded mutation policy on an ASBR engine: installed
+// with core.Engine.SetMutator, it runs at the start of every fetch-time
+// TryFold and may corrupt the engine's BDT/BIT cells before the
+// lookup. The engine then folds (or declines) on the corrupted state
+// through exactly the code paths of a clean run, so a faulted machine
+// is attached like a clean one (cpu.Config.Fold = eng) and runs on any
+// engine, the superblock engine included.
 type Injector struct {
-	obs.Base
 	plan   Plan
 	eng    *core.Engine
 	rng    *rand.Rand
 	events []Event
 }
 
-var _ obs.Observer = (*Injector)(nil)
-
-// Chain returns the observer chain [injector, engine]: the injector
-// corrupts state at each fold point, the engine folds and receives the
-// BDT update stream. This is the one supported way to attach an
-// injector to a machine.
-func (j *Injector) Chain() obs.Observer { return obs.NewChain(j, j.eng) }
-
-// NewInjector wraps eng according to plan. The same plan (kind, rate,
-// seed, max) over the same program run injects the identical fault
-// sequence: the RNG is the plan seed and nothing else.
+// NewInjector installs a policy running plan on eng, replacing any
+// policy eng had; a KindNone plan leaves eng untouched. The same plan
+// (kind, rate, seed, max) over the same program run injects the
+// identical fault sequence: the RNG is the plan seed and nothing else.
 func NewInjector(plan Plan, eng *core.Engine) *Injector {
-	return &Injector{plan: plan, eng: eng, rng: rand.New(rand.NewSource(plan.Seed))}
+	j := &Injector{plan: plan, eng: eng, rng: rand.New(rand.NewSource(plan.Seed))}
+	if plan.Kind != KindNone {
+		eng.SetMutator(j.maybeInject)
+	}
+	return j
 }
 
 // Plan returns the injector's configuration.
 func (j *Injector) Plan() Plan { return j.plan }
-
-// Engine returns the wrapped engine.
-func (j *Injector) Engine() *core.Engine { return j.eng }
 
 // Events returns a copy of the injected-fault log.
 func (j *Injector) Events() []Event {
@@ -80,13 +65,6 @@ func (j *Injector) Events() []Event {
 // Count returns how many faults have been injected.
 func (j *Injector) Count() int { return len(j.events) }
 
-// TryFold implements obs.Observer: corrupt engine state at this fold
-// point, then decline — the engine, next in the chain, decides.
-func (j *Injector) TryFold(pc uint32) (cpu.Fold, bool) {
-	j.maybeInject(pc)
-	return cpu.Fold{}, false
-}
-
 // roll decides one injection opportunity.
 func (j *Injector) roll() bool {
 	if j.plan.Rate >= 1 {
@@ -95,12 +73,9 @@ func (j *Injector) roll() bool {
 	return j.rng.Float64() < j.plan.Rate
 }
 
-// maybeInject corrupts engine state at one fold point when the plan's
-// kind has an opportunity there and the rate/budget allow it.
+// maybeInject corrupts engine state at one fetch when the plan's kind
+// has an opportunity there and the rate/budget allow it.
 func (j *Injector) maybeInject(pc uint32) {
-	if j.plan.Kind == KindNone {
-		return
-	}
 	if j.plan.Max > 0 && len(j.events) >= j.plan.Max {
 		return
 	}

@@ -174,9 +174,8 @@ func int32sEqual(a, b []int32) bool {
 // RunPair builds a baseline/test machine pair over the same program,
 // installs commit taps, applies prep to each machine (input pouring,
 // register seeding), and lockstep-compares them. baseCfg and testCfg
-// are taken by value; their Commits fields are overwritten. An
-// observer attached via Config.Obs (e.g. an Injector chain) still sees
-// commits: cpu.New composes it with the tap.
+// are taken by value; their Commits fields are overwritten, which
+// keeps both machines on the per-cycle stages (cpu.Caps.CommitObs).
 func RunPair(prog *isa.Program, baseCfg, testCfg cpu.Config, prep func(*cpu.CPU) error) (Report, error) {
 	bt, tt := &Tap{}, &Tap{}
 	baseCfg.Commits = bt

@@ -59,7 +59,8 @@ func (a *BranchAcct) Accuracy(shadow string) float64 {
 	return 1 - float64(a.Mispredicts[shadow])/float64(a.Execs)
 }
 
-// BranchAccounting is an Observer that builds the per-static-branch
+// BranchAccounting is a branch observer (attach it as
+// cpu.Config.Observer) that builds the per-static-branch
 // predictability account: every dynamic conditional-branch outcome is
 // replayed through a set of shadow predictors (predict-then-update, the
 // same discipline the pipeline applies to its live unit), keyed by
@@ -67,7 +68,6 @@ func (a *BranchAcct) Accuracy(shadow string) float64 {
 // "what would a dynamic predictor have done with this stream", which is
 // exactly the counterfactual the predictability classification needs.
 type BranchAccounting struct {
-	Base
 	shadows      []ShadowPredictor
 	stats        map[uint32]*BranchAcct
 	foldEligible map[uint32]bool
@@ -88,7 +88,7 @@ func NewBranchAccounting(flushPenalty uint64, shadows ...ShadowPredictor) *Branc
 	}
 }
 
-// OnBranch implements Observer (and cpu.BranchObserver).
+// OnBranch implements cpu.BranchObserver.
 func (b *BranchAccounting) OnBranch(pc uint32, taken, folded bool) {
 	a := b.stats[pc]
 	if a == nil {

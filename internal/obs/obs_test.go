@@ -3,7 +3,6 @@ package obs_test
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,95 +10,9 @@ import (
 	"sync"
 	"testing"
 
-	"asbr/internal/isa"
 	"asbr/internal/obs"
 	"asbr/internal/runner"
 )
-
-// recorder notes every notification it receives, in order.
-type recorder struct {
-	obs.Base
-	name string
-	log  *[]string
-}
-
-func (r *recorder) OnIssue(rd isa.Reg) {
-	*r.log = append(*r.log, fmt.Sprintf("%s:issue:%d", r.name, rd))
-}
-func (r *recorder) OnValue(rd isa.Reg, v int32) {
-	*r.log = append(*r.log, fmt.Sprintf("%s:value:%d=%d", r.name, rd, v))
-}
-func (r *recorder) OnBranch(pc uint32, taken, folded bool) {
-	*r.log = append(*r.log, fmt.Sprintf("%s:branch:%#x:%t:%t", r.name, pc, taken, folded))
-}
-func (r *recorder) OnEvent(e obs.Event) {
-	*r.log = append(*r.log, fmt.Sprintf("%s:event:%s", r.name, e.Kind))
-}
-
-// folder folds a fixed address.
-type folder struct {
-	obs.Base
-	pc   uint32
-	next uint32
-}
-
-func (f *folder) TryFold(pc uint32) (obs.Fold, bool) {
-	if pc == f.pc {
-		return obs.Fold{PC: pc, Next: f.next, Taken: true}, true
-	}
-	return obs.Fold{}, false
-}
-
-func TestChainFanOutOrder(t *testing.T) {
-	var log []string
-	ch := obs.NewChain(nil, &recorder{name: "a", log: &log}, nil, &recorder{name: "b", log: &log})
-	ch.OnIssue(3)
-	ch.OnBranch(0x40, true, false)
-	ch.OnEvent(obs.Event{Kind: obs.EvCommit})
-	want := []string{"a:issue:3", "b:issue:3", "a:branch:0x40:true:false",
-		"b:branch:0x40:true:false", "a:event:commit", "b:event:commit"}
-	if strings.Join(log, " ") != strings.Join(want, " ") {
-		t.Errorf("fan-out order:\ngot  %v\nwant %v", log, want)
-	}
-}
-
-func TestChainFirstFoldWins(t *testing.T) {
-	first := &folder{pc: 0x100, next: 0x200}
-	second := &folder{pc: 0x100, next: 0x300}
-	ch := obs.NewChain(first, second)
-	f, ok := ch.TryFold(0x100)
-	if !ok || f.Next != 0x200 {
-		t.Errorf("TryFold = %+v, %t; want first member's fold (next 0x200)", f, ok)
-	}
-	if _, ok := ch.TryFold(0x104); ok {
-		t.Error("chain folded an address no member folds")
-	}
-}
-
-func TestNewChainCollapses(t *testing.T) {
-	if got := obs.NewChain(nil, nil); got != nil {
-		t.Errorf("empty chain = %T, want nil", got)
-	}
-	one := &folder{pc: 1}
-	if got := obs.NewChain(nil, one); got != obs.Observer(one) {
-		t.Errorf("single-member chain = %T, want the member itself", got)
-	}
-}
-
-func TestChainSetClockReachesClockedMembers(t *testing.T) {
-	tr := obs.NewTracer(obs.TracerConfig{})
-	ch := obs.NewChain(&folder{pc: 1}, tr)
-	cl, ok := ch.(obs.Clocked)
-	if !ok {
-		t.Fatal("chain with a Clocked member does not implement Clocked")
-	}
-	cl.SetClock(func() uint64 { return 77 })
-	ch.OnEvent(obs.Event{Kind: obs.EvBITHit})
-	evs := tr.Events()
-	if len(evs) != 1 || evs[0].Cycle != 77 {
-		t.Errorf("clock not installed through the chain: %+v", evs)
-	}
-}
 
 func TestTracerSamplingKeepsExactCounts(t *testing.T) {
 	tr := obs.NewTracer(obs.TracerConfig{Sample: 10})

@@ -32,14 +32,12 @@ type TracerConfig struct {
 // Count(EvCommit) equals committed instructions and Count(EvFold)
 // equals folds even when the retained stream is sampled or saturated.
 //
-// A Tracer is an Observer (via Base) that only implements OnEvent, so
-// it chains with fold engines, injectors and metrics mirrors. It is
-// safe for concurrent emission; Events and the Write* methods may run
-// concurrently with emission and see every slot published before the
-// call.
+// A Tracer is a Clocked EventSink: attach it as cpu.Config.Obs, and
+// to the ASBR unit with core.Engine.SetEventSink, to record both
+// streams on one cycle axis. It is safe for concurrent emission;
+// Events and the Write* methods may run concurrently with emission and
+// see every slot published before the call.
 type Tracer struct {
-	Base
-
 	sample uint64
 	buf    []traceSlot
 
