@@ -33,21 +33,21 @@ type File struct {
 
 // GlobalDecl is a file-scope variable: a scalar or an int array.
 type GlobalDecl struct {
-	Name   string
-	IsArr  bool
-	Size   int     // elements (arrays)
-	Init   []int64 // constant initializers (len <= Size)
+	Name    string
+	IsArr   bool
+	Size    int     // elements (arrays)
+	Init    []int64 // constant initializers (len <= Size)
 	HasInit bool
-	Line   int
+	Line    int
 }
 
 // FuncDecl is a function definition.
 type FuncDecl struct {
-	Name    string
-	Ret     Type
-	Params  []Param
-	Body    *Block
-	Line    int
+	Name   string
+	Ret    Type
+	Params []Param
+	Body   *Block
+	Line   int
 }
 
 // Param is one function parameter.

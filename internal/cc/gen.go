@@ -42,8 +42,8 @@ type localVar struct {
 }
 
 type funcSig struct {
-	ret    Type
-	params []Param
+	ret     Type
+	params  []Param
 	defined bool
 }
 
@@ -397,4 +397,3 @@ func sortRegs(rs []isa.Reg) {
 		}
 	}
 }
-

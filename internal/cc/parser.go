@@ -22,7 +22,7 @@ func Parse(src string) (*File, error) {
 	return f, nil
 }
 
-func (p *parser) peek() token  { return p.toks[p.pos] }
+func (p *parser) peek() token { return p.toks[p.pos] }
 func (p *parser) peek2() token {
 	if p.pos+1 < len(p.toks) {
 		return p.toks[p.pos+1]

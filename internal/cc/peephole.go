@@ -179,7 +179,6 @@ func (l *aline) replaceUses(from, to string) {
 	}
 }
 
-
 // writesArg0 reports whether the first operand is a destination for
 // the modeled mnemonics (everything except stores and branches).
 func writesArg0(op string) bool {

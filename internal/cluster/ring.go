@@ -33,8 +33,8 @@ const defaultVNodes = 64
 type Ring struct {
 	mu     sync.RWMutex
 	vnodes int
-	points []point          // sorted by hash
-	alive  map[string]bool  // worker -> liveness
+	points []point         // sorted by hash
+	alive  map[string]bool // worker -> liveness
 }
 
 type point struct {

@@ -250,9 +250,9 @@ func (c Config) Hardware() power.Hardware {
 // first place oversized defaults get caught.
 type axis struct {
 	name string
-	get  func(*Config) int            // index on the axis ladder
-	set  func(*Config, int)           // write the ladder value at index
-	len  int                          // ladder length
+	get  func(*Config) int  // index on the axis ladder
+	set  func(*Config, int) // write the ladder value at index
+	len  int                // ladder length
 }
 
 func (c Config) axes() []axis {

@@ -18,11 +18,11 @@ const (
 // compiler) and consumed by the CPU simulator, the profiler, and the
 // ASBR BIT builder.
 type Program struct {
-	TextBase uint32   // byte address of Text[0]
-	Text     []uint32 // encoded instruction words
-	DataBase uint32   // byte address of Data[0]
-	Data     []byte   // initialized data image
-	Entry    uint32   // initial PC
+	TextBase uint32            // byte address of Text[0]
+	Text     []uint32          // encoded instruction words
+	DataBase uint32            // byte address of Data[0]
+	Data     []byte            // initialized data image
+	Entry    uint32            // initial PC
 	Symbols  map[string]uint32 // label -> byte address (text and data)
 }
 

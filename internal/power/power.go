@@ -58,11 +58,11 @@ type Hardware struct {
 	// partial tag per entry) and loop-predictor trip counters. It is
 	// priced in AreaBits; access energy still scales with the primary
 	// table via PredictorEntries.
-	AuxBits int
-	BTBEntries       int // branch target buffer entries (0 = none)
-	BITEntries       int // ASBR branch identification table entries (0 = no ASBR)
-	BITBanks         int // BIT copies (only one searched at a time)
-	HasBDT           bool
+	AuxBits    int
+	BTBEntries int // branch target buffer entries (0 = none)
+	BITEntries int // ASBR branch identification table entries (0 = no ASBR)
+	BITBanks   int // BIT copies (only one searched at a time)
+	HasBDT     bool
 }
 
 // BaselineBimodal2048 describes the paper's baseline predictor.
@@ -225,8 +225,8 @@ func Estimate(p Params, h Hardware, st cpu.Stats, eng *core.Stats) Report {
 		r.Predictor = 2 * arrayAccess(p.ArrayBase, h.PredictorEntries) * float64(st.CondBranches)
 	}
 	if h.BTBEntries > 0 {
-		lookups := float64(st.CondBranches)         // fetch-time lookup
-		updates := float64(st.TakenBranches)        // insert on taken
+		lookups := float64(st.CondBranches)  // fetch-time lookup
+		updates := float64(st.TakenBranches) // insert on taken
 		r.BTB = arrayAccess(p.ArrayBase, h.BTBEntries) * (lookups + updates)
 	}
 	if h.BITEntries > 0 {

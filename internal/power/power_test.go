@@ -53,11 +53,11 @@ func TestArrayAccessScaling(t *testing.T) {
 func TestEstimateComponents(t *testing.T) {
 	p := DefaultParams()
 	st := cpu.Stats{
-		Instructions: 1000,
-		WrongPath:    100,
-		CondBranches: 200,
+		Instructions:  1000,
+		WrongPath:     100,
+		CondBranches:  200,
 		TakenBranches: 120,
-		Fetches:      1100,
+		Fetches:       1100,
 	}
 	base := Estimate(p, BaselineBimodal2048(), st, nil)
 	if base.BIT != 0 || base.BDT != 0 {

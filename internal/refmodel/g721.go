@@ -28,17 +28,17 @@ var fitab = [16]int32{0, 0, 0, 0x200, 0x200, 0x200, 0x600, 0xE00,
 
 // G721State is the complete coder state (struct g72x_state).
 type G721State struct {
-	YL    int32    // locked quantizer scale factor (19 bits)
-	YU    int32    // unlocked quantizer scale factor
-	DMS   int32    // short-term energy estimate
-	DML   int32    // long-term energy estimate
-	AP    int32    // speed control parameter
-	A     [2]int32 // pole predictor coefficients
-	B     [6]int32 // zero predictor coefficients
-	PK    [2]int32 // signs of previous dqsez
-	DQ    [6]int32 // previous difference signals ("float" format)
-	SR    [2]int32 // previous reconstructed signals ("float" format)
-	TD    int32    // tone detect flag
+	YL  int32    // locked quantizer scale factor (19 bits)
+	YU  int32    // unlocked quantizer scale factor
+	DMS int32    // short-term energy estimate
+	DML int32    // long-term energy estimate
+	AP  int32    // speed control parameter
+	A   [2]int32 // pole predictor coefficients
+	B   [6]int32 // zero predictor coefficients
+	PK  [2]int32 // signs of previous dqsez
+	DQ  [6]int32 // previous difference signals ("float" format)
+	SR  [2]int32 // previous reconstructed signals ("float" format)
+	TD  int32    // tone detect flag
 }
 
 // NewG721State returns the reset state of g72x_init_state.

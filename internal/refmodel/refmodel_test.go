@@ -157,7 +157,7 @@ func TestFmultProperties(t *testing.T) {
 		if a == 0 {
 			return true
 		}
-		if (a^s) < 0 {
+		if (a ^ s) < 0 {
 			return r <= 0
 		}
 		return r >= 0
