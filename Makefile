@@ -1,11 +1,10 @@
 # Development targets for the ASBR reproduction. `make ci` is what the
-# CI workflow runs: vet, build, race-enabled tests, a 1-iteration
-# benchmark smoke, the benchmark module's vet and tests, the run loop's
-# escape check, a fault-injection smoke, a serving-layer smoke and
-# load check, the branch-predictability smoke, the corpus
-# differential-replay gate, and short fuzz
-# smokes of the assembler round-trip, the fault-plan grammar and the
-# corpus generator.
+# CI workflow runs: a gofmt check, vet, build, race-enabled tests, a
+# 1-iteration benchmark smoke, the benchmark module's vet and tests, the
+# run loop's escape check, a fault-injection smoke, a serving-layer smoke
+# and load check, the branch-predictability smoke, the corpus
+# differential-replay gate, and short fuzz smokes of the assembler
+# round-trip, the fault-plan grammar and the corpus generator.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -13,12 +12,17 @@ FAULT_FUZZTIME ?= 2m
 CORPUS_FUZZTIME ?= 2m
 CORPUS_ENTRIES ?= 30
 
-.PHONY: all build vet test race bench bench-check bench-smoke bench-module escape-check fault-smoke serve-smoke cluster-smoke dse-smoke trace-smoke predict-smoke corpus-check loadgen fuzz-smoke fuzz-fault fuzz-corpus tables ci clean
+.PHONY: all build fmt-check vet test race bench bench-check bench-smoke bench-module escape-check fault-smoke serve-smoke cluster-smoke dse-smoke trace-smoke predict-smoke corpus-check loadgen fuzz-smoke fuzz-fault fuzz-corpus tables ci clean
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# Check only: fail, listing the files, if gofmt would reformat any.
+# `gofmt -w .` fixes them.
+fmt-check:
+	@files="$$(gofmt -l .)"; test -z "$$files" || { echo "fmt-check: gofmt would reformat:"; echo "$$files"; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -143,7 +147,7 @@ fuzz-corpus:
 tables:
 	$(GO) run ./cmd/asbr-tables
 
-ci: vet build race bench-smoke bench-module escape-check fault-smoke serve-smoke cluster-smoke dse-smoke trace-smoke predict-smoke corpus-check loadgen fuzz-smoke fuzz-fault fuzz-corpus
+ci: fmt-check vet build race bench-smoke bench-module escape-check fault-smoke serve-smoke cluster-smoke dse-smoke trace-smoke predict-smoke corpus-check loadgen fuzz-smoke fuzz-fault fuzz-corpus
 
 clean:
 	$(GO) clean ./...

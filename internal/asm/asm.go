@@ -17,9 +17,10 @@
 //	msg:    .asciiz "hi"
 //	tmp:    .space 64
 //
-// Comments start with '#' or ';'. Labels may appear alone on a line.
-// Pseudo-instructions are expanded deterministically so that pass one
-// can lay out addresses exactly.
+// Comments start with '#' or ';' outside quoted strings and character
+// constants. Labels may appear alone on a line. Pseudo-instructions are
+// expanded deterministically so that pass one can lay out addresses
+// exactly.
 package asm
 
 import (
@@ -104,101 +105,106 @@ type stmt struct {
 	raw    string   // original text after the mnemonic (for .asciiz)
 }
 
-// parse splits source into statements. It understands quoted strings
-// in directive arguments so '#' inside them is not a comment.
+// parse splits source into statements.
 func parse(src string) ([]stmt, error) {
-	var out []stmt
-	for ln, line := range strings.Split(src, "\n") {
-		s, err := parseLine(ln+1, line)
+	out := make([]stmt, 0, strings.Count(src, "\n")+1)
+	for ln := 1; ; ln++ {
+		line, rest, more := strings.Cut(src, "\n")
+		s, ok, err := parseLine(ln, line)
 		if err != nil {
 			return nil, err
 		}
-		if s != nil {
-			out = append(out, *s)
+		if ok {
+			out = append(out, s)
 		}
+		if !more {
+			return out, nil
+		}
+		src = rest
 	}
-	return out, nil
 }
 
-func parseLine(ln int, line string) (*stmt, error) {
-	// Strip comments, respecting double-quoted strings.
-	inStr := false
+// closeQuote returns the index of the quote that closes the string or
+// character constant opening at s[i], or len(s) if there is none. A
+// backslash escapes the byte after it.
+func closeQuote(s string, i int) int {
+	q := s[i]
+	for i++; i < len(s); i++ {
+		switch s[i] {
+		case '\\':
+			i++
+		case q:
+			return i
+		}
+	}
+	return len(s)
+}
+
+// stripComment cuts line at the first '#' or ';' outside a quoted
+// string or character constant.
+func stripComment(line string) string {
 	for i := 0; i < len(line); i++ {
 		switch line[i] {
-		case '"':
-			inStr = !inStr
-		case '\\':
-			if inStr {
-				i++
-			}
+		case '"', '\'':
+			i = closeQuote(line, i)
 		case '#', ';':
-			if !inStr {
-				line = line[:i]
-				i = len(line)
-			}
+			return line[:i]
 		}
 	}
-	line = strings.TrimSpace(line)
+	return line
+}
+
+// parseLine parses one source line, reporting false for a line that
+// holds no statement.
+func parseLine(ln int, line string) (stmt, bool, error) {
+	line = strings.TrimSpace(stripComment(line))
 	if line == "" {
-		return nil, nil
+		return stmt{}, false, nil
 	}
-	s := &stmt{line: ln}
+	s := stmt{line: ln}
 	// Peel leading labels.
 	for {
-		idx := strings.Index(line, ":")
-		if idx < 0 {
-			break
-		}
-		cand := strings.TrimSpace(line[:idx])
-		if !isIdent(cand) {
+		cand, rest, found := strings.Cut(line, ":")
+		cand = strings.TrimSpace(cand)
+		if !found || !isIdent(cand) {
 			break
 		}
 		s.labels = append(s.labels, cand)
-		line = strings.TrimSpace(line[idx+1:])
+		line = strings.TrimSpace(rest)
 	}
 	if line == "" {
-		if len(s.labels) == 0 {
-			return nil, nil
-		}
-		return s, nil
+		return s, len(s.labels) > 0, nil
 	}
 	// Split mnemonic from operands.
 	sp := strings.IndexAny(line, " \t")
 	if sp < 0 {
 		s.op = strings.ToLower(line)
-		return s, nil
+		return s, true, nil
 	}
 	s.op = strings.ToLower(line[:sp])
 	s.raw = strings.TrimSpace(line[sp+1:])
-	// Split operands on commas outside quotes.
-	var args []string
+	// Split operands on commas outside quotes and parentheses.
 	depth := 0
 	start := 0
-	inStr = false
 	for i := 0; i < len(s.raw); i++ {
 		switch s.raw[i] {
-		case '"':
-			inStr = !inStr
-		case '\\':
-			if inStr {
-				i++
-			}
+		case '"', '\'':
+			i = closeQuote(s.raw, i)
 		case '(':
 			depth++
 		case ')':
 			depth--
 		case ',':
-			if !inStr && depth == 0 {
-				args = append(args, strings.TrimSpace(s.raw[start:i]))
+			if depth == 0 {
+				s.args = append(s.args, strings.TrimSpace(s.raw[start:i]))
 				start = i + 1
 			}
 		}
 	}
-	if last := strings.TrimSpace(s.raw[start:]); last != "" || len(args) > 0 {
-		args = append(args, last)
+	if start < len(s.raw) || len(s.args) > 0 {
+		s.args = append(s.args, strings.TrimSpace(s.raw[start:]))
 	}
-	s.args = args
-	return s, nil
+	return s, true, nil
 }
 
 func isIdent(s string) bool {

@@ -331,6 +331,37 @@ s:	.asciiz	"has # hash ; semi"
 	}
 }
 
+// TestQuotedCharConstants checks that '#', ';', ',' and quotes inside
+// character constants neither start a comment nor split operands.
+func TestQuotedCharConstants(t *testing.T) {
+	p := mustAssemble(t, `
+	li	t0, '#'	# a real comment
+	li	t1, ';'	; another
+	li	t2, ','
+	li	t3, '\''
+	li	t4, '"'
+	.data
+b:	.byte	'#', 1, ';', ',', '\'', '"', 2
+s:	.asciiz	"it's # here"
+`)
+	for i, want := range []int32{'#', ';', ',', '\'', '"'} {
+		in, err := isa.Decode(p.Text[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in.Op != isa.OpADDIU || in.Imm != want {
+			t.Errorf("word %d = %v, want addiu with imm %q", i, in, want)
+		}
+	}
+	if len(p.Text) != 5 {
+		t.Errorf("text words = %d, want 5", len(p.Text))
+	}
+	want := "#\x01;,'\"\x02it's # here\x00"
+	if string(p.Data) != want {
+		t.Errorf("data = %q, want %q", p.Data, want)
+	}
+}
+
 func TestErrors(t *testing.T) {
 	cases := map[string]string{
 		"dup label":           "x:\nx:\n",

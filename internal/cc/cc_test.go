@@ -258,6 +258,36 @@ void main() {
 	}
 }
 
+// TestEscapedQuoteCharLiteral checks that an escaped quote does not end
+// a char literal.
+func TestEscapedQuoteCharLiteral(t *testing.T) {
+	prog, err := CompileToProgram(`
+void main() {
+	putchar('\'');
+	putchar('\\');
+	putchar('"');
+	print('\'' + 1);
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cpu.MustNew(cpu.Config{}, prog)
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if string(c.OutputStr) != `'\"` {
+		t.Fatalf("chars = %q", c.OutputStr)
+	}
+	if len(c.Output) != 1 || c.Output[0] != '\''+1 {
+		t.Fatalf("ints = %v", c.Output)
+	}
+	for _, bad := range []string{`'\'`, `''`, `'ab'`} {
+		if _, err := Compile("void main() { putchar(" + bad + "); }"); err == nil {
+			t.Errorf("char literal %s compiled", bad)
+		}
+	}
+}
+
 func TestExitBuiltin(t *testing.T) {
 	prog, err := CompileToProgram(`
 void main() {

@@ -15,22 +15,25 @@ func (g *gen) genCondFalse(e Expr, label string) error { return g.genCond(e, lab
 // genCondTrue branches to label when e is true.
 func (g *gen) genCondTrue(e Expr, label string) error { return g.genCond(e, label, true) }
 
+// zeroBranches holds, per comparison, the branch mnemonics for a zero
+// comparison `x OP 0`: taken when the comparison holds, then when it
+// fails.
+var zeroBranches = map[tokKind][2]string{
+	tokEq: {"beqz", "bnez"},
+	tokNe: {"bnez", "beqz"},
+	tokLt: {"bltz", "bgez"},
+	tokLe: {"blez", "bgtz"},
+	tokGt: {"bgtz", "blez"},
+	tokGe: {"bgez", "bltz"},
+}
+
 // zeroBranch maps (comparison, branch-when) to the branch mnemonic for
 // a zero comparison `x OP 0`.
 func zeroBranch(op tokKind, when bool) string {
-	type key struct {
-		op   tokKind
-		when bool
+	if when {
+		return zeroBranches[op][0]
 	}
-	m := map[key]string{
-		{tokEq, true}: "beqz", {tokEq, false}: "bnez",
-		{tokNe, true}: "bnez", {tokNe, false}: "beqz",
-		{tokLt, true}: "bltz", {tokLt, false}: "bgez",
-		{tokLe, true}: "blez", {tokLe, false}: "bgtz",
-		{tokGt, true}: "bgtz", {tokGt, false}: "blez",
-		{tokGe, true}: "bgez", {tokGe, false}: "bltz",
-	}
-	return m[key{op, when}]
+	return zeroBranches[op][1]
 }
 
 // mirrorCmp flips a comparison's operands: a OP b == b mirror(OP) a.

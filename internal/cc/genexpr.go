@@ -486,6 +486,17 @@ func (g *gen) genAssign(x *Assign) (Type, error) {
 	return TypeInt, nil
 }
 
+// compoundOps maps a compound assignment operator to its binary
+// operator.
+var compoundOps = map[tokKind]tokKind{
+	tokPlusEq: tokPlus, tokMinusEq: tokMinus, tokStarEq: tokStar,
+	tokSlashEq: tokSlash, tokPctEq: tokPercent, tokShlEq: tokShl,
+	tokShrEq: tokShr, tokAndEq: tokAmp, tokOrEq: tokPipe, tokXorEq: tokCaret,
+}
+
+// syscallCodes holds the v0 syscall code of each syscall builtin.
+var syscallCodes = map[string]int{"print": 1, "exit": 10, "putchar": 11}
+
 // genAssignRHS evaluates the right-hand side of an assignment. For
 // compound ops, loadCur pushes the current value first.
 func (g *gen) genAssignRHS(x *Assign, loadCur func() error) error {
@@ -499,11 +510,7 @@ func (g *gen) genAssignRHS(x *Assign, loadCur func() error) error {
 	if err := loadCur(); err != nil {
 		return err
 	}
-	binOp := map[tokKind]tokKind{
-		tokPlusEq: tokPlus, tokMinusEq: tokMinus, tokStarEq: tokStar,
-		tokSlashEq: tokSlash, tokPctEq: tokPercent, tokShlEq: tokShl,
-		tokShrEq: tokShr, tokAndEq: tokAmp, tokOrEq: tokPipe, tokXorEq: tokCaret,
-	}[x.Op]
+	binOp := compoundOps[x.Op]
 	if _, err := g.genExpr(x.X); err != nil {
 		return err
 	}
@@ -611,8 +618,7 @@ func (g *gen) genCall(x *Call) (Type, error) {
 			}
 			g.emit("move a0, %s", g.top())
 			g.pop()
-			code := map[string]int{"print": 1, "exit": 10, "putchar": 11}[x.Name]
-			g.emit("li v0, %d", code)
+			g.emit("li v0, %d", syscallCodes[x.Name])
 			g.emit("syscall")
 			return TypeVoid, nil
 		case "bitsw":

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"asbr/internal/core"
 	"asbr/internal/cpu"
 	"asbr/internal/isa"
+	"asbr/internal/workload"
 )
 
 func TestBITAddLookup(t *testing.T) {
@@ -260,6 +262,34 @@ func TestBuildBITAndFoldable(t *testing.T) {
 	}
 	if _, err := core.BuildBIT(p, []uint32{pcs[0], pcs[0]}); err == nil {
 		t.Fatal("duplicate PCs accepted")
+	}
+}
+
+// TestFoldableBranchesScan checks the candidate scan on the compiled
+// benchmarks against BuildEntry word by word, and bounds its
+// allocations to the result slice's growth: nothing per rejected word.
+func TestFoldableBranchesScan(t *testing.T) {
+	for _, name := range workload.Names() {
+		p, err := workload.Build(name, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []uint32
+		for i := range p.Text {
+			pc := p.TextBase + uint32(i*4)
+			if _, err := core.BuildEntry(p, pc); err == nil {
+				want = append(want, pc)
+			}
+		}
+		got := core.FoldableBranches(p)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: FoldableBranches = %x, want %x", name, got, want)
+		}
+		allocs := testing.AllocsPerRun(10, func() { core.FoldableBranches(p) })
+		if allocs > float64(len(got)+1) {
+			t.Errorf("%s: scan of %d words with %d candidates made %v allocations, want at most %d",
+				name, len(p.Text), len(got), allocs, len(got)+1)
+		}
 	}
 }
 

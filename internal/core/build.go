@@ -69,10 +69,19 @@ func BuildBIT(p *isa.Program, pcs []uint32) ([]BITEntry, error) {
 
 // FoldableBranches scans the whole text segment and returns the PCs of
 // every conditional branch that BuildEntry accepts — the candidate set
-// the paper's selection step (§6) prioritizes.
+// the paper's selection step (§6) prioritizes. Words that are not
+// zero-comparison branches on a nonzero register are skipped before
+// BuildEntry, which would format an error for each of them.
 func FoldableBranches(p *isa.Program) []uint32 {
 	var out []uint32
-	for i := range p.Text {
+	for i, w := range p.Text {
+		in, err := isa.Decode(w)
+		if err != nil {
+			continue
+		}
+		if reg, _, ok := in.ZeroCond(); !ok || reg == isa.RegZero {
+			continue
+		}
 		pc := p.TextBase + uint32(i*4)
 		if _, err := BuildEntry(p, pc); err == nil {
 			out = append(out, pc)

@@ -14,7 +14,10 @@
 // semantics assume ("PC=BranchTargetAddress+4; instr=BranchTargetInstruction").
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Reg identifies one of the 32 architectural general-purpose registers.
 // Register 0 is hardwired to zero.
@@ -64,21 +67,36 @@ func (r Reg) String() string {
 	return fmt.Sprintf("r%d", uint8(r))
 }
 
-// RegByName resolves a register name: either a conventional name such
-// as "sp" or a numeric form such as "r29" / "$29".
-func RegByName(name string) (Reg, bool) {
+// regByName inverts regNames.
+var regByName = func() map[string]Reg {
+	m := make(map[string]Reg, NumRegs)
 	for i, n := range regNames {
-		if n == name {
-			return Reg(i), true
+		m[n] = Reg(i)
+	}
+	return m
+}()
+
+// RegByName resolves a register name: either a conventional name such
+// as "sp" or a numeric form, "r" or "$" followed by the decimal register
+// number, such as "r29" / "$29".
+func RegByName(name string) (Reg, bool) {
+	if r, ok := regByName[name]; ok {
+		return r, true
+	}
+	if len(name) < 2 || (name[0] != 'r' && name[0] != '$') {
+		return 0, false
+	}
+	digits := name[1:]
+	for i := 0; i < len(digits); i++ {
+		if digits[i] < '0' || digits[i] > '9' {
+			return 0, false
 		}
 	}
-	var n int
-	if len(name) > 1 && (name[0] == 'r' || name[0] == '$') {
-		if _, err := fmt.Sscanf(name[1:], "%d", &n); err == nil && n >= 0 && n < NumRegs {
-			return Reg(n), true
-		}
+	n, err := strconv.Atoi(digits)
+	if err != nil || n >= NumRegs {
+		return 0, false
 	}
-	return 0, false
+	return Reg(n), true
 }
 
 // Op enumerates the instruction mnemonics of the ISA.
@@ -191,15 +209,22 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
+// opByName inverts opNames, leaving out OpInvalid.
+var opByName = func() map[string]Op {
+	m := make(map[string]Op, NumOps)
+	for op, n := range opNames {
+		if Op(op) != OpInvalid {
+			m[n] = Op(op)
+		}
+	}
+	return m
+}()
+
 // OpByName resolves an assembly mnemonic to its Op, reporting whether
 // the mnemonic names a real (non-pseudo) instruction.
 func OpByName(name string) (Op, bool) {
-	for op, n := range opNames {
-		if n == name && Op(op) != OpInvalid {
-			return Op(op), true
-		}
-	}
-	return OpInvalid, false
+	op, ok := opByName[name]
+	return op, ok
 }
 
 // Inst is a decoded instruction. Fields that do not apply to a given

@@ -427,6 +427,8 @@ func (s *Server) simulateSource(ctx context.Context, req *SimRequest, tr *obs.Tr
 		return resp, nil
 	}
 
+	// Both legs run the same program: decode its text once.
+	cfg.Predecoded = cpu.Predecode(prog)
 	prof := profile.New(predict.Must(predict.NewBimodal(512)))
 	pcfg := cfg
 	pcfg.Observer = prof
