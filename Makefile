@@ -4,7 +4,8 @@
 # run loop's escape check, a fault-injection smoke, a serving-layer smoke
 # and load check, the branch-predictability smoke, the corpus
 # differential-replay gate, and short fuzz smokes of the assembler
-# round-trip, the fault-plan grammar and the corpus generator.
+# round-trip, the fault-plan grammar, the corpus generator and TAGE's
+# folded histories.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -12,7 +13,7 @@ FAULT_FUZZTIME ?= 2m
 CORPUS_FUZZTIME ?= 2m
 CORPUS_ENTRIES ?= 30
 
-.PHONY: all build fmt-check vet test race bench bench-check bench-smoke bench-module escape-check fault-smoke serve-smoke cluster-smoke dse-smoke trace-smoke predict-smoke corpus-check loadgen fuzz-smoke fuzz-fault fuzz-corpus tables ci clean
+.PHONY: all build fmt-check vet test race bench bench-check bench-smoke bench-module escape-check fault-smoke serve-smoke cluster-smoke dse-smoke trace-smoke predict-smoke corpus-check loadgen fuzz-smoke fuzz-fault fuzz-corpus fuzz-tage tables ci clean
 
 all: build
 
@@ -143,11 +144,17 @@ fuzz-fault:
 fuzz-corpus:
 	$(GO) test -fuzz=FuzzCorpusGen -fuzztime=$(CORPUS_FUZZTIME) -run '^$$' ./internal/corpus
 
+# Fuzz TAGE's folded-history shift registers: after every Update each
+# must equal the direct fold of the global history, on configurations
+# drawn within the tage family's bounds, and Predict must be read-only.
+fuzz-tage:
+	$(GO) test -fuzz=FuzzTAGEFolds -fuzztime=$(FUZZTIME) -run '^$$' ./internal/predict
+
 # Regenerate every table of the paper at the default sample count.
 tables:
 	$(GO) run ./cmd/asbr-tables
 
-ci: fmt-check vet build race bench-smoke bench-module escape-check fault-smoke serve-smoke cluster-smoke dse-smoke trace-smoke predict-smoke corpus-check loadgen fuzz-smoke fuzz-fault fuzz-corpus
+ci: fmt-check vet build race bench-smoke bench-module escape-check fault-smoke serve-smoke cluster-smoke dse-smoke trace-smoke predict-smoke corpus-check loadgen fuzz-smoke fuzz-fault fuzz-corpus fuzz-tage
 
 clean:
 	$(GO) clean ./...

@@ -57,11 +57,13 @@ type BIT struct {
 	cap     int
 	entries []BITEntry
 	byPC    map[uint32]int
-	// screen is a direct-mapped membership filter over the loaded PCs:
-	// bit screenIndex(pc) is set for every entry. Most fetches miss the
-	// BIT, and a clear bit answers them without the map probe.
-	screen [screenBits / 64]uint64
+	screen  Screen
 }
+
+// Screen is a direct-mapped membership filter over a BIT's loaded
+// PCs: bit (pc>>2) mod screenBits is set for every entry. Most fetches
+// miss the BIT, and a clear bit answers them without the map probe.
+type Screen [screenBits / 64]uint64
 
 // screenBits is the size of a BIT's membership screen: one bit per
 // word of a 4 KB text window, so a text segment up to that size maps
@@ -69,6 +71,13 @@ type BIT struct {
 const screenBits = 1024
 
 func screenIndex(pc uint32) uint32 { return (pc >> 2) % screenBits }
+
+// Has reports whether pc's screen bit is set. A clear bit proves that
+// pc misses the BIT; a set bit means it may hit.
+func (s *Screen) Has(pc uint32) bool {
+	i := screenIndex(pc)
+	return s[i/64]&(1<<(i%64)) != 0
+}
 
 // mark sets the screen bit of pc.
 func (b *BIT) mark(pc uint32) {
@@ -115,7 +124,7 @@ func (b *BIT) Add(e BITEntry) error {
 // Lookup finds the entry for a branch PC. The screen answers most
 // misses; only a PC whose screen bit is set pays the map probe.
 func (b *BIT) Lookup(pc uint32) (BITEntry, bool) {
-	if i := screenIndex(pc); b.screen[i/64]&(1<<(i%64)) == 0 {
+	if !b.screen.Has(pc) {
 		return BITEntry{}, false
 	}
 	i, ok := b.byPC[pc]
@@ -129,7 +138,7 @@ func (b *BIT) Lookup(pc uint32) (BITEntry, bool) {
 func (b *BIT) Clear() {
 	b.entries = b.entries[:0]
 	b.byPC = make(map[uint32]int, b.cap)
-	b.screen = [screenBits / 64]uint64{}
+	b.screen = Screen{}
 }
 
 // BDT is the Branch Direction Table: per-register direction bits and
@@ -336,6 +345,23 @@ func (e *Engine) Reset() {
 
 // BDTState exposes the BDT for tests and visualization.
 func (e *Engine) BDTState() *BDT { return &e.bdt }
+
+// Screen returns the active bank's screen to a fetch loop that tests
+// it inline and calls TryFold only when the bit is set. The loop must
+// report the fetches it screens out through Screened, so that Lookups
+// still counts every fetch. The screen is valid until the next bank
+// switch. Screen returns nil when a mutation policy is installed: the
+// policy runs on every fetch, so every fetch must reach TryFold.
+func (e *Engine) Screen() *Screen {
+	if e.mutate != nil {
+		return nil
+	}
+	return &e.banks[e.active].screen
+}
+
+// Screened counts n fetches that a caller screened out (see Screen) as
+// BIT lookups.
+func (e *Engine) Screened(n uint64) { e.stats.Lookups += n }
 
 // TryFold is the fetch-stage BIT lookup and, on a valid predicate,
 // the branch replacement of the paper's Figure 4. A mutation policy,

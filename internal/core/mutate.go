@@ -54,7 +54,7 @@ func (b *BIT) Realias(oldPC, newPC uint32) error {
 	delete(b.byPC, oldPC)
 	b.byPC[newPC] = i
 	b.entries[i].PC = newPC
-	b.screen = [screenBits / 64]uint64{}
+	b.screen = Screen{}
 	for _, e := range b.entries {
 		b.mark(e.PC)
 	}

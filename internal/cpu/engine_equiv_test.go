@@ -302,8 +302,10 @@ func runFolded(t *testing.T, prog *isa.Program, cfg cpu.Config, eng *core.Engine
 
 // requireFoldEquivalent runs the folded configuration on the
 // reference, fast and superblock engines (fresh ASBR units from
-// newEng) and requires identical results; the superblock request must
-// stay on the superblock engine. It returns the reference result.
+// newEng) and requires identical results, with every fetch counted as
+// one BIT lookup (the superblock engine screens most of them out
+// inline); the superblock request must stay on the superblock engine.
+// It returns the reference result.
 func requireFoldEquivalent(t *testing.T, prog *isa.Program, cfg cpu.Config, newEng func() *core.Engine, prep func(*cpu.CPU) error) foldResult {
 	t.Helper()
 	var ref foldResult
@@ -312,6 +314,9 @@ func requireFoldEquivalent(t *testing.T, prog *isa.Program, cfg cpu.Config, newE
 		r := runFolded(t, prog, cfg, newEng(), prep)
 		if r.Engine != e {
 			t.Fatalf("folded %s config resolved to %s", e, r.Engine)
+		}
+		if r.Core.Lookups != r.Stats.Fetches {
+			t.Fatalf("folded %s run: the unit counted %d BIT lookups for %d fetches", e, r.Core.Lookups, r.Stats.Fetches)
 		}
 		if e == cpu.EngineReference {
 			ref = r
@@ -331,7 +336,8 @@ func requireFoldEquivalent(t *testing.T, prog *isa.Program, cfg cpu.Config, newE
 // and leave the profiler exactly as a reference run does. The folded
 // leg runs every BDT update point with validity tracking on and off on
 // all three engines: identical cpu.Stats, core.Stats, per-branch fold
-// counts, branch-observer streams, output and registers. A lockstep
+// counts, branch-observer streams, output and registers, and as many
+// BIT lookups as fetches. A lockstep
 // pass compares the commit streams of the reference and
 // superblock-requested machines, which the commit observer moves to
 // the fast engine.

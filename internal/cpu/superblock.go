@@ -244,9 +244,13 @@ func (c *CPU) sbFused(st *pipeState, end uint64) bool {
 //	OnValue  at the configured update point (WB, MEM, or EX for ALU
 //	         results and MEM for loads), queued and delivered after IF
 //	         in stage order, as cycle's flushValues does
-//	TryFold  on every delivered fetch; a fold counts Folded and
-//	         FoldedTaken, tells the branch observer, injects the BIT's
-//	         word (never predicted) and continues fetch at Fold.Next
+//	TryFold  on every delivered fetch whose bit is set in the active
+//	         bank's screen (core.Engine.Screen), or on every delivered
+//	         fetch under a mutation policy; the fetches screened out
+//	         are added to the unit's Lookups at exit. A fold counts
+//	         Folded and FoldedTaken, tells the branch observer, injects
+//	         the BIT's word (never predicted) and continues fetch at
+//	         Fold.Next
 //
 // A fold may inject a word the loop does not play: one of class
 // fcBreak, or one outside the text or unlike the text's own word at
@@ -291,11 +295,13 @@ func (c *CPU) sbFold(st *pipeState, end uint64, eng *core.Engine) bool {
 
 	pre := c.pre
 	up := c.cfg.BDTUpdate
+	scr := eng.Screen() // no bank switch can commit inside the loop
 	lineMask := st.lineMask
 	lastLine := st.lastLine
 	pendingHits := 0
 	done := 0
 	fetches := 0
+	screened := 0
 	commits := 0
 	for done < budget {
 		// ---- top of cycle ----
@@ -410,7 +416,9 @@ func (c *CPU) sbFold(st *pipeState, end uint64, eng *core.Engine) bool {
 				}
 			}
 			fetches++
-			if f, ok := eng.TryFold(fpc); ok {
+			if scr != nil && !scr.Has(fpc) {
+				screened++
+			} else if f, ok := eng.TryFold(fpc); ok {
 				c.stats.Folded++
 				if f.Taken {
 					c.stats.FoldedTaken++
@@ -452,6 +460,7 @@ func (c *CPU) sbFold(st *pipeState, end uint64, eng *core.Engine) bool {
 	if pendingHits > 0 {
 		c.icache.AccountHits(pendingHits)
 	}
+	eng.Screened(uint64(screened))
 	st.lastLine = lastLine
 	c.stats.Cycles += uint64(done)
 	c.stats.Instructions += uint64(commits)

@@ -219,21 +219,17 @@ func classify(a obs.BranchAcct, shadowNames []string, nameRole map[string]string
 		b.Taken = float64(a.Taken) / float64(a.Execs)
 		b.FoldRate = float64(a.Folded) / float64(a.Execs)
 	}
+	for i, name := range shadowNames {
+		b.Accuracy[nameRole[name]] = a.Accuracy(i)
+	}
 	// Best dynamic shadow: fewest total misses, ties broken by replay
 	// order so the verdict is deterministic.
-	first := true
-	var bestName string
-	for _, name := range shadowNames {
-		role := nameRole[name]
-		b.Accuracy[role] = a.Accuracy(name)
-		if m := a.Mispredicts[name]; first || m < a.Mispredicts[bestName] {
-			bestName, first = name, false
-		}
+	if best := a.Best(); best >= 0 {
+		b.Best = nameRole[shadowNames[best]]
+		b.BestAccuracy = a.Accuracy(best)
+		b.Mispredicts = a.Mispredicts[best]
+		b.Rescued = a.MispredictsFolded[best]
 	}
-	b.Best = nameRole[bestName]
-	b.BestAccuracy = a.Accuracy(bestName)
-	b.Mispredicts = a.Mispredicts[bestName]
-	b.Rescued = a.MispredictsFolded[bestName]
 	b.CycleCost = b.Mispredicts * flushPenalty
 
 	switch {

@@ -1,6 +1,9 @@
 package obs
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // ShadowPredictor is the minimal direction-predictor surface the
 // branch-accounting observer replays outcomes through. It is satisfied
@@ -22,14 +25,15 @@ type BranchAcct struct {
 	Taken        uint64 // taken outcomes
 	Folded       uint64 // executions resolved by ASBR folding
 	FoldEligible bool   // statically fold-eligible (in the BIT fold set)
-	// Mispredicts counts wrong shadow predictions per shadow name.
-	Mispredicts map[string]uint64
+	// Mispredicts counts wrong shadow predictions per shadow, indexed
+	// like BranchAccounting.ShadowNames.
+	Mispredicts []uint64
 	// MispredictsFolded counts the subset of Mispredicts that landed on
 	// executions the ASBR front-end folded: mispredictions the fold
 	// removed that the shadow would have paid for. This is the exact
 	// joint account the rescued-misprediction metric needs — a per-branch
 	// product of rates would only approximate it.
-	MispredictsFolded map[string]uint64
+	MispredictsFolded []uint64
 	// CycleCost is the branch's misprediction cost under its best
 	// shadow: min-over-shadows mispredicts times the flush penalty —
 	// the cycles the best dynamic predictor in the zoo still loses on
@@ -37,26 +41,35 @@ type BranchAcct struct {
 	CycleCost uint64
 }
 
-// BestMispredicts returns the lowest mispredict count any shadow
-// achieved on this branch (0 when there are no shadows).
-func (a *BranchAcct) BestMispredicts() uint64 {
-	first := true
-	var best uint64
-	for _, m := range a.Mispredicts {
-		if first || m < best {
-			best, first = m, false
+// Best returns the index of the shadow with the fewest mispredicts on
+// this branch, the earliest in replay order on a tie, or -1 when there
+// are no shadows.
+func (a *BranchAcct) Best() int {
+	best := -1
+	for i, m := range a.Mispredicts {
+		if best < 0 || m < a.Mispredicts[best] {
+			best = i
 		}
 	}
 	return best
 }
 
-// Accuracy returns the named shadow's prediction accuracy on this
-// branch (1.0 for an unexecuted branch).
-func (a *BranchAcct) Accuracy(shadow string) float64 {
+// BestMispredicts returns the lowest mispredict count any shadow
+// achieved on this branch (0 when there are no shadows).
+func (a *BranchAcct) BestMispredicts() uint64 {
+	if i := a.Best(); i >= 0 {
+		return a.Mispredicts[i]
+	}
+	return 0
+}
+
+// Accuracy returns shadow i's prediction accuracy on this branch (1.0
+// for an unexecuted branch).
+func (a *BranchAcct) Accuracy(i int) float64 {
 	if a.Execs == 0 {
 		return 1
 	}
-	return 1 - float64(a.Mispredicts[shadow])/float64(a.Execs)
+	return 1 - float64(a.Mispredicts[i])/float64(a.Execs)
 }
 
 // BranchAccounting is a branch observer (attach it as
@@ -69,6 +82,7 @@ func (a *BranchAcct) Accuracy(shadow string) float64 {
 // exactly the counterfactual the predictability classification needs.
 type BranchAccounting struct {
 	shadows      []ShadowPredictor
+	names        []string // shadows[i].Name(), computed once: Name formats a string per call
 	stats        map[uint32]*BranchAcct
 	foldEligible map[uint32]bool
 	// FlushPenalty is the cycle cost per misprediction used for
@@ -80,8 +94,13 @@ type BranchAccounting struct {
 // misprediction in cycles; the shadows are owned by the observer from
 // here on (Reset resets them).
 func NewBranchAccounting(flushPenalty uint64, shadows ...ShadowPredictor) *BranchAccounting {
+	names := make([]string, len(shadows))
+	for i, s := range shadows {
+		names[i] = s.Name()
+	}
 	return &BranchAccounting{
 		shadows:      shadows,
+		names:        names,
 		stats:        make(map[uint32]*BranchAcct),
 		foldEligible: make(map[uint32]bool),
 		FlushPenalty: flushPenalty,
@@ -94,8 +113,8 @@ func (b *BranchAccounting) OnBranch(pc uint32, taken, folded bool) {
 	if a == nil {
 		a = &BranchAcct{
 			PC:                pc,
-			Mispredicts:       make(map[string]uint64, len(b.shadows)),
-			MispredictsFolded: make(map[string]uint64, len(b.shadows)),
+			Mispredicts:       make([]uint64, len(b.shadows)),
+			MispredictsFolded: make([]uint64, len(b.shadows)),
 		}
 		b.stats[pc] = a
 	}
@@ -106,11 +125,11 @@ func (b *BranchAccounting) OnBranch(pc uint32, taken, folded bool) {
 	if folded {
 		a.Folded++
 	}
-	for _, s := range b.shadows {
+	for i, s := range b.shadows {
 		if s.Predict(pc) != taken {
-			a.Mispredicts[s.Name()]++
+			a.Mispredicts[i]++
 			if folded {
-				a.MispredictsFolded[s.Name()]++
+				a.MispredictsFolded[i]++
 			}
 		}
 		s.Update(pc, taken)
@@ -127,11 +146,7 @@ func (b *BranchAccounting) MarkFoldEligible(pcs []uint32) {
 
 // ShadowNames lists the shadow predictors in replay order.
 func (b *BranchAccounting) ShadowNames() []string {
-	out := make([]string, len(b.shadows))
-	for i, s := range b.shadows {
-		out[i] = s.Name()
-	}
-	return out
+	return slices.Clone(b.names)
 }
 
 // Stats returns the per-branch accounts sorted by PC, with fold

@@ -3,6 +3,7 @@ package predict
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // TAGE is a tagged-geometric-history predictor (Seznec & Michaud): a
@@ -17,12 +18,14 @@ import (
 // (allocation-victim choice) comes from a seeded splitmix64 stream that
 // Reset reseeds — the same seed replays bit-identical predictions.
 type TAGE struct {
-	cfg   TAGEConfig
-	base  *Bimodal
-	banks []tageBank
-	hist  uint64 // global history shift register, newest outcome in bit 0
-	rng   uint64 // splitmix64 state
-	tick  uint64 // updates since the last useful-bit decay
+	cfg      TAGEConfig
+	base     *Bimodal
+	banks    []tageBank
+	hist     uint64 // global history shift register, newest outcome in bit 0
+	idxShift uint32 // 2 + index bits: the PC bits above the index
+	tagMask  uint32
+	rng      uint64 // splitmix64 state
+	tick     uint64 // updates since the last useful-bit decay
 }
 
 // TAGEConfig sizes a TAGE predictor. Zero fields take defaults.
@@ -43,6 +46,31 @@ type tageBank struct {
 	entries []tageEntry
 	mask    uint32
 	length  int // history length hashed into this bank's index and tag
+	// The newest length outcomes folded to the index width, the tag
+	// width and the tag width - 1.
+	idx, tag, tag1 foldedHist
+}
+
+// foldedHist is a global history window xor-folded to width bits: bit
+// i of the window lands on bit i mod width. It is a circular shift
+// register (Seznec's folded history), so each outcome costs a rotate
+// and two xors instead of a re-fold of the whole window.
+type foldedHist struct {
+	val   uint32
+	mask  uint32 // 1<<width - 1
+	width uint8
+	out   uint8 // length mod width: where the bit leaving the window sits after the rotate
+}
+
+func newFoldedHist(length, width int) foldedHist {
+	return foldedHist{mask: 1<<width - 1, width: uint8(width), out: uint8(length % width)}
+}
+
+// push advances the fold by one outcome: in enters the window and out,
+// the window's oldest outcome, leaves it.
+func (f *foldedHist) push(in, out uint32) {
+	v := f.val<<1 | f.val>>(f.width-1)
+	f.val = (v ^ in ^ out<<f.out) & f.mask
 }
 
 type tageEntry struct {
@@ -86,8 +114,8 @@ func NewTAGE(cfg TAGEConfig) (*TAGE, error) {
 	if cfg.Tables < 1 || cfg.Tables > 16 {
 		return nil, fmt.Errorf("predict: tage tables %d out of range [1,16]", cfg.Tables)
 	}
-	if cfg.Entries&(cfg.Entries-1) != 0 {
-		return nil, fmt.Errorf("predict: tage entries %d not a power of two", cfg.Entries)
+	if cfg.Entries < 2 || cfg.Entries&(cfg.Entries-1) != 0 {
+		return nil, fmt.Errorf("predict: tage entries %d not a power of two >= 2", cfg.Entries)
 	}
 	if cfg.MaxHist < 2 || cfg.MaxHist > 64 {
 		return nil, fmt.Errorf("predict: tage max history %d out of range [2,64]", cfg.MaxHist)
@@ -102,12 +130,20 @@ func NewTAGE(cfg TAGEConfig) (*TAGE, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &TAGE{cfg: cfg, base: base, banks: make([]tageBank, cfg.Tables)}
+	idxBits := bits.TrailingZeros(uint(cfg.Entries))
+	t := &TAGE{
+		cfg: cfg, base: base, banks: make([]tageBank, cfg.Tables),
+		idxShift: uint32(2 + idxBits), tagMask: 1<<cfg.TagBits - 1,
+	}
 	for i := range t.banks {
+		l := geomLength(cfg.MinHist, cfg.MaxHist, i, cfg.Tables)
 		t.banks[i] = tageBank{
 			entries: make([]tageEntry, cfg.Entries),
 			mask:    uint32(cfg.Entries - 1),
-			length:  geomLength(cfg.MinHist, cfg.MaxHist, i, cfg.Tables),
+			length:  l,
+			idx:     newFoldedHist(l, idxBits),
+			tag:     newFoldedHist(l, cfg.TagBits),
+			tag1:    newFoldedHist(l, cfg.TagBits-1),
 		}
 	}
 	t.Reset()
@@ -135,43 +171,14 @@ func geomLength(min, max, i, n int) int {
 	return v
 }
 
-// histMask returns a mask of the low n bits of the history register.
-func histMask(n int) uint64 {
-	if n >= 64 {
-		return ^uint64(0)
-	}
-	return uint64(1)<<n - 1
-}
-
-// fold xor-folds the low length bits of h into width-bit chunks.
-func fold(h uint64, length, width int) uint32 {
-	h &= histMask(length)
-	var f uint32
-	m := uint32(1)<<width - 1
-	for length > 0 {
-		f ^= uint32(h) & m
-		h >>= uint(width)
-		length -= width
-	}
-	return f
-}
-
 func (t *TAGE) index(pc uint32, bank int) uint32 {
 	b := &t.banks[bank]
-	idxBits := 0
-	for 1<<idxBits < len(b.entries) {
-		idxBits++
-	}
-	h := fold(t.hist, b.length, idxBits)
-	return ((pc >> 2) ^ (pc >> uint(2+idxBits)) ^ h ^ uint32(bank)*0x27d4eb2f) & b.mask
+	return ((pc >> 2) ^ (pc >> t.idxShift) ^ b.idx.val ^ uint32(bank)*0x27d4eb2f) & b.mask
 }
 
 func (t *TAGE) tag(pc uint32, bank int) uint16 {
 	b := &t.banks[bank]
-	tb := t.cfg.TagBits
-	h1 := fold(t.hist, b.length, tb)
-	h2 := fold(t.hist, b.length, tb-1)
-	return uint16(((pc >> 2) ^ h1 ^ (h2 << 1)) & (1<<uint(tb) - 1))
+	return uint16(((pc >> 2) ^ b.tag.val ^ b.tag1.val<<1) & t.tagMask)
 }
 
 // lookup finds the provider (longest tag-matching bank, -1 for base)
@@ -255,7 +262,15 @@ func (t *TAGE) Update(pc uint32, taken bool) {
 		}
 	}
 
-	t.hist = t.hist<<1 | uint64(b2u(taken))
+	in := b2u(taken)
+	for i := range t.banks {
+		b := &t.banks[i]
+		out := uint32(t.hist>>uint(b.length-1)) & 1
+		b.idx.push(in, out)
+		b.tag.push(in, out)
+		b.tag1.push(in, out)
+	}
+	t.hist = t.hist<<1 | uint64(in)
 }
 
 // allocate claims an entry in a bank with longer history than the
@@ -267,7 +282,8 @@ func (t *TAGE) allocate(pc uint32, provider int, taken bool) {
 		bank int
 		idx  uint32
 	}
-	var cands []cand
+	var buf [16]cand // at most Tables-1 banks lie above a provider
+	cands := buf[:0]
 	for i := provider + 1; i < len(t.banks); i++ {
 		idx := t.index(pc, i)
 		if t.banks[i].entries[idx].u == 0 {
@@ -336,9 +352,11 @@ func (t *TAGE) Name() string {
 func (t *TAGE) Reset() {
 	t.base.Reset()
 	for i := range t.banks {
-		for j := range t.banks[i].entries {
-			t.banks[i].entries[j] = tageEntry{}
+		b := &t.banks[i]
+		for j := range b.entries {
+			b.entries[j] = tageEntry{}
 		}
+		b.idx.val, b.tag.val, b.tag1.val = 0, 0, 0
 	}
 	t.hist = 0
 	t.tick = 0

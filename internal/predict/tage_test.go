@@ -1,9 +1,118 @@
 package predict
 
 import (
+	"math/bits"
 	"math/rand"
+	"reflect"
 	"testing"
 )
+
+// fold is the direct form of a folded history and the reference for
+// TAGE's shift registers: the low length bits of h, xor-folded into
+// width-bit chunks.
+func fold(h uint64, length, width int) uint32 {
+	if length < 64 {
+		h &= 1<<length - 1
+	}
+	var f uint32
+	for ; length > 0; length -= width {
+		f ^= uint32(h) & (1<<width - 1)
+		h >>= width
+	}
+	return f
+}
+
+// fuzzStream returns n seeded bytes for FuzzTAGEFolds' seed corpus.
+func fuzzStream(seed int64, n int) []byte {
+	b := make([]byte, n)
+	rand.New(rand.NewSource(seed)).Read(b)
+	return b
+}
+
+// FuzzTAGEFolds draws a TAGE configuration within the tage family's
+// bounds and a branch stream. After every Update each bank's folded
+// histories must equal fold of the global history; Predict must be
+// read-only, so a twin that is never probed predicts the same and ends
+// in the same state; and Reset must restore the power-on state.
+//
+// A stream byte is one branch: bits 0-5 pick one of 64 PCs, bit 7 is
+// the outcome, and bit 6 adds an extra probe of another PC.
+func FuzzTAGEFolds(f *testing.F) {
+	f.Add(uint8(3), uint8(6), uint8(62), uint8(3), uint8(4), uint64(1), uint16(0), fuzzStream(1, 300))
+	f.Add(uint8(15), uint8(0), uint8(0), uint8(0), uint8(0), uint64(7), uint16(33), fuzzStream(2, 200))
+	f.Add(uint8(0), uint8(12), uint8(62), uint8(0), uint8(11), uint64(3), uint16(5), fuzzStream(3, 400))
+	f.Add(uint8(6), uint8(2), uint8(35), uint8(2), uint8(7), uint64(9), uint16(100), fuzzStream(4, 300))
+	f.Fuzz(func(t *testing.T, tables, logEntries, maxHist, minHist, tagBits uint8, seed uint64, decay uint16, stream []byte) {
+		cfg := TAGEConfig{
+			Tables:      1 + int(tables)%16,
+			Entries:     1 << (4 + int(logEntries)%13),
+			MaxHist:     2 + int(maxHist)%63,
+			TagBits:     4 + int(tagBits)%12,
+			Seed:        seed,
+			DecayPeriod: uint64(decay),
+		}
+		cfg.MinHist = 1 + int(minHist)%cfg.MaxHist
+		a, err := NewTAGE(cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		b := Must(NewTAGE(cfg))
+		idxBits := bits.TrailingZeros(uint(cfg.Entries))
+		for i, c := range stream {
+			pc := 0x400000 + uint32(c&0x3f)<<2
+			if c&0x40 != 0 {
+				a.Predict(pc ^ 0x1000)
+			}
+			if pa, pb := a.Predict(pc), b.Predict(pc); pa != pb {
+				t.Fatalf("%+v: step %d: probed twin predicts %t, unprobed %t", cfg, i, pa, pb)
+			}
+			a.Update(pc, c&0x80 != 0)
+			b.Update(pc, c&0x80 != 0)
+			for k := range a.banks {
+				bk := &a.banks[k]
+				for _, r := range []struct {
+					name  string
+					got   uint32
+					width int
+				}{{"idx", bk.idx.val, idxBits}, {"tag", bk.tag.val, cfg.TagBits}, {"tag1", bk.tag1.val, cfg.TagBits - 1}} {
+					if want := fold(a.hist, bk.length, r.width); r.got != want {
+						t.Fatalf("%+v: step %d: bank %d (length %d) %s fold = %#x, want %#x", cfg, i, k, bk.length, r.name, r.got, want)
+					}
+				}
+			}
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%+v: probed TAGE ends in a different state from its unprobed twin", cfg)
+		}
+		a.Reset()
+		if !reflect.DeepEqual(a, Must(NewTAGE(cfg))) {
+			t.Fatalf("%+v: Reset does not restore the power-on state", cfg)
+		}
+	})
+}
+
+// A warmed-up TAGE and TAGE-loop predict and train without allocating,
+// mispredictions and allocations of tagged entries included.
+func TestTAGEAllocFree(t *testing.T) {
+	pcs, outs := goldenTrace()
+	cfg := TAGEConfig{Tables: 16, Entries: 256, MinHist: 1, MaxHist: 64}
+	for _, p := range []DirectionPredictor{Must(NewTAGE(TAGEConfig{})), Must(NewTAGE(cfg)), Must(NewTAGELoop(TAGEConfig{}, 64, 3))} {
+		for k, pc := range pcs {
+			p.Predict(pc)
+			p.Update(pc, outs[k])
+		}
+		k := 0
+		if n := testing.AllocsPerRun(50, func() {
+			for end := k + 256; k < end; k++ {
+				pc := pcs[k%len(pcs)]
+				p.Predict(pc)
+				p.Update(pc, outs[k%len(pcs)])
+			}
+		}); n != 0 {
+			t.Errorf("%s: %.1f allocations per 256 branches, want 0", p.Name(), n)
+		}
+	}
+}
 
 func TestTAGEGeometricHistoryLengths(t *testing.T) {
 	tg := Must(NewTAGE(TAGEConfig{Tables: 4, Entries: 64, MaxHist: 64}))
@@ -252,6 +361,9 @@ func TestZooResetRestoresPowerOn(t *testing.T) {
 func TestTAGEBadConfig(t *testing.T) {
 	if _, err := NewTAGE(TAGEConfig{Entries: 100}); err == nil {
 		t.Error("non-power-of-two entries accepted")
+	}
+	if _, err := NewTAGE(TAGEConfig{Entries: 1}); err == nil {
+		t.Error("one-entry tables accepted: their index width is 0")
 	}
 	if _, err := NewTAGE(TAGEConfig{MaxHist: 99}); err == nil {
 		t.Error("over-long history accepted")

@@ -44,7 +44,16 @@ func (b *BranchStat) Accuracy(shadow string) float64 {
 type Profiler struct {
 	shadows []predict.DirectionPredictor
 	names   []string // shadows[i].Name(), computed once: Name formats a string per call
-	stats   map[uint32]*BranchStat
+	stats   map[uint32]*branchCounts
+}
+
+// branchCounts is one static branch's record. correct[i] counts
+// shadows[i]'s correct predictions: a slice index per shadow, where a
+// name-keyed map would hash a string per shadow per branch.
+type branchCounts struct {
+	pc           uint32
+	count, taken uint64
+	correct      []uint64
 }
 
 var _ cpu.BranchObserver = (*Profiler)(nil)
@@ -56,7 +65,7 @@ func New(shadows ...predict.DirectionPredictor) *Profiler {
 	for i, s := range shadows {
 		names[i] = s.Name()
 	}
-	return &Profiler{shadows: shadows, names: names, stats: make(map[uint32]*BranchStat)}
+	return &Profiler{shadows: shadows, names: names, stats: make(map[uint32]*branchCounts)}
 }
 
 // NewStandard builds a profiler with the paper's three reference
@@ -72,38 +81,51 @@ func (p *Profiler) ShadowNames() []string {
 
 // OnBranch implements cpu.BranchObserver.
 func (p *Profiler) OnBranch(pc uint32, taken, folded bool) {
-	st := p.stats[pc]
-	if st == nil {
-		st = &BranchStat{PC: pc, Correct: make(map[string]uint64, len(p.shadows))}
-		p.stats[pc] = st
+	bc := p.stats[pc]
+	if bc == nil {
+		bc = &branchCounts{pc: pc, correct: make([]uint64, len(p.shadows))}
+		p.stats[pc] = bc
 	}
-	st.Count++
+	bc.count++
 	if taken {
-		st.Taken++
+		bc.taken++
 	}
 	for i, s := range p.shadows {
 		if s.Predict(pc) == taken {
-			st.Correct[p.names[i]]++
+			bc.correct[i]++
 		}
 		s.Update(pc, taken)
 	}
 }
 
+// stat renders a branch record as a BranchStat. Correct holds a key
+// only for a nonzero count, and shadows that share a name add into one
+// key.
+func (p *Profiler) stat(bc *branchCounts) BranchStat {
+	st := BranchStat{PC: bc.pc, Count: bc.count, Taken: bc.taken, Correct: make(map[string]uint64, len(p.shadows))}
+	for i, n := range bc.correct {
+		if n != 0 {
+			st.Correct[p.names[i]] += n
+		}
+	}
+	return st
+}
+
 // Stat returns the statistics for one branch.
 func (p *Profiler) Stat(pc uint32) (BranchStat, bool) {
-	st, ok := p.stats[pc]
+	bc, ok := p.stats[pc]
 	if !ok {
 		return BranchStat{}, false
 	}
-	return *st, true
+	return p.stat(bc), true
 }
 
 // Stats returns all branch statistics sorted by descending execution
 // count (ties by PC).
 func (p *Profiler) Stats() []BranchStat {
 	out := make([]BranchStat, 0, len(p.stats))
-	for _, st := range p.stats {
-		out = append(out, *st)
+	for _, bc := range p.stats {
+		out = append(out, p.stat(bc))
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {
@@ -117,8 +139,8 @@ func (p *Profiler) Stats() []BranchStat {
 // TotalBranches returns the number of dynamic conditional branches seen.
 func (p *Profiler) TotalBranches() uint64 {
 	var n uint64
-	for _, st := range p.stats {
-		n += st.Count
+	for _, bc := range p.stats {
+		n += bc.count
 	}
 	return n
 }

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"reflect"
 	"testing"
 
 	"asbr/internal/asm"
@@ -82,6 +83,36 @@ func TestProfilerShadowNames(t *testing.T) {
 		if names[i] != want[i] {
 			t.Fatalf("names = %v", names)
 		}
+	}
+}
+
+// Correct holds a key only for a nonzero count, and shadows that share
+// a name add into one key.
+func TestProfilerCorrectKeys(t *testing.T) {
+	prof := New(predict.NotTaken{}, predict.Taken{}, predict.Must(predict.NewBimodal(512)), predict.Must(predict.NewBimodal(512)))
+	for i := 0; i < 4; i++ {
+		prof.OnBranch(0x400100, true, false)
+	}
+	// Each bimodal starts weakly not-taken: it misses once, then hits.
+	want := map[string]uint64{"taken": 4, "bimodal-512": 6}
+	st, ok := prof.Stat(0x400100)
+	if !ok || !reflect.DeepEqual(st.Correct, want) {
+		t.Fatalf("Stat Correct = %v, want %v", st.Correct, want)
+	}
+	if all := prof.Stats(); len(all) != 1 || !reflect.DeepEqual(all[0], st) {
+		t.Fatalf("Stats = %+v, want [%+v]", all, st)
+	}
+}
+
+// Profiling a branch already seen allocates nothing.
+func TestProfilerOnBranchAllocFree(t *testing.T) {
+	prof := NewStandard()
+	prof.OnBranch(0x400100, true, false)
+	if n := testing.AllocsPerRun(100, func() {
+		prof.OnBranch(0x400100, true, false)
+		prof.OnBranch(0x400100, false, true)
+	}); n != 0 {
+		t.Fatalf("%.1f allocations per two branches, want 0", n)
 	}
 }
 
