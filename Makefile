@@ -1,11 +1,11 @@
 # Development targets for the ASBR reproduction. `make ci` is what the
-# CI workflow runs: a gofmt check, vet, build, race-enabled tests, a
-# 1-iteration benchmark smoke, the benchmark module's vet and tests, the
-# run loop's escape check, a fault-injection smoke, a serving-layer smoke
-# and load check, the branch-predictability smoke, the corpus
-# differential-replay gate, and short fuzz smokes of the assembler
-# round-trip, the fault-plan grammar, the corpus generator and TAGE's
-# folded histories.
+# CI workflow's test job runs, one target per step: a gofmt check, vet,
+# build, race-enabled tests, the benchmark module's vet and tests, the
+# run loop's escape check, a fault-injection smoke, serving-layer,
+# cluster, DSE, trace and branch-predictability smokes, the corpus
+# differential-replay gate, a load check, and short fuzz smokes of the
+# assembler round-trip, the fault-plan grammar, the corpus generator
+# and TAGE's folded histories.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -13,7 +13,7 @@ FAULT_FUZZTIME ?= 2m
 CORPUS_FUZZTIME ?= 2m
 CORPUS_ENTRIES ?= 30
 
-.PHONY: all build fmt-check vet test race bench bench-check bench-smoke bench-module escape-check fault-smoke serve-smoke cluster-smoke dse-smoke trace-smoke predict-smoke corpus-check loadgen fuzz-smoke fuzz-fault fuzz-corpus fuzz-tage tables ci clean
+.PHONY: all build fmt-check vet test race bench bench-check bench-module escape-check fault-smoke serve-smoke cluster-smoke dse-smoke trace-smoke predict-smoke corpus-check loadgen fuzz-smoke fuzz-fault fuzz-corpus fuzz-tage tables ci clean
 
 all: build
 
@@ -35,9 +35,9 @@ race:
 	$(GO) test -race ./...
 
 # Engine throughput over the four paper benchmarks on all three cycle
-# engines: writes the asbr-bench/v1 report BENCH_cpu.json (cycles/sec,
-# ns/instr, allocs/run, fold-hit rate, and the fast and superblock
-# speedups over the reference engine).
+# engines: writes the asbr-bench/v2 report BENCH_cpu.json (cycles/sec,
+# ns/instr, allocs/run, and the fast and superblock speedups over the
+# reference engine).
 bench:
 	$(GO) run ./cmd/asbr-bench -o BENCH_cpu.json
 
@@ -50,11 +50,6 @@ bench:
 # gate that a superblock fused-loop regression actually trips.
 bench-check:
 	$(GO) run ./cmd/asbr-bench -o BENCH_cpu.json -compare BENCH_baseline.json -min-super-geomean 4
-
-# One iteration of the Figure 6 benchmark suite: catches bit-rot in the
-# bench harness without paying for a full measurement run.
-bench-smoke:
-	$(GO) test -bench=Fig6 -benchtime=1x -run '^$$' .
 
 # The repository benchmark (benchmark/) is its own Go module, so the
 # root `go build ./...` never compiles it: vet and test it here, so an
@@ -154,7 +149,7 @@ fuzz-tage:
 tables:
 	$(GO) run ./cmd/asbr-tables
 
-ci: fmt-check vet build race bench-smoke bench-module escape-check fault-smoke serve-smoke cluster-smoke dse-smoke trace-smoke predict-smoke corpus-check loadgen fuzz-smoke fuzz-fault fuzz-corpus fuzz-tage
+ci: fmt-check vet build race bench-module escape-check fault-smoke serve-smoke cluster-smoke dse-smoke trace-smoke predict-smoke corpus-check loadgen fuzz-smoke fuzz-fault fuzz-corpus fuzz-tage
 
 clean:
 	$(GO) clean ./...

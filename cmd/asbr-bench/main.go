@@ -1,9 +1,8 @@
 // Command asbr-bench measures simulator throughput over the paper's
 // four benchmarks on all three cycle engines and writes the versioned
-// asbr-bench/v1 report BENCH_cpu.json (simulated cycles per second,
-// host ns per committed instruction, allocations per run, ASBR
-// fold-hit rate, and each batch engine's speedup over the reference
-// engine).
+// asbr-bench/v2 report BENCH_cpu.json (simulated cycles per second,
+// host ns per committed instruction, allocations per run, and each
+// batch engine's speedup over the reference engine).
 //
 //	asbr-bench                           # measure, print, write BENCH_cpu.json
 //	asbr-bench -iters 5 -n 2048          # measurement effort
@@ -36,12 +35,9 @@ import (
 	"time"
 
 	"asbr/internal/bench"
-	"asbr/internal/core"
 	"asbr/internal/cpu"
 	"asbr/internal/isa"
 	"asbr/internal/mem"
-	"asbr/internal/predict"
-	"asbr/internal/profile"
 	"asbr/internal/workload"
 )
 
@@ -115,15 +111,10 @@ func measure(iters, n int) (*bench.Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s/reference: %v", name, err)
 		}
-		fhr, err := foldHitRate(prog, in, n)
-		if err != nil {
-			return nil, fmt.Errorf("%s/fold: %v", name, err)
-		}
 		rep.Benchmarks = append(rep.Benchmarks, bench.Result{
 			Name: name, Fast: fast, Superblock: super, Reference: ref,
 			FastSpeedup:       ref.NsPerInstr / fast.NsPerInstr,
 			SuperblockSpeedup: ref.NsPerInstr / super.NsPerInstr,
-			FoldHitRate:       fhr,
 		})
 	}
 	rep.Finalize()
@@ -181,53 +172,14 @@ func measureEngine(prog *isa.Program, in []int32, n, iters int, eng cpu.Engine, 
 	}, nil
 }
 
-// foldHitRate runs the full ASBR flow (profile, select, fold) on the
-// fast engine and reports folds over BIT hits: Folded/(Folded+Fallbacks).
-func foldHitRate(prog *isa.Program, in []int32, n int) (float64, error) {
-	prof := profile.New(predict.Must(predict.NewBimodal(512)))
-	pcfg := engineConfig(cpu.EngineFast, nil)
-	pcfg.Observer = prof
-	if _, err := workload.RunContext(context.Background(), prog, pcfg, in, n); err != nil {
-		return 0, err
-	}
-	cands, err := profile.Select(prog, prof, profile.SelectOptions{
-		Aux: "bimodal-512", MinDistance: 3, K: core.DefaultBITEntries,
-	})
-	if err != nil {
-		return 0, err
-	}
-	entries, err := profile.BuildBITFromCandidates(prog, cands)
-	if err != nil {
-		return 0, err
-	}
-	if len(entries) == 0 {
-		return 0, nil
-	}
-	eng := core.NewEngine(core.Config{BITEntries: core.DefaultBITEntries, TrackValidity: true})
-	if err := eng.Load(entries); err != nil {
-		return 0, err
-	}
-	fcfg := engineConfig(cpu.EngineFast, nil)
-	fcfg.Fold = eng
-	res, err := workload.RunContext(context.Background(), prog, fcfg, in, n)
-	if err != nil {
-		return 0, err
-	}
-	hits := res.Stats.Folded + res.Stats.FoldFallbacks
-	if hits == 0 {
-		return 0, nil
-	}
-	return float64(res.Stats.Folded) / float64(hits), nil
-}
-
 func render(rep *bench.Report) {
 	fmt.Printf("engine throughput (n=%d, %d iterations, %s)\n", rep.Samples, rep.Iterations, rep.GoVersion)
-	fmt.Printf("%-10s  %11s  %11s  %11s  %9s  %9s  %s\n",
-		"benchmark", "fast ns/in", "super ns/in", "ref ns/in", "fast spd", "super spd", "fold-hit")
+	fmt.Printf("%-10s  %11s  %11s  %11s  %9s  %9s\n",
+		"benchmark", "fast ns/in", "super ns/in", "ref ns/in", "fast spd", "super spd")
 	for _, b := range rep.Benchmarks {
-		fmt.Printf("%-10s  %11.1f  %11.1f  %11.1f  %8.2fx  %8.2fx  %7.3f\n",
+		fmt.Printf("%-10s  %11.1f  %11.1f  %11.1f  %8.2fx  %8.2fx\n",
 			b.Name, b.Fast.NsPerInstr, b.Superblock.NsPerInstr, b.Reference.NsPerInstr,
-			b.FastSpeedup, b.SuperblockSpeedup, b.FoldHitRate)
+			b.FastSpeedup, b.SuperblockSpeedup)
 	}
 	fmt.Printf("geomean speedup over reference: fast %.2fx, superblock %.2fx\n",
 		rep.GeomeanFast, rep.GeomeanSuperblock)

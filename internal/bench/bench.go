@@ -1,4 +1,4 @@
-// Package bench defines the asbr-bench/v1 throughput-report wire
+// Package bench defines the asbr-bench/v2 throughput-report wire
 // format: the single-document JSON schema behind BENCH_cpu.json and
 // the checked-in BENCH_baseline.json, plus the host-portable
 // regression comparison the CI gate runs. It follows the same
@@ -20,7 +20,7 @@ import (
 // Schema identifies the report format. Unlike the JSONL corpus
 // formats, a bench report is one JSON document, so the tag lives in
 // the document itself rather than on a header line.
-const Schema = "asbr-bench/v1"
+const Schema = "asbr-bench/v2"
 
 // EngineResult is one engine's measurement on one benchmark. The
 // wall-clock fields (ns/instr, cycles/sec) are host-specific and
@@ -47,10 +47,9 @@ type Result struct {
 	FastSpeedup float64 `json:"fast_speedup"`
 	// SuperblockSpeedup is reference ns/instr over superblock ns/instr.
 	SuperblockSpeedup float64 `json:"superblock_speedup"`
-	FoldHitRate       float64 `json:"fold_hit_rate"`
 }
 
-// Report is one asbr-bench/v1 document.
+// Report is one asbr-bench/v2 document.
 type Report struct {
 	Schema     string   `json:"schema"` // must equal the package Schema
 	GoVersion  string   `json:"go_version"`
@@ -122,7 +121,7 @@ func Encode(w io.Writer, r *Report) error {
 	return err
 }
 
-// Decode parses one asbr-bench/v1 document with the same strictness
+// Decode parses one asbr-bench/v2 document with the same strictness
 // as the corpus formats: unknown fields are rejected, the schema tag
 // must match exactly, and the result must validate. Reports written
 // before the format was versioned carry no schema tag and are
@@ -147,7 +146,7 @@ func Decode(rd io.Reader) (*Report, error) {
 	return &rep, nil
 }
 
-// ReadFile loads and validates an asbr-bench/v1 report from path.
+// ReadFile loads and validates an asbr-bench/v2 report from path.
 func ReadFile(path string) (*Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -173,8 +172,7 @@ func WriteFile(path string, r *Report) error {
 // than threshold worse than base. Wall-clock metrics are recorded in
 // the report but never gated — they do not transfer between machines;
 // the speedup ratios do (both engines run on the same host, so host
-// speed cancels), as do the deterministic allocation counts and the
-// fold-hit rate.
+// speed cancels), as do the deterministic allocation counts.
 func Regressions(base, cur *Report, threshold float64) []string {
 	byName := make(map[string]Result, len(cur.Benchmarks))
 	for _, b := range cur.Benchmarks {
@@ -205,10 +203,6 @@ func Regressions(base, cur *Report, threshold float64) []string {
 		if c.Superblock.AllocsPerRun > b.Superblock.AllocsPerRun*(1+threshold)+16 {
 			regs = append(regs, fmt.Sprintf("%s: superblock engine %.0f allocs/run, baseline %.0f",
 				b.Name, c.Superblock.AllocsPerRun, b.Superblock.AllocsPerRun))
-		}
-		if c.FoldHitRate < b.FoldHitRate-0.01 {
-			regs = append(regs, fmt.Sprintf("%s: fold-hit rate %.3f, baseline %.3f",
-				b.Name, c.FoldHitRate, b.FoldHitRate))
 		}
 	}
 	// The aggregate gates catch a broad erosion that stays under the

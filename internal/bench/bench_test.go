@@ -26,7 +26,6 @@ func goldenReport() *Report {
 				Reference:         EngineResult{NsPerInstr: 100, CyclesPerSec: 1.2e7, AllocsPerRun: 340000, BytesPerRun: 2.6e7, Cycles: 389093, Instructions: 320247},
 				FastSpeedup:       2,
 				SuperblockSpeedup: 4,
-				FoldHitRate:       1,
 			},
 			{
 				Name:              "g721-enc",
@@ -35,13 +34,12 @@ func goldenReport() *Report {
 				Reference:         EngineResult{NsPerInstr: 90, CyclesPerSec: 1.6e7, AllocsPerRun: 500000, BytesPerRun: 4e7, Cycles: 2486305, Instructions: 1937643},
 				FastSpeedup:       2.25,
 				SuperblockSpeedup: 4.5,
-				FoldHitRate:       0.995,
 			},
 		},
 	}
 }
 
-const goldenPath = "testdata/golden_v1.json"
+const goldenPath = "testdata/golden_v2.json"
 
 // TestGoldenRoundTrip pins the wire format: encoding the canonical
 // fixture must reproduce the checked-in golden file byte for byte, and
@@ -110,7 +108,7 @@ func TestDecodeRejects(t *testing.T) {
 	}{
 		{
 			name: "unknown-version",
-			doc:  strings.Replace(string(golden), Schema, "asbr-bench/v2", 1),
+			doc:  strings.Replace(string(golden), Schema, "asbr-bench/v1", 1),
 			want: "unsupported schema",
 		},
 		{
@@ -130,7 +128,7 @@ func TestDecodeRejects(t *testing.T) {
 		},
 		{
 			name: "empty-benchmarks",
-			doc:  `{"schema": "asbr-bench/v1", "go_version": "go1.24.0", "iterations": 5, "samples": 4096, "benchmarks": [], "geomean_fast_speedup": 1, "geomean_superblock_speedup": 1}`,
+			doc:  `{"schema": "asbr-bench/v2", "go_version": "go1.24.0", "iterations": 5, "samples": 4096, "benchmarks": [], "geomean_fast_speedup": 1, "geomean_superblock_speedup": 1}`,
 			want: "no benchmarks",
 		},
 	}
@@ -179,7 +177,6 @@ func TestRegressions(t *testing.T) {
 		better.Benchmarks[i].SuperblockSpeedup *= 1.5
 		better.Benchmarks[i].Fast.AllocsPerRun = 10
 		better.Benchmarks[i].Superblock.AllocsPerRun = 10
-		better.Benchmarks[i].FoldHitRate = 1
 	}
 	better.Finalize()
 	if regs := Regressions(base, better, 0.10); len(regs) != 0 {
@@ -190,14 +187,12 @@ func TestRegressions(t *testing.T) {
 	bad.Benchmarks[0].FastSpeedup = 1.0       // >10% below 2.0
 	bad.Benchmarks[0].SuperblockSpeedup = 2.0 // >10% below 4.0
 	bad.Benchmarks[1].Superblock.AllocsPerRun = 5000
-	bad.Benchmarks[1].FoldHitRate = 0.5
 	bad.Finalize()
 	regs := Regressions(base, bad, 0.10)
 	for _, want := range []string{
 		"adpcm-enc: fast speedup",
 		"adpcm-enc: superblock speedup",
 		"g721-enc: superblock engine 5000 allocs/run",
-		"g721-enc: fold-hit rate",
 		"geomean fast speedup",
 		"geomean superblock speedup",
 	} {

@@ -316,9 +316,6 @@ func (e *Engine) LoadBank(bank int, entries []BITEntry) error {
 // Load installs entries into bank 0 (the common single-bank case).
 func (e *Engine) Load(entries []BITEntry) error { return e.LoadBank(0, entries) }
 
-// Bank returns the table of the given bank for inspection.
-func (e *Engine) Bank(i int) *BIT { return e.banks[i] }
-
 // ActiveBank returns the index of the bank consulted at fetch.
 func (e *Engine) ActiveBank() int { return e.active }
 

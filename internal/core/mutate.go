@@ -37,9 +37,6 @@ func (d *BDT) SetKnown(r isa.Reg, known bool) {
 	}
 }
 
-// Known reports whether a value of r has been delivered since power-on.
-func (d *BDT) Known(r isa.Reg) bool { return d.known[r] }
-
 // Realias rekeys the entry stored under oldPC so it matches fetches of
 // newPC instead: a BIT tag-cell corruption making a wrong PC hit. The
 // entry body (BTA/BTI/BFI/Reg/Cond) is unchanged.

@@ -26,13 +26,11 @@ import (
 //
 // The spec never decides which step loop actually runs — that is
 // cpu.SelectEngine's job alone. Engine carries the caller's request
-// (zero value EngineAuto) and Demand carries any visibility
-// requirements beyond the attached hooks; cpu.New resolves the pair
-// against the hooks on the final Config.
+// (zero value EngineAuto); cpu.New resolves it against the hooks on
+// the final Config.
 type MachineSpec struct {
 	Predictor string     // predictor spec family[:k=v,...] or legacy alias ("" = bimodal)
 	Engine    cpu.Engine // requested step-loop (resolved by cpu.SelectEngine)
-	Demand    cpu.Caps   // extra capability demands beyond attached hooks
 	MaxCycles uint64     // watchdog cycle budget (0 = engine default)
 	Update    string     // BDT update point ex|mem|wb ("" = mem)
 	ICacheKB  int        // I-cache size in KB (0 = the paper's 8)
@@ -62,7 +60,6 @@ func MachineFor(spec MachineSpec) (cpu.Config, error) {
 		DCache:                dc,
 		Predictor:             spec.Predictor,
 		Engine:                spec.Engine,
-		Demand:                spec.Demand,
 		BDTUpdate:             stage,
 		ExtraMispredictCycles: experiment.ExtraMispredictCycles,
 		MaxCycles:             spec.MaxCycles,
@@ -95,18 +92,13 @@ func ResolveBITEntries(bench string, requested int) int {
 	return core.DefaultBITEntries
 }
 
-// BuildEngine runs the §6 selection over a finished profile and loads
-// the chosen branches into a fresh ASBR engine, returning the engine
-// and how many branches were actually loaded. Shared by the serve
-// daemon and record replay (identical selection is what makes an ASBR
-// replay byte-identical).
-func BuildEngine(prog *isa.Program, prof *profile.Profiler, k, samples int) (*core.Engine, int, error) {
-	return BuildEngineBanked(prog, prof, k, 0, samples)
-}
-
-// BuildEngineBanked is BuildEngine with an explicit BIT bank count
-// (0 = the engine's single-bank default). Selection loads bank 0;
+// BuildEngineBanked runs the §6 selection over a finished profile and
+// loads the chosen branches into a fresh ASBR engine with banks BIT
+// banks (0 = the engine's single-bank default), returning the engine
+// and how many branches were actually loaded. Selection loads bank 0;
 // extra banks are switchable capacity the DSE area model charges for.
+// Shared by the serve daemon, record replay and the DSE evaluators
+// (identical selection is what makes an ASBR replay byte-identical).
 func BuildEngineBanked(prog *isa.Program, prof *profile.Profiler, k, banks, samples int) (*core.Engine, int, error) {
 	cands, err := profile.Select(prog, prof, experiment.SelectOptionsFor(k, samples))
 	if err != nil {

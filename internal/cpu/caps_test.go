@@ -53,8 +53,6 @@ var capHooks = []hook{
 	{"commits", func(cfg *cpu.Config) { cfg.Commits = nullCommits{} }},
 	{"obs", func(cfg *cpu.Config) { cfg.Obs = nullSink{} }},
 	{"trace", func(cfg *cpu.Config) { cfg.Trace = io.Discard }},
-	{"ras", func(cfg *cpu.Config) { cfg.RAS = predict.NewRAS(8) }},
-	{"demand-record", func(cfg *cpu.Config) { cfg.Demand.Record = true }},
 }
 
 // TestSelectEngineCapabilityFallback: every hook kind, attached alone,

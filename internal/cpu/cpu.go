@@ -208,22 +208,12 @@ type Config struct {
 	// EngineReference are always honored verbatim. The engine New
 	// actually chose is reported by (*CPU).ResolvedEngine.
 	Engine Engine
-	// Demand declares capability requirements that do not arrive as
-	// Config hooks — e.g. a serving layer that will record and replay
-	// the run sets Demand.Record. SelectEngine folds Demand into the
-	// hook-derived capability set; any demand disqualifies the
-	// superblock engine. See Caps.
-	Demand Caps
 	// Predecoded, when non-nil, supplies a shared predecode table for
 	// the program (built once by Predecode, validated against the
 	// program in New) to serve the fast and superblock engines' fetches.
 	// Nil makes New build a private one. Ignored by EngineReference,
 	// which decodes every fetch.
 	Predecoded *Predecoded
-	// RAS, when non-nil, predicts `jr ra` targets at fetch (calls push
-	// their return address, returns pop it). An extension beyond the
-	// paper's platform; disabled by default.
-	RAS *predict.RAS
 	// Fold is the machine's optional ASBR unit: the BIT banks and BDT
 	// of package core, consulted at fetch. The CPU calls it directly
 	// (OnIssue at decode, OnValue at the BDTUpdate point, TryFold at
@@ -327,8 +317,6 @@ type Stats struct {
 
 	Jumps         uint64
 	IndirectJumps uint64
-	RASHits       uint64 // returns correctly predicted by the RAS
-	RASMisses     uint64 // returns the RAS predicted wrongly (or not at all)
 
 	LoadUseStalls uint64
 	FetchStalls   uint64 // cycles fetch was blocked on the I-cache
@@ -524,13 +512,6 @@ func (c *CPU) Mem() *mem.Memory { return c.mem }
 
 // Reg returns the architectural value of register r.
 func (c *CPU) Reg(r isa.Reg) int32 { return c.regs[r] }
-
-// SetReg sets an architectural register (harness use, before Run).
-func (c *CPU) SetReg(r isa.Reg, v int32) {
-	if r != isa.RegZero {
-		c.regs[r] = v
-	}
-}
 
 // PC returns the current fetch address.
 func (c *CPU) PC() uint32 { return c.pipe.pc }

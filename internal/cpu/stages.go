@@ -24,7 +24,6 @@ type slot struct {
 
 	predTaken    bool
 	predRedirect bool
-	predicted    bool // a prediction was recorded (branch or RAS return)
 	started      bool // EX work began
 	poison       bool // wrong-path fetch outside the text segment
 	valid        bool // the slot holds an instruction
@@ -350,14 +349,7 @@ func (c *CPU) doEX(st *pipeState) {
 	case d.In.Op == isa.OpJR || d.In.Op == isa.OpJALR:
 		c.stats.Jumps++
 		c.stats.IndirectJumps++
-		if s.predRedirect && s.predTarget == s.memAddr {
-			c.stats.RASHits++ // fetch already followed the return correctly
-		} else {
-			if s.predicted {
-				c.stats.RASMisses++
-			}
-			c.squash(st, s.memAddr)
-		}
+		c.squash(st, s.memAddr)
 	}
 	if c.cfg.Fold != nil && d.HasDest && s.counted && !s.valueSent &&
 		c.cfg.BDTUpdate == StageEX && !d.Load {
@@ -583,22 +575,9 @@ func (c *CPU) doIF(st *pipeState) {
 	if d.CondBranch {
 		taken, target, redirect := c.cfg.Branch.PredictFetch(pc)
 		id.predTaken, id.predTarget = taken, target
-		id.predRedirect, id.predicted = redirect, true
+		id.predRedirect = redirect
 		if redirect {
 			next = target
-		}
-	}
-	if d.OK && c.cfg.RAS != nil {
-		switch {
-		case d.In.Op == isa.OpJAL || d.In.Op == isa.OpJALR:
-			// Calls push their return address speculatively at fetch.
-			c.cfg.RAS.Push(pc + 4)
-		case d.In.Op == isa.OpJR && d.In.Rs == isa.RegRA:
-			id.predicted = true
-			if target, ok := c.cfg.RAS.Pop(); ok {
-				id.predTarget, id.predRedirect = target, true
-				next = target
-			}
 		}
 	}
 	st.pc = next

@@ -7,12 +7,11 @@ import "asbr/internal/core"
 // cycle RunContext offers a fused loop the chance to batch-advance
 // instead: sbFold when the machine has an ASBR unit, sbFused otherwise.
 // That is legal only because SelectEngine guarantees no capability is
-// attached (no commit observer, no event sink, no tracer, no RAS, no
-// recording), so the hooks the fused loops skip are provably absent,
-// and the architectural state and Stats they leave behind are
-// bit-identical to what the per-cycle stages would leave. The branch
-// observer is the one hook they call, through resolveCond and at a
-// fold.
+// attached (no commit observer, no event sink, no tracer), so the hooks
+// the fused loops skip are provably absent, and the architectural
+// state and Stats they leave behind are bit-identical to what the
+// per-cycle stages would leave. The branch observer is the one hook
+// they call, through resolveCond and at a fold.
 
 // sbFused batch-advances the machine through whole cycles of the
 // hookless pipeline. It returns false (having consumed no cycles) when
@@ -34,7 +33,7 @@ import "asbr/internal/core"
 //	     conditional branches resolve here, training the predictor
 //	     exactly as the per-cycle loop would — a mispredict squashes
 //	     ID, kills this cycle's fetch and starts the redirect hold —
-//	     and jr/jalr squash the same way (no RAS on this engine)
+//	     and jr/jalr squash the same way
 //	ID   a direct jump leaving ID redirects fetch, killing this cycle's
 //	     fetch
 //	IF   fetch one word along the predicted path (PredictFetch at the
@@ -203,7 +202,7 @@ func (c *CPU) sbFused(st *pipeState, end uint64) bool {
 			if ns.cls == fcBranch {
 				tkn, tgt, rd := c.cfg.Branch.PredictFetch(fpc)
 				ns.predTaken, ns.predTarget = tkn, tgt
-				ns.predRedirect, ns.predicted = rd, true
+				ns.predRedirect = rd
 				if rd {
 					next = tgt
 				}
@@ -439,7 +438,7 @@ func (c *CPU) sbFold(st *pipeState, end uint64, eng *core.Engine) bool {
 			if ns.cls == fcBranch {
 				tkn, tgt, rd := c.cfg.Branch.PredictFetch(fpc)
 				ns.predTaken, ns.predTarget = tkn, tgt
-				ns.predRedirect, ns.predicted = rd, true
+				ns.predRedirect = rd
 				if rd {
 					next = tgt
 				}

@@ -1,9 +1,10 @@
 // Package predict implements the dynamic branch predictors used as
 // baselines and auxiliary predictors in the paper: always-not-taken,
 // bimodal (2-bit saturating counters), and gshare (global-history
-// two-level), plus a branch target buffer. A local two-level predictor,
-// a McFarling-style tournament predictor, and a profile-driven static
-// predictor are included as extensions for ablation studies.
+// two-level), plus a branch target buffer. TAGE, a loop-termination
+// predictor and their composite extend the zoo beyond the paper. Every
+// predictor a CLI flag, wire field or DSE axis can name resolves
+// through the spec registry (ParseSpec).
 package predict
 
 import "fmt"
@@ -182,152 +183,6 @@ func (g *GShare) Reset() {
 	}
 	g.history = 0
 }
-
-// Local is a two-level predictor with per-branch local histories
-// (PA-style). Included as an extension beyond the paper's baselines.
-type Local struct {
-	hist     []uint32
-	pattern  []counter2
-	histMask uint32
-	patMask  uint32
-	bits     int
-}
-
-// NewLocal builds a local-history predictor with histEntries local
-// history registers of histBits bits and a pattern table of
-// patEntries counters.
-func NewLocal(histEntries, histBits, patEntries int) (*Local, error) {
-	if histEntries <= 0 || histEntries&(histEntries-1) != 0 ||
-		patEntries <= 0 || patEntries&(patEntries-1) != 0 {
-		return nil, fmt.Errorf("predict: local predictor sizes %d/%d must be powers of two", histEntries, patEntries)
-	}
-	l := &Local{
-		hist:     make([]uint32, histEntries),
-		pattern:  make([]counter2, patEntries),
-		histMask: uint32(histEntries - 1),
-		patMask:  uint32(patEntries - 1),
-		bits:     histBits,
-	}
-	l.Reset()
-	return l, nil
-}
-
-func (l *Local) patIndex(pc uint32) uint32 {
-	h := l.hist[(pc>>2)&l.histMask]
-	return h & l.patMask
-}
-
-// Predict implements DirectionPredictor.
-func (l *Local) Predict(pc uint32) bool { return l.pattern[l.patIndex(pc)].taken() }
-
-// Update implements DirectionPredictor.
-func (l *Local) Update(pc uint32, taken bool) {
-	pi := l.patIndex(pc)
-	l.pattern[pi] = l.pattern[pi].train(taken)
-	hi := (pc >> 2) & l.histMask
-	l.hist[hi] = l.hist[hi]<<1 | b2u(taken)
-	l.hist[hi] &= uint32(1)<<l.bits - 1
-}
-
-// Name implements DirectionPredictor.
-func (l *Local) Name() string {
-	return fmt.Sprintf("local-%d/%d/%d", len(l.hist), l.bits, len(l.pattern))
-}
-
-// Reset implements DirectionPredictor.
-func (l *Local) Reset() {
-	for i := range l.hist {
-		l.hist[i] = 0
-	}
-	for i := range l.pattern {
-		l.pattern[i] = counterInit
-	}
-}
-
-// Tournament combines two component predictors with a per-PC chooser
-// table (McFarling's combining predictor). Included as an extension.
-type Tournament struct {
-	a, b    DirectionPredictor
-	chooser []counter2 // >=2 selects a, <2 selects b
-	mask    uint32
-}
-
-// NewTournament builds a combining predictor over a and b with a
-// chooser table of entries counters.
-func NewTournament(a, b DirectionPredictor, entries int) (*Tournament, error) {
-	if entries <= 0 || entries&(entries-1) != 0 {
-		return nil, fmt.Errorf("predict: tournament chooser entries %d not a power of two", entries)
-	}
-	t := &Tournament{a: a, b: b, chooser: make([]counter2, entries), mask: uint32(entries - 1)}
-	for i := range t.chooser {
-		t.chooser[i] = 2 // no initial preference, leaning to a
-	}
-	return t, nil
-}
-
-func (t *Tournament) index(pc uint32) uint32 { return (pc >> 2) & t.mask }
-
-// Predict implements DirectionPredictor.
-func (t *Tournament) Predict(pc uint32) bool {
-	if t.chooser[t.index(pc)].taken() {
-		return t.a.Predict(pc)
-	}
-	return t.b.Predict(pc)
-}
-
-// Update implements DirectionPredictor. The chooser trains toward the
-// component that was correct when exactly one of them was.
-func (t *Tournament) Update(pc uint32, taken bool) {
-	pa, pb := t.a.Predict(pc), t.b.Predict(pc)
-	i := t.index(pc)
-	if pa != pb {
-		t.chooser[i] = t.chooser[i].train(pa == taken)
-	}
-	t.a.Update(pc, taken)
-	t.b.Update(pc, taken)
-}
-
-// Name implements DirectionPredictor.
-func (t *Tournament) Name() string {
-	return fmt.Sprintf("tournament(%s,%s)", t.a.Name(), t.b.Name())
-}
-
-// Reset implements DirectionPredictor.
-func (t *Tournament) Reset() {
-	t.a.Reset()
-	t.b.Reset()
-	for i := range t.chooser {
-		t.chooser[i] = 2
-	}
-}
-
-// Static predicts from a profile-derived per-PC direction map,
-// defaulting to not-taken for unknown branches (compiler-fed static
-// prediction, cf. the paper's related-work discussion of [2]).
-type Static struct {
-	dirs map[uint32]bool
-}
-
-// NewStatic builds a static predictor from a pc -> predicted-taken map.
-// The map is used directly, not copied.
-func NewStatic(dirs map[uint32]bool) *Static {
-	if dirs == nil {
-		dirs = make(map[uint32]bool)
-	}
-	return &Static{dirs: dirs}
-}
-
-// Predict implements DirectionPredictor.
-func (s *Static) Predict(pc uint32) bool { return s.dirs[pc] }
-
-// Update implements DirectionPredictor; static predictions never train.
-func (s *Static) Update(uint32, bool) {}
-
-// Name implements DirectionPredictor.
-func (s *Static) Name() string { return fmt.Sprintf("static-%d", len(s.dirs)) }
-
-// Reset implements DirectionPredictor; it is a no-op.
-func (s *Static) Reset() {}
 
 func b2u(b bool) uint32 {
 	if b {

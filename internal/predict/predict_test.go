@@ -88,12 +88,6 @@ func TestBimodalBadSize(t *testing.T) {
 	if _, err := NewGShare(0, 1024); err == nil {
 		t.Fatal("gshare: expected error for zero history bits")
 	}
-	if _, err := NewLocal(100, 6, 64); err == nil {
-		t.Fatal("local: expected error for non-power-of-two sizes")
-	}
-	if _, err := NewTournament(Taken{}, NotTaken{}, 100); err == nil {
-		t.Fatal("tournament: expected error for non-power-of-two chooser")
-	}
 	if _, err := NewBTB(100); err == nil {
 		t.Fatal("btb: expected error for non-power-of-two entries")
 	}
@@ -157,59 +151,14 @@ func TestGShareCorrelation(t *testing.T) {
 	}
 }
 
-func TestLocalLearnsPeriodicPattern(t *testing.T) {
-	l := Must(NewLocal(512, 8, 4096))
-	pc := uint32(0x400300)
-	// Period-3 pattern TTN TTN ... local history nails it.
-	pattern := []bool{true, true, false}
-	correct := 0
-	for i := 0; i < 3000; i++ {
-		want := pattern[i%3]
-		if i > 500 && l.Predict(pc) == want {
-			correct++
-		}
-		l.Update(pc, want)
-	}
-	if correct < 2400 {
-		t.Errorf("local predictor accuracy %d/2500", correct)
-	}
-}
-
-func TestTournamentPicksBetterComponent(t *testing.T) {
-	tr := Must(NewTournament(Must(NewGShare(8, 1024)), Must(NewBimodal(1024)), 1024))
-	pc := uint32(0x400400)
-	taken := false
-	correct := 0
-	for i := 0; i < 4000; i++ {
-		taken = !taken
-		if i > 1000 && tr.Predict(pc) == taken {
-			correct++
-		}
-		tr.Update(pc, taken)
-	}
-	if correct < 2900 {
-		t.Errorf("tournament accuracy %d/3000 on alternating branch", correct)
-	}
-}
-
-func TestStatic(t *testing.T) {
-	s := NewStatic(map[uint32]bool{0x100: true})
-	if !s.Predict(0x100) || s.Predict(0x104) {
-		t.Fatal("static predictions wrong")
-	}
-	s.Update(0x100, false)
-	if !s.Predict(0x100) {
-		t.Fatal("static predictor must not train")
-	}
-	if NewStatic(nil).Predict(0) {
-		t.Fatal("nil-map static must predict not-taken")
-	}
-}
-
 func TestResetRestoresPowerOn(t *testing.T) {
-	preds := []DirectionPredictor{
-		Must(NewBimodal(64)), Must(NewGShare(6, 64)), Must(NewLocal(64, 6, 64)),
-		Must(NewTournament(Must(NewBimodal(64)), Must(NewGShare(4, 64)), 64)),
+	preds := []DirectionPredictor{Must(NewBimodal(64)), Must(NewGShare(6, 64))}
+	for _, spec := range []string{"tage", "loop"} {
+		s, err := ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		preds = append(preds, Must(s.Build()).Dir)
 	}
 	for _, p := range preds {
 		pc := uint32(0x500000)
@@ -218,7 +167,7 @@ func TestResetRestoresPowerOn(t *testing.T) {
 			p.Update(pc, !before)
 		}
 		if p.Predict(pc) == before {
-			// trained away from power-on; now reset
+			t.Fatalf("%s: 8 opposite updates left the power-on prediction", p.Name())
 		}
 		p.Reset()
 		if p.Predict(pc) != before {
@@ -364,55 +313,4 @@ func randBools(r *rand.Rand, n int) []bool {
 		out[i] = r.Intn(2) == 0
 	}
 	return out
-}
-
-func TestRASPushPop(t *testing.T) {
-	r := NewRAS(4)
-	if r.Depth() != 4 || r.Len() != 0 {
-		t.Fatalf("fresh RAS: depth=%d len=%d", r.Depth(), r.Len())
-	}
-	if _, ok := r.Pop(); ok {
-		t.Fatal("empty pop succeeded")
-	}
-	if r.Underflows() != 1 {
-		t.Fatalf("underflows = %d", r.Underflows())
-	}
-	r.Push(0x100)
-	r.Push(0x200)
-	if a, ok := r.Pop(); !ok || a != 0x200 {
-		t.Fatalf("pop = 0x%x,%v", a, ok)
-	}
-	if a, ok := r.Pop(); !ok || a != 0x100 {
-		t.Fatalf("pop = 0x%x,%v", a, ok)
-	}
-}
-
-func TestRASOverflowDiscardsOldest(t *testing.T) {
-	r := NewRAS(2)
-	r.Push(1)
-	r.Push(2)
-	r.Push(3) // evicts 1
-	if a, _ := r.Pop(); a != 3 {
-		t.Fatalf("top = %d", a)
-	}
-	if a, _ := r.Pop(); a != 2 {
-		t.Fatalf("next = %d", a)
-	}
-	if _, ok := r.Pop(); ok {
-		t.Fatal("entry 1 should have been discarded")
-	}
-}
-
-func TestRASReset(t *testing.T) {
-	r := NewRAS(0) // default depth
-	if r.Depth() != 8 {
-		t.Fatalf("default depth = %d", r.Depth())
-	}
-	r.Push(5)
-	r.Pop()
-	r.Pop()
-	r.Reset()
-	if r.Len() != 0 || r.Underflows() != 0 {
-		t.Fatal("Reset incomplete")
-	}
 }

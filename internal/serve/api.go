@@ -44,7 +44,6 @@ import (
 // Wire types, aliased from the versioned protocol package.
 type (
 	SimRequest   = apitypes.SimRequestV1
-	SimStats     = apitypes.SimStatsV1
 	SimResponse  = apitypes.SimResponseV1
 	SweepRequest = apitypes.SweepRequestV1
 	JobRequest   = apitypes.JobRequestV1

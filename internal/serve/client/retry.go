@@ -49,12 +49,6 @@ func WithRetry(p RetryPolicy) Option {
 	return func(c *Client) { c.retry = p }
 }
 
-// WithHTTPClient substitutes the underlying http.Client (tests,
-// custom transports).
-func WithHTTPClient(h *http.Client) Option {
-	return func(c *Client) { c.http = h }
-}
-
 // Transient reports whether err is worth retrying: a transport-level
 // failure (connection refused, reset, truncated response) or a daemon
 // rejection that promises the same request may later succeed (429

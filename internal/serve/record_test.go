@@ -7,18 +7,41 @@ import (
 	"testing"
 
 	"asbr/internal/corpus"
+	"asbr/internal/cpu"
 	"asbr/internal/workload"
 )
 
+// requireReplays replays rec cold through corpus.Run — a fresh
+// machine, no daemon, no artifact cache — and requires it to reproduce
+// the recorded obs.Snapshot exactly on the record's own engine (auto,
+// so superblock, like the recording daemon) and on both per-cycle
+// engines, so a recorded run is also a cross-engine differential.
+func requireReplays(t *testing.T, i int, rec corpus.Record) {
+	t.Helper()
+	for _, eng := range []string{"", "reference", "fast"} {
+		rec.Config.Engine = eng
+		got, err := corpus.Run(rec)
+		if err != nil {
+			t.Fatalf("record %d (%s) engine %q: cold replay: %v", i, rec.Key, eng, err)
+		}
+		if diffs := got.Diff(rec.Snapshot); len(diffs) != 0 {
+			t.Errorf("record %d (%s) engine %q: cold replay diverges from served snapshot:", i, rec.Key, eng)
+			for _, d := range diffs {
+				t.Errorf("  %s", d)
+			}
+		}
+	}
+}
+
 // TestRecordReplay is the record/replay contract end-to-end: every
 // simulation the daemon executes lands in the replay log exactly once
-// (coalesced requests do not re-record), and replaying each record cold
-// through corpus.Run — a fresh machine, no daemon, no artifact cache —
-// reproduces the recorded obs.Snapshot byte-for-byte.
+// (coalesced requests do not re-record), a recording daemon runs on the
+// superblock engine like any other, and every record replays to the
+// served snapshot on every engine.
 func TestRecordReplay(t *testing.T) {
 	var buf bytes.Buffer
 	lw := corpus.NewLogWriter(&buf)
-	_, ts := testServer(t, Config{Record: func(rec corpus.Record) {
+	srv, ts := testServer(t, Config{Record: func(rec corpus.Record) {
 		if err := lw.Append(rec); err != nil {
 			t.Errorf("record: %v", err)
 		}
@@ -36,6 +59,9 @@ func TestRecordReplay(t *testing.T) {
 		{Bench: workload.ADPCMEncode, Samples: 64, ASBR: true},
 	}
 	for i, req := range reqs {
+		if got := cpu.SelectEngine(srv.machineFor(&req)); got != cpu.EngineSuperblock {
+			t.Errorf("sim %d: recording daemon's machine resolves to %s, want superblock", i, got)
+		}
 		if status, b := post(t, ts.URL+"/v1/sim", req); status != http.StatusOK {
 			t.Fatalf("sim %d: status %d: %s", i, status, b)
 		}
@@ -56,16 +82,7 @@ func TestRecordReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, rec := range recs {
-		got, err := corpus.Run(rec)
-		if err != nil {
-			t.Fatalf("record %d (%s): cold replay: %v", i, rec.Key, err)
-		}
-		if diffs := got.Diff(rec.Snapshot); len(diffs) != 0 {
-			t.Errorf("record %d (%s): cold replay diverges from served snapshot:", i, rec.Key)
-			for _, d := range diffs {
-				t.Errorf("  %s", d)
-			}
-		}
+		requireReplays(t, i, rec)
 	}
 }
 
@@ -109,11 +126,5 @@ func TestRecordCoalescedJob(t *testing.T) {
 	if len(recs) != 1 {
 		t.Fatalf("got %d records, want 1", len(recs))
 	}
-	got, err := corpus.Run(recs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != recs[0].Snapshot {
-		t.Errorf("replayed snapshot differs: %v", got.Diff(recs[0].Snapshot))
-	}
+	requireReplays(t, 0, recs[0])
 }

@@ -334,13 +334,11 @@ func (s *Server) machineFor(req *SimRequest) cpu.Config {
 // machineSpec projects a normalized request onto the shared machine
 // spec. The engine is left at the zero value (EngineAuto) — the daemon
 // never picks a step loop itself; cpu.SelectEngine resolves it from
-// the hooks on the final config. A recording daemon demands the record
-// capability so every captured run executes on the per-cycle baseline
-// its replay legs will be compared against.
+// the hooks on the final config, so a recording daemon runs on the
+// same engine as any other.
 func (s *Server) machineSpec(req *SimRequest) corpus.MachineSpec {
 	return corpus.MachineSpec{
 		Predictor: req.Predictor,
-		Demand:    cpu.Caps{Record: s.cfg.Record != nil},
 		MaxCycles: req.MaxCycles,
 		Update:    req.Update,
 		ICacheKB:  req.ICacheKB,

@@ -111,12 +111,13 @@ func TestFuzzPredictorIndependence(t *testing.T) {
 		predict.BaselineBimodal,
 		predict.BaselineGShare,
 		func() *predict.Unit { return predict.NewUnit(predict.Taken{}, predict.Must(predict.NewBTB(64))) },
-		func() *predict.Unit {
-			return predict.NewUnit(predict.Must(predict.NewTournament(predict.Must(predict.NewBimodal(128)), predict.Must(predict.NewGShare(6, 128)), 128)), predict.Must(predict.NewBTB(128)))
-		},
-		func() *predict.Unit {
-			return predict.NewUnit(predict.Must(predict.NewLocal(64, 6, 256)), predict.Must(predict.NewBTB(64)))
-		},
+	}
+	for _, spec := range []string{"tage", "tageloop"} {
+		s, err := predict.ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		units = append(units, func() *predict.Unit { return predict.Must(s.Build()) })
 	}
 	for trial := 0; trial < trials; trial++ {
 		src := gen.Program()
