@@ -13,7 +13,7 @@ FAULT_FUZZTIME ?= 2m
 CORPUS_FUZZTIME ?= 2m
 CORPUS_ENTRIES ?= 30
 
-.PHONY: all build fmt-check vet test race bench bench-check bench-module escape-check fault-smoke serve-smoke cluster-smoke dse-smoke trace-smoke predict-smoke corpus-check loadgen fuzz-smoke fuzz-fault fuzz-corpus fuzz-tage tables ci clean
+.PHONY: all build fmt-check vet test race bench bench-check bench-module placement escape-check fault-smoke serve-smoke cluster-smoke dse-smoke trace-smoke predict-smoke corpus-check loadgen fuzz-smoke fuzz-fault fuzz-corpus fuzz-tage tables ci clean
 
 all: build
 
@@ -56,6 +56,17 @@ bench-check:
 # internal API change that breaks the benchmark build fails CI.
 bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# Where the linker put the fused loops in the benchmark binary: the
+# address and the alignment mod 64 of (*CPU).sbFused, sbFold and cycle.
+# A move of sbFused or sbFold from 64-byte to 32-byte alignment has
+# cost 6-7% on the plain and asbr workloads with no change to their
+# code, so compare this output with the parent's before blaming logic
+# for such a move. Not a gate.
+placement:
+	cd benchmark && GOWORK=off GOFLAGS= $(GO) build -o ../.bench_build/placement/asbr-benchmark .
+	@$(GO) tool nm .bench_build/placement/asbr-benchmark | grep -E ' asbr/internal/cpu\.\(\*CPU\)\.(sbFused|sbFold|cycle)$$' | \
+		while read addr kind sym; do echo "$$sym 0x$$addr mod64=$$((0x$$addr % 64))"; done
 
 # The run loop keeps the pipeline (`st` in cpu.RunContext) on its
 # stack; on the heap every stage advance would pay a write barrier.

@@ -13,7 +13,9 @@ import (
 // the G.721 encoder unless stated otherwise (the paper's largest
 // selected-branch set), on the same platform as the main experiments.
 // Each sweep point is one pool job; the profiled run and input trace
-// are shared artifacts.
+// are shared artifacts, and each ASBR run goes through the sweep's run
+// cache, so a point that repeats another table's machine is not
+// simulated again.
 
 // ThresholdRow is one row of the BDT-update-point ablation (paper
 // §5.2: thresholds 2/3/4 via the EX/MEM/WB update points).
@@ -39,10 +41,6 @@ func (s *Sweep) ThresholdAblation(bench string) ([]ThresholdRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	in, err := s.input(bench)
-	if err != nil {
-		return nil, err
-	}
 	selOpt := s.opt
 	selOpt.Update = cpu.StageEX
 	cands, err := selectBranches(bench, pa.prog, pa.prof, selOpt)
@@ -55,24 +53,17 @@ func (s *Sweep) ThresholdAblation(bench string) ([]ThresholdRow, error) {
 	}
 	updates := []cpu.Stage{cpu.StageEX, cpu.StageMEM, cpu.StageWB}
 	return runner.Map(s.opt.Parallel, updates, func(_ int, up cpu.Stage) (ThresholdRow, error) {
-		eng := core.NewEngine(core.DefaultConfig())
-		if err := eng.Load(entries); err != nil {
-			return ThresholdRow{}, err
-		}
-		cfg := s.machine(predict.AuxBimodal512())
-		cfg.Fold = eng
-		cfg.BDTUpdate = up
-		res, err := s.run(pa.prog, cfg, in)
+		r, err := s.simulate(bench, pa.prog, predict.AuxBimodal512,
+			&asbrUnit{cfg: core.DefaultConfig(), entries: entries, update: up})
 		if err != nil {
 			return ThresholdRow{}, err
 		}
-		es := eng.Stats()
 		return ThresholdRow{
 			Update:    up,
 			Threshold: map[cpu.Stage]int{cpu.StageEX: 2, cpu.StageMEM: 3, cpu.StageWB: 4}[up],
-			Cycles:    res.Stats.Cycles,
-			Folds:     es.Folds,
-			Fallbacks: es.Fallbacks,
+			Cycles:    r.res.Stats.Cycles,
+			Folds:     r.fold.Folds,
+			Fallbacks: r.fold.Fallbacks,
 		}, nil
 	})
 }
@@ -98,10 +89,6 @@ func (s *Sweep) BITSizeAblation(bench string, sizes []int) ([]BITSizeRow, error)
 	if err != nil {
 		return nil, err
 	}
-	in, err := s.input(bench)
-	if err != nil {
-		return nil, err
-	}
 	return runner.Map(s.opt.Parallel, sizes, func(_ int, k int) (BITSizeRow, error) {
 		cands, err := profile.Select(pa.prog, pa.prof, profile.SelectOptions{
 			Aux: "bimodal-512", MinDistance: s.opt.MinDistance(), K: k,
@@ -114,22 +101,18 @@ func (s *Sweep) BITSizeAblation(bench string, sizes []int) ([]BITSizeRow, error)
 		if err != nil {
 			return BITSizeRow{}, err
 		}
-		eng := core.NewEngine(core.Config{BITEntries: maxInt(k, 1), TrackValidity: true})
-		if err := eng.Load(entries); err != nil {
-			return BITSizeRow{}, err
-		}
-		cfg := s.machine(predict.AuxBimodal512())
-		cfg.Fold = eng
-		cfg.BDTUpdate = s.opt.Update
-		res, err := s.run(pa.prog, cfg, in)
+		cfg := core.DefaultConfig()
+		cfg.BITEntries = maxInt(k, 1)
+		r, err := s.simulate(bench, pa.prog, predict.AuxBimodal512,
+			&asbrUnit{cfg: cfg, entries: entries, update: s.opt.Update})
 		if err != nil {
 			return BITSizeRow{}, err
 		}
 		return BITSizeRow{
 			Entries: uint64(k),
 			K:       len(cands),
-			Cycles:  res.Stats.Cycles,
-			Folds:   eng.Stats().Folds,
+			Cycles:  r.res.Stats.Cycles,
+			Folds:   r.fold.Folds,
 		}, nil
 	})
 }
@@ -198,23 +181,17 @@ func (s *Sweep) SchedulingAblation(bench string) ([]SchedulingRow, error) {
 		if err != nil {
 			return SchedulingRow{}, err
 		}
-		eng := core.NewEngine(core.DefaultConfig())
-		if err := eng.Load(entries); err != nil {
-			return SchedulingRow{}, err
-		}
-		cfg2 := s.machine(predict.AuxBimodal512())
-		cfg2.Fold = eng
-		cfg2.BDTUpdate = s.opt.Update
-		res, err := s.run(prog, cfg2, in)
+		r, err := s.simulate(bench, prog, predict.AuxBimodal512,
+			&asbrUnit{cfg: core.DefaultConfig(), entries: entries, update: s.opt.Update})
 		if err != nil {
 			return SchedulingRow{}, err
 		}
 		return SchedulingRow{
 			Label:       v.label,
-			Cycles:      res.Stats.Cycles,
+			Cycles:      r.res.Stats.Cycles,
 			Baseline:    baseRes.Stats.Cycles,
-			Improvement: 1 - float64(res.Stats.Cycles)/float64(baseRes.Stats.Cycles),
-			Folds:       eng.Stats().Folds,
+			Improvement: 1 - float64(r.res.Stats.Cycles)/float64(baseRes.Stats.Cycles),
+			Folds:       r.fold.Folds,
 			Candidates:  len(cands),
 		}, nil
 	})
@@ -245,10 +222,6 @@ func (s *Sweep) ValidityAblation(bench string) ([]ValidityRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	in, err := s.input(bench)
-	if err != nil {
-		return nil, err
-	}
 	want, err := s.arts.Expected(bench, s.opt.Samples, s.opt.Seed)
 	if err != nil {
 		return nil, err
@@ -275,17 +248,14 @@ func (s *Sweep) ValidityAblation(bench string) ([]ValidityRow, error) {
 		label string
 		track bool
 	}) (ValidityRow, error) {
-		eng := core.NewEngine(core.Config{TrackValidity: mode.track})
-		if err := eng.Load(entries); err != nil {
-			return ValidityRow{}, err
-		}
-		cfg := s.machine(predict.AuxBimodal512())
-		cfg.Fold = eng
-		cfg.BDTUpdate = s.opt.Update
-		res, err := s.run(pa.prog, cfg, in)
+		cfg := core.DefaultConfig()
+		cfg.TrackValidity = mode.track
+		r, err := s.simulate(bench, pa.prog, predict.AuxBimodal512,
+			&asbrUnit{cfg: cfg, entries: entries, update: s.opt.Update})
 		if err != nil {
 			return ValidityRow{}, err
 		}
+		res := r.res
 		correct := len(res.Output) == len(want)
 		if correct {
 			for i := range want {
@@ -295,12 +265,11 @@ func (s *Sweep) ValidityAblation(bench string) ([]ValidityRow, error) {
 				}
 			}
 		}
-		es := eng.Stats()
 		return ValidityRow{
 			Label:         mode.label,
 			Cycles:        res.Stats.Cycles,
-			Folds:         es.Folds,
-			Fallbacks:     es.Fallbacks,
+			Folds:         r.fold.Folds,
+			Fallbacks:     r.fold.Fallbacks,
 			OutputCorrect: correct,
 		}, nil
 	})

@@ -161,12 +161,20 @@ func machine(branch *predict.Unit) cpu.Config {
 	}
 }
 
+// baselineUnit is one of Figure 6's baseline machines. base names the
+// two that Figure 11 compares against (see baselineRun); it is empty
+// for gshare.
+type baselineUnit struct {
+	base string
+	mk   func() *predict.Unit
+}
+
 // baselineUnits returns the three baseline predictors of Figure 6.
-func baselineUnits() []func() *predict.Unit {
-	return []func() *predict.Unit{
-		predict.BaselineNotTaken,
-		predict.BaselineBimodal,
-		predict.BaselineGShare,
+func baselineUnits() []baselineUnit {
+	return []baselineUnit{
+		{baselineUnitNotTaken, predict.BaselineNotTaken},
+		{baselineUnitBimodal, predict.BaselineBimodal},
+		{"", predict.BaselineGShare},
 	}
 }
 
@@ -189,36 +197,34 @@ func Fig6(opt Options) ([]Fig6Row, error) {
 
 // Fig6 reproduces Figure 6: total cycles, CPI and prediction accuracy
 // of the three general-purpose baseline predictors on all four
-// benchmarks. Each (benchmark, predictor) cell is one pool job owning
-// its machine; the compiled program and input trace are shared.
+// benchmarks. Each (benchmark, predictor) cell is one pool job; the
+// not-taken and bimodal-2048 cells are Figure 11's baseline runs.
 func (s *Sweep) Fig6() ([]Fig6Row, error) {
 	type job struct {
 		bench string
-		mk    func() *predict.Unit
+		unit  baselineUnit
 	}
 	var jobs []job
 	for _, bench := range s.opt.benches() {
-		for _, mk := range baselineUnits() {
-			jobs = append(jobs, job{bench, mk})
+		for _, u := range baselineUnits() {
+			jobs = append(jobs, job{bench, u})
 		}
 	}
 	rows, errs := runner.MapErrs(s.opt.Parallel, jobs, func(_ int, j job) (Fig6Row, error) {
-		prog, err := s.program(j.bench)
-		if err != nil {
-			return Fig6Row{}, err
+		name := j.unit.mk().Name()
+		var res *workload.Result
+		var err error
+		if j.unit.base != "" {
+			res, err = s.baselineRun(j.bench, j.unit.base)
+		} else {
+			res, err = s.plainRun(j.bench, j.unit.mk)
 		}
-		in, err := s.input(j.bench)
 		if err != nil {
-			return Fig6Row{}, err
-		}
-		unit := j.mk()
-		res, err := s.run(prog, s.machine(unit), in)
-		if err != nil {
-			return Fig6Row{}, fmt.Errorf("%s/%s: %w", j.bench, unit.Name(), err)
+			return Fig6Row{}, fmt.Errorf("%s/%s: %w", j.bench, name, err)
 		}
 		return Fig6Row{
 			Benchmark: j.bench,
-			Predictor: unit.Name(),
+			Predictor: name,
 			Snapshot:  res.Stats.Snapshot(),
 		}, nil
 	})
@@ -230,7 +236,7 @@ func (s *Sweep) Fig6() ([]Fig6Row, error) {
 		if err == nil {
 			continue
 		}
-		rows[i] = Fig6Row{Benchmark: jobs[i].bench, Predictor: jobs[i].mk().Name(), Err: err}
+		rows[i] = Fig6Row{Benchmark: jobs[i].bench, Predictor: jobs[i].unit.mk().Name(), Err: err}
 		if first == nil {
 			first = err
 		}
@@ -336,7 +342,7 @@ func Fig11(opt Options) ([]Fig11Row, error) {
 // compared against the paper's chosen baselines (the "not taken" row
 // compares to the predictor-less baseline; the bi-512/bi-256 rows
 // compare to the full-size bimodal-2048 baseline). Each (benchmark,
-// auxiliary) cell is one pool job with its own ASBR engine; the
+// auxiliary) cell is one pool job and one run-cache entry; the
 // profiled run, BIT selection and baseline runs are shared artifacts
 // built once per benchmark.
 func (s *Sweep) Fig11() ([]Fig11Row, error) {
@@ -358,10 +364,6 @@ func (s *Sweep) Fig11() ([]Fig11Row, error) {
 		if err != nil {
 			return Fig11Row{}, err
 		}
-		in, err := s.input(j.bench)
-		if err != nil {
-			return Fig11Row{}, err
-		}
 		entries, err := s.bitEntries(j.bench)
 		if err != nil {
 			return Fig11Row{}, err
@@ -374,19 +376,13 @@ func (s *Sweep) Fig11() ([]Fig11Row, error) {
 		if err != nil {
 			return Fig11Row{}, err
 		}
-		eng := core.NewEngine(core.DefaultConfig())
-		if err := eng.Load(entries); err != nil {
-			return Fig11Row{}, err
-		}
-		cfg := s.machine(j.aux.Mk())
-		cfg.Fold = eng
-		cfg.BDTUpdate = s.opt.Update
-		res, err := s.run(pa.prog, cfg, in)
+		r, err := s.simulate(j.bench, pa.prog, j.aux.Mk,
+			&asbrUnit{cfg: core.DefaultConfig(), entries: entries, update: s.opt.Update})
 		if err != nil {
 			return Fig11Row{}, fmt.Errorf("%s/%s: %w", j.bench, j.aux.Label, err)
 		}
+		res, es := r.res, r.fold
 		base := baseRes.Stats.Cycles
-		es := eng.Stats()
 		dyn := res.Stats.DynamicCondBranches()
 		frac := 0.0
 		if dyn > 0 {

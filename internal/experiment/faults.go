@@ -100,6 +100,11 @@ func (s *Sweep) Faults() ([]FaultRow, error) {
 		}
 		inj := fault.NewInjector(j.plan, eng)
 		baseCfg := s.machine(predict.AuxBimodal512())
+		// Known defect: the copy shares baseCfg's *predict.Unit, so the
+		// clean baseline and the test machine train one bimodal-512 unit
+		// between them. A unit per machine moves g721's `none` rows (42
+		// fewer commits at n=64) and most corruption cycles, so the fix
+		// waits for a refresh of the benchmark's tables digest.
 		testCfg := baseCfg
 		testCfg.Fold = eng
 		testCfg.BDTUpdate = s.opt.Update

@@ -110,3 +110,30 @@ func TestSweepArtifactSharing(t *testing.T) {
 		t.Errorf("InputBuilds = %d, want %d", cs.Artifacts.InputBuilds, benches)
 	}
 }
+
+// TestSweepRunSharing checks the run cache: after Figure 6, Figure 11
+// simulates only its 12 ASBR cells, since its baselines are Figure 6's
+// cells, and the power table simulates nothing, since its baseline is
+// the profiled run and its ASBR run is Figure 11's bi-512 cell.
+func TestSweepRunSharing(t *testing.T) {
+	for _, par := range []int{1, 8} {
+		s := NewSweep(Options{Samples: 64, Seed: 1, Parallel: par})
+		if _, err := s.Fig6(); err != nil {
+			t.Fatal(err)
+		}
+		runs := s.CacheStats().Runs
+		if _, err := s.Fig11(); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.CacheStats().Runs - runs; got != 12 {
+			t.Errorf("parallel=%d: Fig11 after Fig6 made %d runs, want 12", par, got)
+		}
+		runs = s.CacheStats().Runs
+		if _, err := s.PowerArea(); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.CacheStats().Runs - runs; got != 0 {
+			t.Errorf("parallel=%d: PowerArea after Fig11 made %d runs, want 0", par, got)
+		}
+	}
+}

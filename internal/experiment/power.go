@@ -28,17 +28,13 @@ func PowerArea(opt Options) ([]PowerRow, error) {
 
 // PowerArea compares the baseline bimodal-2048 machine against the
 // ASBR + bimodal-512 machine on energy activity and branch-hardware
-// area, for every benchmark. Each benchmark is one pool job; its
-// profiled baseline run and BIT selection are shared with the other
-// tables of the sweep.
+// area, for every benchmark. Each benchmark is one pool job; both its
+// runs are shared with the other tables of the sweep: the profiled
+// run is the baseline, and the ASBR run is Figure 11's bi-512 cell.
 func (s *Sweep) PowerArea() ([]PowerRow, error) {
 	params := power.DefaultParams()
 	pairs, err := runner.Map(s.opt.Parallel, s.opt.benches(), func(_ int, bench string) ([2]PowerRow, error) {
 		pa, err := s.profiledRun(bench)
-		if err != nil {
-			return [2]PowerRow{}, err
-		}
-		in, err := s.input(bench)
 		if err != nil {
 			return [2]PowerRow{}, err
 		}
@@ -56,18 +52,12 @@ func (s *Sweep) PowerArea() ([]PowerRow, error) {
 		if err != nil {
 			return [2]PowerRow{}, err
 		}
-		eng := core.NewEngine(core.DefaultConfig())
-		if err := eng.Load(entries); err != nil {
-			return [2]PowerRow{}, err
-		}
-		cfg := s.machine(predict.AuxBimodal512())
-		cfg.Fold = eng
-		cfg.BDTUpdate = s.opt.Update
-		res, err := s.run(pa.prog, cfg, in)
+		r, err := s.simulate(bench, pa.prog, predict.AuxBimodal512,
+			&asbrUnit{cfg: core.DefaultConfig(), entries: entries, update: s.opt.Update})
 		if err != nil {
 			return [2]PowerRow{}, err
 		}
-		es := eng.Stats()
+		res, es := r.res, r.fold
 		asbrHW := power.ASBRBimodal(512, core.DefaultBITEntries)
 		asbrRow := PowerRow{
 			Benchmark:    bench,

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 
 	"asbr/internal/core"
@@ -15,14 +16,14 @@ import (
 
 // Sweep is a reusable experiment context. All table generators hang
 // off it and share its artifact caches: compiled benchmarks, synthetic
-// traces, profiled runs, BIT selections and baseline runs are each
-// built exactly once per sweep, no matter how many table rows consume
-// them. Independent (benchmark × predictor × ASBR-config) simulation
-// jobs fan out over a bounded worker pool (runner.Map) with
-// Options.Parallel workers; each job owns its CPU, caches, predictor
-// unit and ASBR engine, and results aggregate in input order, so every
-// table is byte-identical to the serial run regardless of worker
-// count.
+// traces, profiled runs, BIT selections and the run of each distinct
+// hookless machine are each built exactly once per sweep, no matter
+// how many table rows consume them. Independent (benchmark ×
+// predictor × ASBR-config) simulation jobs fan out over a bounded
+// worker pool (runner.Map) with Options.Parallel workers; each job
+// owns its CPU, caches, predictor unit and ASBR engine, and results
+// aggregate in input order, so every table is byte-identical to the
+// serial run regardless of worker count.
 type Sweep struct {
 	opt  Options
 	arts runner.Artifacts
@@ -31,6 +32,7 @@ type Sweep struct {
 	selection runner.Cache[string, []core.BITEntry]
 	faultSel  runner.Cache[string, []core.BITEntry]
 	baseline  runner.Cache[baselineKey, *workload.Result]
+	runs      runner.Cache[runKey, *simRun]
 	motivProg runner.Cache[string, *isa.Program]
 }
 
@@ -182,28 +184,120 @@ func (s *Sweep) bitEntries(bench string) ([]core.BITEntry, error) {
 }
 
 // baselineRun returns the benchmark's comparison-base run for the
-// named baseline unit, simulated at most once per (bench, unit).
+// named baseline unit, looked up at most once per (bench, unit). The
+// bimodal-2048 machine is the profiled run's: a profiler never changes
+// a counter.
 func (s *Sweep) baselineRun(bench, unit string) (*workload.Result, error) {
 	return s.baseline.Get(baselineKey{bench: bench, unit: unit}, func() (*workload.Result, error) {
-		prog, err := s.program(bench)
-		if err != nil {
-			return nil, err
+		switch unit {
+		case baselineUnitNotTaken:
+			return s.plainRun(bench, predict.BaselineNotTaken)
+		case baselineUnitBimodal:
+			pa, err := s.profiledRun(bench)
+			if err != nil {
+				return nil, err
+			}
+			return pa.res, nil
+		default:
+			return nil, fmt.Errorf("experiment: unknown baseline unit %q", unit)
 		}
+	})
+}
+
+// asbrUnit describes a machine's ASBR unit: the engine configuration
+// with its defaults filled in (so equal units compare equal), the BIT
+// entries it loads and the BDT update point.
+type asbrUnit struct {
+	cfg     core.Config
+	entries []core.BITEntry
+	update  cpu.Stage
+}
+
+// runKey identifies one hookless simulation of a sweep: the program,
+// the benchmark (which picks the input trace), the branch unit's name
+// and the ASBR unit, whose fields stay zero on a machine without one.
+type runKey struct {
+	prog   *isa.Program
+	bench  string
+	unit   string
+	cfg    core.Config
+	bit    string // the BIT entries, in load order (bitKey)
+	update cpu.Stage
+}
+
+// bitKey encodes BIT entries as a comparable key: every field of every
+// entry, in order.
+func bitKey(entries []core.BITEntry) string {
+	b := make([]byte, 0, 18*len(entries))
+	for _, e := range entries {
+		b = binary.LittleEndian.AppendUint32(b, e.PC)
+		b = binary.LittleEndian.AppendUint32(b, e.BTA)
+		b = binary.LittleEndian.AppendUint32(b, e.BTI)
+		b = binary.LittleEndian.AppendUint32(b, e.BFI)
+		b = append(b, byte(e.Reg), byte(e.Cond))
+	}
+	return string(b)
+}
+
+// simRun is one simulation of the run cache: its result and, on a
+// machine with an ASBR unit, the unit's counters. Consumers share it
+// read-only.
+type simRun struct {
+	res  *workload.Result
+	fold core.Stats
+}
+
+// simulate returns the benchmark's run of prog on the machine built
+// from mk's branch unit and, when asbr is non-nil, an ASBR unit,
+// simulating each distinct machine at most once per sweep. It builds
+// the cpu.Config itself, so no caller can attach a profiler, an
+// observer, a mutation policy or a commit tap to a shared run; runs
+// that need one of those call s.run directly.
+func (s *Sweep) simulate(bench string, prog *isa.Program, mk func() *predict.Unit, asbr *asbrUnit) (*simRun, error) {
+	unit := mk()
+	key := runKey{prog: prog, bench: bench, unit: unit.Name()}
+	if asbr != nil {
+		key.cfg, key.bit, key.update = asbr.cfg, bitKey(asbr.entries), asbr.update
+	}
+	return s.runs.Get(key, func() (*simRun, error) {
 		in, err := s.input(bench)
 		if err != nil {
 			return nil, err
 		}
-		var u *predict.Unit
-		switch unit {
-		case baselineUnitNotTaken:
-			u = predict.BaselineNotTaken()
-		case baselineUnitBimodal:
-			u = predict.BaselineBimodal()
-		default:
-			return nil, fmt.Errorf("experiment: unknown baseline unit %q", unit)
+		cfg := s.machine(unit)
+		var eng *core.Engine
+		if asbr != nil {
+			eng = core.NewEngine(asbr.cfg)
+			if err := eng.Load(asbr.entries); err != nil {
+				return nil, err
+			}
+			cfg.Fold = eng
+			cfg.BDTUpdate = asbr.update
 		}
-		return s.run(prog, s.machine(u), in)
+		res, err := s.run(prog, cfg, in)
+		if err != nil {
+			return nil, err
+		}
+		r := &simRun{res: res}
+		if eng != nil {
+			r.fold = eng.Stats()
+		}
+		return r, nil
 	})
+}
+
+// plainRun returns the benchmark's run on its §8 program with mk's
+// branch unit and no ASBR unit, through the run cache.
+func (s *Sweep) plainRun(bench string, mk func() *predict.Unit) (*workload.Result, error) {
+	prog, err := s.program(bench)
+	if err != nil {
+		return nil, err
+	}
+	r, err := s.simulate(bench, prog, mk, nil)
+	if err != nil {
+		return nil, err
+	}
+	return r.res, nil
 }
 
 // CacheStats summarizes sweep-level artifact reuse: how many expensive
@@ -213,6 +307,7 @@ type CacheStats struct {
 	ProfiledRuns uint64
 	Selections   uint64
 	BaselineRuns uint64
+	Runs         uint64 // simulations the run cache performed
 }
 
 // CacheStats returns the sweep's artifact-cache counters.
@@ -222,5 +317,6 @@ func (s *Sweep) CacheStats() CacheStats {
 		ProfiledRuns: s.profiled.Builds(),
 		Selections:   s.selection.Builds(),
 		BaselineRuns: s.baseline.Builds(),
+		Runs:         s.runs.Builds(),
 	}
 }

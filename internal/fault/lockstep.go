@@ -18,6 +18,13 @@ type Tap struct {
 // OnCommit implements cpu.CommitObserver.
 func (t *Tap) OnCommit(c cpu.Commit) { t.q = append(t.q, c) }
 
+// pop removes the oldest queued commit. It shifts the rest down rather
+// than reslicing past the head, so the queue keeps its backing array
+// and OnCommit stops allocating once the queue has reached its depth.
+func (t *Tap) pop() {
+	t.q = t.q[:copy(t.q, t.q[1:])]
+}
+
 // Report is the outcome of a lockstep comparison. A clean pair leaves
 // Diverged false and PC/Cycle zero; a divergence reports the first
 // architecturally visible mismatch at the test machine's PC and cycle.
@@ -84,7 +91,7 @@ func Lockstep(base, test *cpu.CPU, bt, tt *Tap) Report {
 			// Test machine finished; baseline still committing. Folded
 			// branches may trail legitimately, anything else diverges.
 			b := bt.q[0]
-			bt.q = bt.q[1:]
+			bt.pop()
 			if b.Branch {
 				continue
 			}
@@ -101,7 +108,7 @@ func Lockstep(base, test *cpu.CPU, bt, tt *Tap) Report {
 			if b.Branch {
 				// Folded out of the test run: no architectural effects
 				// to compare, skip the baseline-only commit.
-				bt.q = bt.q[1:]
+				bt.pop()
 				continue
 			}
 			diverge(t.PC, t.Cycle, "control flow: baseline at 0x%08x (%s), test at 0x%08x (%s)",
@@ -112,8 +119,8 @@ func Lockstep(base, test *cpu.CPU, bt, tt *Tap) Report {
 			diverge(t.PC, t.Cycle, "%s", mismatch)
 			break
 		}
-		bt.q = bt.q[1:]
-		tt.q = tt.q[1:]
+		bt.pop()
+		tt.pop()
 		r.Commits++
 	}
 
