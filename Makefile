@@ -31,8 +31,10 @@ vet:
 test:
 	$(GO) test ./...
 
+# `go test -race ./internal/cpu` alone takes about 10 minutes on a
+# shared 2-vCPU host, past go test's 10-minute default timeout.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 # Engine throughput over the four paper benchmarks on all three cycle
 # engines: writes the asbr-bench/v2 report BENCH_cpu.json (cycles/sec,

@@ -28,7 +28,10 @@
 // to running the files one at a time.
 //
 // The machine is the paper's platform: 5-stage in-order pipeline, 8KB
-// I-cache, 8KB D-cache.
+// I-cache, 8KB D-cache and the calibrated mispredict penalty — the
+// platform every served, replayed and DSE run simulates
+// (corpus.MachineFor), so a local run and the same run with -remote
+// report the same cycles.
 package main
 
 import (
@@ -43,6 +46,7 @@ import (
 	"asbr/internal/cc"
 	"asbr/internal/cliflags"
 	"asbr/internal/core"
+	"asbr/internal/corpus"
 	"asbr/internal/cpu"
 	"asbr/internal/fault"
 	"asbr/internal/isa"
@@ -167,8 +171,11 @@ func simulate(w io.Writer, path string, opt options) error {
 	if err != nil {
 		return err
 	}
+	// The pipeline diagram shows the measured machine only: the plain
+	// run, the folded run, or under -fault the faulted machine.
+	var pipe io.Writer
 	if opt.pipeTrace > 0 {
-		cfg.Trace = &truncWriter{w: w, lines: opt.pipeTrace}
+		pipe = &truncWriter{w: w, lines: opt.pipeTrace}
 	}
 	tr := opt.sim.NewTracer()
 
@@ -180,6 +187,7 @@ func simulate(w io.Writer, path string, opt options) error {
 	}
 
 	if !opt.asbr {
+		cfg.Trace = pipe
 		if tr != nil {
 			cfg.Obs = tr
 		}
@@ -191,7 +199,8 @@ func simulate(w io.Writer, path string, opt options) error {
 		return finishTrace(w, tr, c.Stats(), opt.sim.Trace)
 	}
 
-	// ASBR flow: profile -> select -> build BIT -> fold.
+	// ASBR flow: profile -> select (the §6 selection every served,
+	// replayed and DSE job makes) -> fold.
 	prof := profile.New(predict.Must(predict.NewBimodal(512)))
 	pcfg := cfg
 	pcfg.Observer = prof
@@ -199,26 +208,18 @@ func simulate(w io.Writer, path string, opt options) error {
 	if err != nil {
 		return err
 	}
-	cands, err := profile.Select(prog, prof, profile.SelectOptions{
-		Aux: "bimodal-512", MinDistance: 3, K: opt.k,
-	})
+	eng, _, err := corpus.BuildEngineBanked(prog, prof, opt.k, 0, 0)
 	if err != nil {
 		return err
 	}
-	entries, err := profile.BuildBITFromCandidates(prog, cands)
-	if err != nil {
-		return err
-	}
-	eng := core.NewEngine(core.Config{BITEntries: opt.k, TrackValidity: true})
-	if err := eng.Load(entries); err != nil {
-		return err
-	}
+	entries := eng.ActiveBIT().Entries()
 	fmt.Fprintf(w, "ASBR: %d branches selected for the BIT\n", len(entries))
 	for i, e := range entries {
 		fmt.Fprintf(w, "  %2d: %v\n", i, e)
 	}
 	fcfg := cfg
 	fcfg.Fold = eng
+	fcfg.Trace = pipe
 
 	if opt.sim.Fault != "" {
 		plan, err := fault.ParsePlan(opt.sim.Fault)

@@ -3,13 +3,17 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
 	"asbr/internal/cliflags"
 	"asbr/internal/obs"
+	"asbr/internal/serve"
 )
 
 // loopSource counts down through a zero-comparing branch whose
@@ -95,5 +99,80 @@ func TestTraceSmoke(t *testing.T) {
 				t.Error("chrome twin has no events")
 			}
 		})
+	}
+}
+
+// branchySource runs 100 iterations of a loop whose foldable back edge
+// shares the body with a data-dependent branch too close to its
+// condition's definition to fold, so the folded run still mispredicts
+// and its cycle count depends on the platform's mispredict penalty.
+const branchySource = `
+main:	li	t0, 100
+	li	t3, 0
+loop:	addiu	t0, t0, -1
+	addu	t2, zero, zero
+	addu	t2, zero, zero
+	andi	t1, t0, 3
+	beqz	t1, skip
+	addiu	t3, t3, 1
+skip:	bnez	t0, loop
+	li	a0, 0
+	li	v0, 10
+	syscall
+spin:	j	spin
+`
+
+// TestLocalMatchesDaemon requires a local run and a -remote run of the
+// same program to report the same cycles, plain and with -asbr (then
+// the baseline cycles too): both must simulate the served platform.
+func TestLocalMatchesDaemon(t *testing.T) {
+	prog := filepath.Join(t.TempDir(), "branchy.s")
+	if err := os.WriteFile(prog, []byte(branchySource), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.New(serve.Config{Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Drain()
+	})
+
+	cycles := regexp.MustCompile(`(?m)^(baseline )?cycles: *\d+`)
+	for _, asbr := range []bool{false, true} {
+		opt := options{sim: cliflags.NewSim(), asbr: asbr, k: 16}
+		var local, remote bytes.Buffer
+		if err := simulate(&local, prog, opt); err != nil {
+			t.Fatalf("asbr=%v: simulate: %v\n%s", asbr, err, local.String())
+		}
+		opt.sim.Remote = ts.URL
+		if err := simulateRemote(&remote, prog, opt); err != nil {
+			t.Fatalf("asbr=%v: simulateRemote: %v\n%s", asbr, err, remote.String())
+		}
+		got := cycles.FindAllString(local.String(), -1)
+		want := cycles.FindAllString(remote.String(), -1)
+		lines := 1
+		if asbr {
+			lines = 2
+		}
+		if len(want) != lines || !slices.Equal(got, want) {
+			t.Errorf("asbr=%v: local run reports %q, the daemon %q", asbr, got, want)
+		}
+	}
+}
+
+// TestPipetraceShowsFolds requires -asbr -pipetrace to draw the folded
+// run, where ASBR-injected slots are starred, not the profile run.
+func TestPipetraceShowsFolds(t *testing.T) {
+	prog := filepath.Join(t.TempDir(), "branchy.s")
+	if err := os.WriteFile(prog, []byte(branchySource), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opt := options{sim: cliflags.NewSim(), asbr: true, k: 16, pipeTrace: 40}
+	var buf bytes.Buffer
+	if err := simulate(&buf, prog, opt); err != nil {
+		t.Fatalf("simulate: %v\n%s", err, buf.String())
+	}
+	if !regexp.MustCompile(`(?m)^cyc .*\| (IF|EX|MEM|WB) \*`).MatchString(buf.String()) {
+		t.Errorf("the first 40 pipeline rows show no ASBR-injected slot:\n%s", buf.String())
 	}
 }

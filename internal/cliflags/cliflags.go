@@ -16,9 +16,9 @@ import (
 	"strings"
 	"time"
 
+	"asbr/internal/corpus"
 	"asbr/internal/cpu"
 	"asbr/internal/dse"
-	"asbr/internal/mem"
 	"asbr/internal/obs"
 	"asbr/internal/predict"
 	"asbr/internal/serve/client"
@@ -94,10 +94,10 @@ func (s *Sim) RegisterJSON(fs *flag.FlagSet) {
 		"emit machine-readable output (the /v1 wire encoding)")
 }
 
-// Machine builds the paper's platform configuration from the parsed
-// flags: 8KB caches, the named predictor and engine, the cycle budget.
-// Flag values are validated here so a typo fails before a simulation
-// starts.
+// Machine builds the platform every served, replayed and DSE run
+// simulates (corpus.MachineFor) around the parsed flags: the named
+// predictor and engine, the cycle budget. Flag values are validated
+// here so a typo fails before a simulation starts.
 func (s *Sim) Machine() (cpu.Config, error) {
 	eng, err := cpu.ParseEngine(s.Engine)
 	if err != nil {
@@ -108,13 +108,7 @@ func (s *Sim) Machine() (cpu.Config, error) {
 	if _, err := predict.ParseSpec(s.Predictor); err != nil {
 		return cpu.Config{}, err
 	}
-	return cpu.Config{
-		ICache:    mem.DefaultICache(),
-		DCache:    mem.DefaultDCache(),
-		Predictor: s.Predictor,
-		Engine:    eng,
-		MaxCycles: s.MaxCycles,
-	}, nil
+	return corpus.MachineFor(corpus.MachineSpec{Predictor: s.Predictor, Engine: eng, MaxCycles: s.MaxCycles})
 }
 
 // RegisterObs registers the observability flags (-trace, -trace-sample,

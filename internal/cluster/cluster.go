@@ -355,7 +355,7 @@ func (c *Coordinator) runCell(ctx context.Context, cl cell) cellResult {
 			prov.State = CellOK
 			return cellResult{res: res, prov: prov}
 		}
-		if !transientDispatch(err) {
+		if !client.Transient(err) {
 			prov.State = CellSimError
 			prov.Error = err.Error()
 			return cellResult{prov: prov}
@@ -376,61 +376,19 @@ func (c *Coordinator) runCell(ctx context.Context, cl cell) cellResult {
 	}
 }
 
-// dispatch runs one cell on one worker via the async jobs API: submit,
-// then poll to a terminal state. The client's own retry budget absorbs
-// transient hiccups in each HTTP exchange; a job that reaches a
-// terminal failed state is translated back into an error the
-// classification layer can type.
+// dispatch runs one cell on one worker via the async jobs API. The
+// client's own retry budget absorbs transient hiccups in each HTTP
+// exchange; a job that reaches a terminal failed state comes back as a
+// *client.JobError that client.Transient classifies.
 func (c *Coordinator) dispatch(ctx context.Context, cl *client.Client, req serve.SweepRequest) (*experiment.TablesJSON, error) {
-	job, err := cl.Submit(ctx, serve.JobRequest{Sweep: &req})
+	st, err := cl.Run(ctx, serve.JobRequest{Sweep: &req}, c.cfg.Poll)
 	if err != nil {
 		return nil, err
-	}
-	st, err := cl.Wait(ctx, job.ID, c.cfg.Poll)
-	if err != nil {
-		return nil, err
-	}
-	if st.State == serve.JobFailed {
-		if st.Error != nil {
-			return nil, &jobError{body: *st.Error}
-		}
-		return nil, fmt.Errorf("job %s failed without an error body", job.ID)
 	}
 	if st.Sweep == nil {
-		return nil, fmt.Errorf("job %s finished without sweep tables", job.ID)
+		return nil, fmt.Errorf("job %s finished without sweep tables", st.ID)
 	}
 	return st.Sweep, nil
-}
-
-// jobError is a terminal job failure carrying the structured wire body.
-type jobError struct {
-	body serve.ErrorBody
-}
-
-func (e *jobError) Error() string {
-	return fmt.Sprintf("%s: %s", e.body.Code, e.body.Message)
-}
-
-// transientDispatch classifies a dispatch failure for the rebalance
-// loop. Transport-level and backpressure failures (already retried by
-// the client's budget) are transient: another worker can run the cell.
-// A terminal job failure is transient only when its error body decodes
-// to a non-deterministic simulation error (canceled — a timeout on an
-// overloaded worker) or a service-level transient code; every
-// deterministic simulation error would reproduce anywhere.
-func transientDispatch(err error) bool {
-	var je *jobError
-	if errors.As(err, &je) {
-		if se, ok := je.body.SimError(); ok {
-			return !se.Code.Deterministic()
-		}
-		switch je.body.Code {
-		case serve.CodeBackpressure, serve.CodeDraining:
-			return true
-		}
-		return false
-	}
-	return client.Transient(err)
 }
 
 // merge reassembles per-cell tables into one TablesJSON in canonical

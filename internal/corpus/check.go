@@ -154,7 +154,10 @@ func checkOne(ctx context.Context, opt CheckOptions, knobs Knobs, seed int64, re
 	}
 
 	run := func(engine cpu.Engine, mutate func(*cpu.Config)) (obs.Snapshot, error) {
-		cfg := Machine(opt.Predictor, engine, opt.MaxCycles)
+		cfg, err := MachineFor(MachineSpec{Predictor: opt.Predictor, Engine: engine, MaxCycles: opt.MaxCycles})
+		if err != nil {
+			return obs.Snapshot{}, err
+		}
 		if mutate != nil {
 			mutate(&cfg)
 		}

@@ -37,12 +37,13 @@ type MachineSpec struct {
 	DCacheKB  int        // D-cache size in KB (0 = the paper's 8)
 }
 
-// MachineFor assembles the serving/replay platform for a spec: the
-// paper's cache organization (resized per spec), the calibrated
-// mispredict penalty, and the requested BDT update point. The serve
-// daemon, record replay and the DSE evaluators all build machines
-// through this one constructor, so a served job, its cold replay and a
-// search candidate cannot configure differently.
+// MachineFor assembles the platform for a spec: the paper's cache
+// organization (resized per spec), the calibrated mispredict penalty,
+// the requested BDT update point, and the spec's predictor (bimodal
+// when it names none). The serve daemon, record replay, the DSE
+// evaluators and the asbr-sim/asbr-prof CLIs all build machines
+// through this one constructor, so a served job, its cold replay, a
+// search candidate and a local CLI run cannot configure differently.
 func MachineFor(spec MachineSpec) (cpu.Config, error) {
 	stage, err := cpu.ParseUpdatePoint(spec.Update)
 	if err != nil {
@@ -55,26 +56,19 @@ func MachineFor(spec MachineSpec) (cpu.Config, error) {
 	if spec.DCacheKB > 0 {
 		dc.SizeBytes = spec.DCacheKB * 1024
 	}
+	pred := spec.Predictor
+	if pred == "" {
+		pred = "bimodal"
+	}
 	return cpu.Config{
 		ICache:                ic,
 		DCache:                dc,
-		Predictor:             spec.Predictor,
+		Predictor:             pred,
 		Engine:                spec.Engine,
 		BDTUpdate:             stage,
 		ExtraMispredictCycles: experiment.ExtraMispredictCycles,
 		MaxCycles:             spec.MaxCycles,
 	}, nil
-}
-
-// Machine assembles the standard platform around a predictor name —
-// MachineFor with the paper's default update point and cache sizes.
-func Machine(predictor string, engine cpu.Engine, maxCycles uint64) cpu.Config {
-	cfg, err := MachineFor(MachineSpec{Predictor: predictor, Engine: engine, MaxCycles: maxCycles})
-	if err != nil {
-		// Unreachable: the default spec has nothing to reject.
-		panic(err)
-	}
-	return cfg
 }
 
 // ResolveBITEntries maps a request's BIT capacity onto the effective
@@ -97,8 +91,8 @@ func ResolveBITEntries(bench string, requested int) int {
 // banks (0 = the engine's single-bank default), returning the engine
 // and how many branches were actually loaded. Selection loads bank 0;
 // extra banks are switchable capacity the DSE area model charges for.
-// Shared by the serve daemon, record replay and the DSE evaluators
-// (identical selection is what makes an ASBR replay byte-identical).
+// Every ASBR job selects through it (identical selection is what
+// makes an ASBR replay byte-identical), and so does asbr-sim -asbr.
 func BuildEngineBanked(prog *isa.Program, prof *profile.Profiler, k, banks, samples int) (*core.Engine, int, error) {
 	cands, err := profile.Select(prog, prof, experiment.SelectOptionsFor(k, samples))
 	if err != nil {
@@ -137,9 +131,25 @@ type BenchRun struct {
 	Trace *obs.Tracer
 }
 
-// BenchResult is a finished benchmark simulation: the measured run,
-// and for ASBR flows the number of BIT entries actually loaded plus
-// the profiled baseline's cycle count.
+// SourceRun describes one simulation of a built source program: the
+// wire request's machine and ASBR fields, without benchmark input.
+type SourceRun struct {
+	Spec MachineSpec
+
+	ASBR       bool
+	BITEntries int // requested BIT capacity (0 = core.DefaultBITEntries)
+	BITBanks   int // BIT bank count (0 = 1)
+
+	// Trace, when non-nil, observes the measured (folded) run and
+	// receives the engine's BIT/BDT events.
+	Trace *obs.Tracer
+}
+
+// BenchResult is a finished simulation: the measured run, and for
+// ASBR flows the number of BIT entries actually loaded plus the
+// profiled baseline's cycle count. A source run's Res carries no
+// benchmark output stream (Res.Output is nil; the program's syscall
+// output is on Res.CPU).
 type BenchResult struct {
 	Res            *workload.Result
 	Loaded         int
@@ -148,11 +158,11 @@ type BenchResult struct {
 
 // RunBench executes one benchmark simulation over a shared artifact
 // store: build (cached), input trace (cached), and for ASBR the
-// paper's profile → select → fold pipeline. This is the single
-// execution path behind POST /v1/sim bench requests and DSE candidate
-// evaluation — a candidate evaluated locally and the same candidate
-// dispatched to a daemon run byte-identical simulations by
-// construction.
+// paper's profile → select → fold pipeline. It and RunSource are the
+// single execution path behind POST /v1/sim, record replay and DSE
+// candidate evaluation — a candidate evaluated locally, the same
+// candidate dispatched to a daemon and a served job's cold replay run
+// byte-identical simulations by construction.
 func RunBench(ctx context.Context, arts *runner.Artifacts, r BenchRun) (*BenchResult, error) {
 	prog, err := arts.Program(r.Bench, r.Build)
 	if err != nil {
@@ -162,47 +172,79 @@ func RunBench(ctx context.Context, arts *runner.Artifacts, r BenchRun) (*BenchRe
 	if err != nil {
 		return nil, fmt.Errorf("corpus: input %s: %w", r.Bench, err)
 	}
-	cfg, err := MachineFor(r.Spec)
-	if err != nil {
-		return nil, err
+	job := SourceRun{
+		Spec:       r.Spec,
+		ASBR:       r.ASBR,
+		BITEntries: ResolveBITEntries(r.Bench, r.BITEntries),
+		BITBanks:   r.BITBanks,
+		Trace:      r.Trace,
 	}
 	// Runs simulating the same compiled benchmark share one decode
 	// table via the artifact store.
-	cfg.Predecoded = arts.Predecode(prog)
-	if !r.ASBR {
-		if r.Trace != nil {
-			cfg.Obs = r.Trace
+	return runJob(prog, arts.Predecode(prog), job, r.Samples, func(cfg cpu.Config) (*workload.Result, error) {
+		return workload.RunContext(ctx, prog, cfg, in, r.Samples)
+	})
+}
+
+// RunSource executes one simulation of a built source program
+// (BuildSource): the program runs bare, with no benchmark input
+// poured, and for ASBR through the same profile → select → fold
+// pipeline as RunBench.
+func RunSource(ctx context.Context, prog *isa.Program, r SourceRun) (*BenchResult, error) {
+	r.BITEntries = ResolveBITEntries("", r.BITEntries)
+	// Both legs of an ASBR job share one decode table.
+	return runJob(prog, cpu.Predecode(prog), r, 0, func(cfg cpu.Config) (*workload.Result, error) {
+		c, err := runProgram(ctx, prog, cfg)
+		if err != nil {
+			return nil, err
 		}
-		res, err := workload.RunContext(ctx, prog, cfg, in, r.Samples)
+		return &workload.Result{CPU: c, Stats: c.Stats()}, nil
+	})
+}
+
+// runJob is the one execution path of a simulation job on the
+// platform MachineFor builds from job.Spec: the plain run, or the
+// paper's ASBR flow — one profiled run on the
+// auxiliary bimodal-512 shadow, the §6 selection of job.BITEntries
+// branches (samples scales its thresholds, see
+// experiment.SelectOptionsFor), then the folded, measured run, all
+// under the same budgets. run simulates one machine over the job's
+// program and input. The tracer observes the measured run only.
+func runJob(prog *isa.Program, pre *cpu.Predecoded, job SourceRun, samples int, run func(cpu.Config) (*workload.Result, error)) (*BenchResult, error) {
+	cfg, err := MachineFor(job.Spec)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Predecoded = pre
+	if !job.ASBR {
+		if job.Trace != nil {
+			cfg.Obs = job.Trace
+		}
+		res, err := run(cfg)
 		if err != nil {
 			return nil, err
 		}
 		return &BenchResult{Res: res}, nil
 	}
-
-	// ASBR flow: one profiled run on the auxiliary shadow, §6
-	// selection, then the folded (measured) run — all under the same
-	// budgets.
 	prof := profile.New(predict.Must(predict.NewBimodal(512)))
 	pcfg := cfg
 	pcfg.Observer = prof
-	base, err := workload.RunContext(ctx, prog, pcfg, in, r.Samples)
+	base, err := run(pcfg)
 	if err != nil {
 		return nil, err
 	}
-	eng, n, err := BuildEngineBanked(prog, prof, ResolveBITEntries(r.Bench, r.BITEntries), r.BITBanks, r.Samples)
+	eng, n, err := BuildEngineBanked(prog, prof, job.BITEntries, job.BITBanks, samples)
 	if err != nil {
 		return nil, err
 	}
 	fcfg := cfg
 	fcfg.Fold = eng
-	if r.Trace != nil {
-		// Trace the measured (folded) run only, never the profile run,
-		// and let the engine report BIT/BDT events through the same sink.
-		fcfg.Obs = r.Trace
-		eng.SetEventSink(r.Trace)
+	if job.Trace != nil {
+		// The engine reports BIT/BDT events through the same sink.
+		fcfg.Obs = job.Trace
+		eng.SetEventSink(job.Trace)
 	}
-	res, err := workload.RunContext(ctx, prog, fcfg, in, r.Samples)
+	res, err := run(fcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -218,7 +260,9 @@ func Run(rec Record) (obs.Snapshot, error) {
 // RunContext is Run with cancellation. The record is validated first;
 // the engine may be overridden per replay by mutating
 // rec.Config.Engine before the call (the point of a differential
-// replay).
+// replay). A bench record replays through RunBench over a fresh
+// artifact store, a source record through BuildSource and RunSource:
+// the served job's own execution path.
 func RunContext(ctx context.Context, rec Record) (obs.Snapshot, error) {
 	if err := rec.Validate(); err != nil {
 		return obs.Snapshot{}, err
@@ -227,99 +271,39 @@ func RunContext(ctx context.Context, rec Record) (obs.Snapshot, error) {
 	if err != nil {
 		return obs.Snapshot{}, err
 	}
-	cfg, err := MachineFor(rec.Config.MachineSpec(eng))
-	if err != nil {
-		return obs.Snapshot{}, err
-	}
-	if cfg.Predictor == "" {
-		cfg.Predictor = "bimodal"
-	}
+	c := rec.Config
+	var br *BenchResult
 	if rec.Bench != "" {
-		return runBench(ctx, rec, cfg)
-	}
-	return runSource(ctx, rec, cfg)
-}
-
-// runBench rebuilds a benchmark record's program from its parsed
-// canonical key (the manual/compiler scheduling bits ride in the key)
-// and replays it over the regenerated input trace.
-func runBench(ctx context.Context, rec Record, cfg cpu.Config) (obs.Snapshot, error) {
-	pk, err := runner.ParseProgramKey(rec.Key)
-	if err != nil {
-		return obs.Snapshot{}, err
-	}
-	prog, err := workload.BuildOpt(rec.Bench, workload.BuildOptions{
-		ManualSchedule:   pk.Manual,
-		CompilerSchedule: pk.Compiler,
-	})
-	if err != nil {
-		return obs.Snapshot{}, fmt.Errorf("corpus: build %s: %w", rec.Bench, err)
-	}
-	in, err := workload.Input(rec.Bench, rec.Config.Samples, rec.Config.Seed)
-	if err != nil {
-		return obs.Snapshot{}, err
-	}
-	if !rec.Config.ASBR {
-		res, err := workload.RunContext(ctx, prog, cfg, in, rec.Config.Samples)
-		if err != nil {
-			return obs.Snapshot{}, err
+		// The scheduling level rides in the canonical key's
+		// manual/compiler bits.
+		var pk runner.ProgramKey
+		if pk, err = runner.ParseProgramKey(rec.Key); err == nil {
+			br, err = RunBench(ctx, &runner.Artifacts{}, BenchRun{
+				Bench:      rec.Bench,
+				Build:      workload.BuildOptions{ManualSchedule: pk.Manual, CompilerSchedule: pk.Compiler},
+				Spec:       c.MachineSpec(eng),
+				ASBR:       c.ASBR,
+				BITEntries: c.BITEntries,
+				BITBanks:   c.BITBanks,
+				Samples:    c.Samples,
+				Seed:       c.Seed,
+			})
 		}
-		return res.Stats.Snapshot(), nil
-	}
-
-	// ASBR flow, mirroring the serve daemon: one profiled run on the
-	// auxiliary shadow, §6 selection, then the folded (measured) run.
-	prof := profile.New(predict.Must(predict.NewBimodal(512)))
-	pcfg := cfg
-	pcfg.Observer = prof
-	if _, err := workload.RunContext(ctx, prog, pcfg, in, rec.Config.Samples); err != nil {
-		return obs.Snapshot{}, err
-	}
-	eng, _, err := BuildEngineBanked(prog, prof, ResolveBITEntries(rec.Bench, rec.Config.BITEntries), rec.Config.BITBanks, rec.Config.Samples)
-	if err != nil {
-		return obs.Snapshot{}, err
-	}
-	fcfg := cfg
-	fcfg.Fold = eng
-	res, err := workload.RunContext(ctx, prog, fcfg, in, rec.Config.Samples)
-	if err != nil {
-		return obs.Snapshot{}, err
-	}
-	return res.Stats.Snapshot(), nil
-}
-
-// runSource rebuilds a source record's program (assemble or compile,
-// optional scheduling pass) and replays it bare.
-func runSource(ctx context.Context, rec Record, cfg cpu.Config) (obs.Snapshot, error) {
-	prog, err := BuildSource(rec.Source, rec.Compile, rec.Schedule)
-	if err != nil {
-		return obs.Snapshot{}, err
-	}
-	if !rec.Config.ASBR {
-		c, err := runProgram(ctx, prog, cfg)
-		if err != nil {
-			return obs.Snapshot{}, err
+	} else {
+		var prog *isa.Program
+		if prog, err = BuildSource(rec.Source, rec.Compile, rec.Schedule); err == nil {
+			br, err = RunSource(ctx, prog, SourceRun{
+				Spec:       c.MachineSpec(eng),
+				ASBR:       c.ASBR,
+				BITEntries: c.BITEntries,
+				BITBanks:   c.BITBanks,
+			})
 		}
-		return c.Stats().Snapshot(), nil
 	}
-
-	prof := profile.New(predict.Must(predict.NewBimodal(512)))
-	pcfg := cfg
-	pcfg.Observer = prof
-	if _, err := runProgram(ctx, prog, pcfg); err != nil {
-		return obs.Snapshot{}, err
-	}
-	eng, _, err := BuildEngineBanked(prog, prof, ResolveBITEntries("", rec.Config.BITEntries), rec.Config.BITBanks, 0)
 	if err != nil {
 		return obs.Snapshot{}, err
 	}
-	fcfg := cfg
-	fcfg.Fold = eng
-	c, err := runProgram(ctx, prog, fcfg)
-	if err != nil {
-		return obs.Snapshot{}, err
-	}
-	return c.Stats().Snapshot(), nil
+	return br.Res.Stats.Snapshot(), nil
 }
 
 // BuildSource builds a program from posted text: MiniC compilation or

@@ -3,6 +3,7 @@ package corpus
 import (
 	"bytes"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -154,6 +155,23 @@ func TestLogWriterConcurrent(t *testing.T) {
 	// Invalid records are rejected at append time, not replay time.
 	if err := lw.Append(Record{Key: "x"}); err == nil {
 		t.Error("Append accepted an invalid record")
+	}
+}
+
+// TestMachineForDefaultPredictor: a spec that names no predictor (a
+// record or request that leaves it empty) builds the documented
+// bimodal default, not cpu.New's predictor-less not-taken baseline.
+func TestMachineForDefaultPredictor(t *testing.T) {
+	def, err := MachineFor(MachineSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bimodal, err := MachineFor(MachineSpec{Predictor: "bimodal"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(def, bimodal) {
+		t.Errorf("MachineFor(MachineSpec{}) = %+v, want the bimodal machine %+v", def, bimodal)
 	}
 }
 

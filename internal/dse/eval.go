@@ -154,7 +154,7 @@ func (r *Remote) Evaluate(ctx context.Context, c Config) (obs.Snapshot, error) {
 		if err == nil {
 			return snap, nil
 		}
-		if !transientDispatch(err) || ctx.Err() != nil {
+		if !client.Transient(err) || ctx.Err() != nil {
 			return obs.Snapshot{}, err
 		}
 		lastErr = err
@@ -167,50 +167,12 @@ func (r *Remote) Evaluate(ctx context.Context, c Config) (obs.Snapshot, error) {
 
 // dispatch runs one candidate on one worker via the async jobs API.
 func (r *Remote) dispatch(ctx context.Context, cl *client.Client, req serve.SimRequest) (obs.Snapshot, error) {
-	job, err := cl.Submit(ctx, serve.JobRequest{Sim: &req})
+	st, err := cl.Run(ctx, serve.JobRequest{Sim: &req}, r.Poll)
 	if err != nil {
 		return obs.Snapshot{}, err
-	}
-	st, err := cl.Wait(ctx, job.ID, r.Poll)
-	if err != nil {
-		return obs.Snapshot{}, err
-	}
-	if st.State == serve.JobFailed {
-		if st.Error != nil {
-			return obs.Snapshot{}, &jobError{body: *st.Error}
-		}
-		return obs.Snapshot{}, fmt.Errorf("dse: job %s failed without an error body", job.ID)
 	}
 	if st.Sim == nil {
-		return obs.Snapshot{}, fmt.Errorf("dse: job %s finished without a sim result", job.ID)
+		return obs.Snapshot{}, fmt.Errorf("dse: job %s finished without a sim result", st.ID)
 	}
 	return st.Sim.Stats, nil
-}
-
-// jobError is a terminal job failure carrying the structured wire body.
-type jobError struct {
-	body serve.ErrorBody
-}
-
-func (e *jobError) Error() string {
-	return fmt.Sprintf("dse: %s: %s", e.body.Code, e.body.Message)
-}
-
-// transientDispatch classifies a dispatch failure for the rebalance
-// loop, mirroring the cluster coordinator: transport/backpressure
-// failures are transient (another worker can run the candidate); a
-// deterministic simulation error reproduces anywhere and fails fast.
-func transientDispatch(err error) bool {
-	var je *jobError
-	if errors.As(err, &je) {
-		if se, ok := je.body.SimError(); ok {
-			return !se.Code.Deterministic()
-		}
-		switch je.body.Code {
-		case serve.CodeBackpressure, serve.CodeDraining:
-			return true
-		}
-		return false
-	}
-	return client.Transient(err)
 }

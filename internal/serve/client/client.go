@@ -132,6 +132,38 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (*serv
 	}
 }
 
+// JobError is an async job that reached the failed state: the
+// structured error body the daemon recorded for it.
+type JobError struct {
+	serve.ErrorBody
+}
+
+// Error implements the error interface.
+func (e *JobError) Error() string {
+	return fmt.Sprintf("%s: %s", e.Code, e.Message)
+}
+
+// Run submits an async job and polls it to a terminal state. A job
+// that failed returns a *JobError carrying the daemon's error body;
+// Transient says whether another worker may yet run it.
+func (c *Client) Run(ctx context.Context, req serve.JobRequest, poll time.Duration) (*serve.JobStatus, error) {
+	job, err := c.Submit(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	st, err := c.Wait(ctx, job.ID, poll)
+	if err != nil {
+		return nil, err
+	}
+	if st.State == serve.JobFailed {
+		if st.Error == nil {
+			return nil, fmt.Errorf("job %s failed without an error body", job.ID)
+		}
+		return nil, &JobError{ErrorBody: *st.Error}
+	}
+	return st, nil
+}
+
 // JobTrace fetches a finished traced job's recorded pipeline event
 // stream (the job must have been submitted with Trace set).
 func (c *Client) JobTrace(ctx context.Context, id string) (*serve.Trace, error) {

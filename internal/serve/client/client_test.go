@@ -227,6 +227,13 @@ func TestTransientClassification(t *testing.T) {
 		{"context canceled", context.Canceled, false},
 		{"deadline exceeded", context.DeadlineExceeded, false},
 		{"plain error", errors.New("x"), false},
+		{"failed job: canceled sim", &JobError{serve.ErrorBody{Code: "canceled"}}, true},
+		{"failed job: backpressure", &JobError{serve.ErrorBody{Code: serve.CodeBackpressure}}, true},
+		{"failed job: draining", &JobError{serve.ErrorBody{Code: serve.CodeDraining}}, true},
+		{"failed job: sim error", &JobError{serve.ErrorBody{Code: "divide-by-zero"}}, false},
+		{"failed job: cycle limit", &JobError{serve.ErrorBody{Code: "cycle-limit"}}, false},
+		{"failed job: internal", &JobError{serve.ErrorBody{Code: serve.CodeInternal}}, false},
+		{"wrapped failed job", fmt.Errorf("cell: %w", &JobError{serve.ErrorBody{Code: "canceled"}}), true},
 	}
 	for _, tc := range cases {
 		if got := Transient(tc.err); got != tc.want {

@@ -9,6 +9,8 @@ import (
 	"net/url"
 	"strconv"
 	"time"
+
+	"asbr/internal/serve"
 )
 
 // RetryPolicy bounds the client's automatic retries of transient
@@ -50,16 +52,27 @@ func WithRetry(p RetryPolicy) Option {
 }
 
 // Transient reports whether err is worth retrying: a transport-level
-// failure (connection refused, reset, truncated response) or a daemon
+// failure (connection refused, reset, truncated response), a daemon
 // rejection that promises the same request may later succeed (429
-// backpressure, 503 draining/not-ready, 408 canceled). Context
-// cancellation and deterministic API errors are not transient.
+// backpressure, 503 draining/not-ready, 408 canceled), or a failed
+// job (*JobError) whose error is a non-deterministic simulation error
+// (canceled: a timeout on an overloaded worker), backpressure or
+// draining. Context cancellation, deterministic API errors and
+// deterministic simulation errors, which would reproduce on any
+// worker, are not transient.
 func Transient(err error) bool {
 	if err == nil {
 		return false
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false
+	}
+	var je *JobError
+	if errors.As(err, &je) {
+		if se, ok := je.SimError(); ok {
+			return !se.Code.Deterministic()
+		}
+		return je.Code == serve.CodeBackpressure || je.Code == serve.CodeDraining
 	}
 	var ae *APIError
 	if errors.As(err, &ae) {

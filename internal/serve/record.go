@@ -8,9 +8,9 @@ import (
 // recordFor maps one executed simulation onto its replay record: the
 // program's canonical identity, the configuration fields that can
 // change the snapshot, and the snapshot itself. Replaying the record
-// through corpus.Run rebuilds the machine via the same
-// corpus.MachineFor / corpus.BuildEngineBanked helpers the daemon just
-// used, so the replayed snapshot is byte-identical to Record.Snapshot.
+// through corpus.Run runs the same corpus.RunBench / corpus.RunSource
+// execution path the daemon just ran, so the replayed snapshot is
+// byte-identical to Record.Snapshot.
 func recordFor(req *SimRequest, resp *SimResponse) corpus.Record {
 	rec := corpus.Record{
 		Config: corpus.ReplayConfig{

@@ -59,7 +59,11 @@ func TestRecordReplay(t *testing.T) {
 		{Bench: workload.ADPCMEncode, Samples: 64, ASBR: true},
 	}
 	for i, req := range reqs {
-		if got := cpu.SelectEngine(srv.machineFor(&req)); got != cpu.EngineSuperblock {
+		cfg, err := corpus.MachineFor(srv.machineSpec(&req))
+		if err != nil {
+			t.Fatalf("sim %d: %v", i, err)
+		}
+		if got := cpu.SelectEngine(cfg); got != cpu.EngineSuperblock {
 			t.Errorf("sim %d: recording daemon's machine resolves to %s, want superblock", i, got)
 		}
 		if status, b := post(t, ts.URL+"/v1/sim", req); status != http.StatusOK {

@@ -9,17 +9,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"asbr/internal/asm"
-	"asbr/internal/cc"
 	"asbr/internal/corpus"
 	"asbr/internal/cpu"
 	"asbr/internal/experiment"
-	"asbr/internal/isa"
 	"asbr/internal/obs"
-	"asbr/internal/predict"
-	"asbr/internal/profile"
 	"asbr/internal/runner"
-	"asbr/internal/sched"
 	"asbr/internal/workload"
 )
 
@@ -315,22 +309,6 @@ func (s *Server) simulateCtx(ctx context.Context, req *SimRequest, tr *obs.Trace
 	return s.simulateSource(ctx, req, tr)
 }
 
-// machineFor assembles the requested platform around the request's
-// machine-shape knobs, through the shared corpus.MachineFor
-// constructor — the same one record replay and the DSE evaluators use,
-// so a served job and its cold replay cannot configure differently.
-// The predictor rides by name in cpu.Config — cpu.New resolves it
-// through predict.ParseSpec, the same vocabulary normalizeSim validated
-// against.
-func (s *Server) machineFor(req *SimRequest) cpu.Config {
-	cfg, err := corpus.MachineFor(s.machineSpec(req))
-	if err != nil {
-		// Unreachable: normalizeSim validated every spec field.
-		panic(err)
-	}
-	return cfg
-}
-
 // machineSpec projects a normalized request onto the shared machine
 // spec. The engine is left at the zero value (EngineAuto) — the daemon
 // never picks a step loop itself; cpu.SelectEngine resolves it from
@@ -368,104 +346,53 @@ func (s *Server) simulateBench(ctx context.Context, req *SimRequest, tr *obs.Tra
 	resp := &SimResponse{
 		Bench: req.Bench, Predictor: req.Predictor, ASBR: req.ASBR,
 		Samples: req.Samples, Seed: req.Seed,
+		Stats: encodeStats(br.Res.Stats), ExitCode: br.Res.CPU.ExitCode(),
 	}
-	s.finishBench(req, resp, br.Res)
-	if req.ASBR {
-		resp.BITEntries = br.Loaded
-		resp.BaselineCycles = br.BaselineCycles
-		resp.Improvement = 1 - float64(br.Res.Stats.Cycles)/float64(br.BaselineCycles)
+	if want, err := s.arts.Expected(req.Bench, req.Samples, req.Seed); err == nil {
+		ok := slices.Equal(br.Res.Output, want)
+		resp.OutputOK = &ok
 	}
+	fillASBR(resp, br)
 	return resp, nil
 }
 
-// finishBench fills the response from a completed benchmark run,
-// including the golden-model output check.
-func (s *Server) finishBench(req *SimRequest, resp *SimResponse, res *workload.Result) {
-	resp.Stats = encodeStats(res.Stats)
-	resp.ExitCode = res.CPU.ExitCode()
-	if want, err := s.arts.Expected(req.Bench, req.Samples, req.Seed); err == nil {
-		ok := slices.Equal(res.Output, want)
-		resp.OutputOK = &ok
-	}
-}
-
-// simulateSource assembles or compiles the posted program and runs it
-// bare (no benchmark input pouring). A program that fails to build is
-// the client's error (bad-program, 400), not the simulator's.
+// simulateSource builds the posted program and runs it bare (no
+// benchmark input pouring) through the shared corpus.RunSource
+// execution path. A program that fails to build is the client's error
+// (bad-program, 400), not the simulator's.
 func (s *Server) simulateSource(ctx context.Context, req *SimRequest, tr *obs.Tracer) (*SimResponse, error) {
-	var prog *isa.Program
-	var err error
-	if req.Compile {
-		prog, err = cc.CompileToProgram(req.Source)
-	} else {
-		prog, err = asm.Assemble(req.Source)
-	}
+	prog, err := corpus.BuildSource(req.Source, req.Compile, req.Schedule)
 	if err != nil {
 		return nil, badProgram(err)
 	}
-	if req.Schedule {
-		if prog, _, err = sched.Schedule(prog); err != nil {
-			return nil, badProgram(err)
-		}
-	}
-	cfg := s.machineFor(req)
-	resp := &SimResponse{Predictor: req.Predictor, ASBR: req.ASBR}
-
-	if !req.ASBR {
-		if tr != nil {
-			cfg.Obs = tr
-		}
-		c, err := runProgram(ctx, prog, cfg)
-		if err != nil {
-			return nil, err
-		}
-		resp.Stats = encodeStats(c.Stats())
-		resp.Output = c.Output
-		resp.ExitCode = c.ExitCode()
-		return resp, nil
-	}
-
-	// Both legs run the same program: decode its text once.
-	cfg.Predecoded = cpu.Predecode(prog)
-	prof := profile.New(predict.Must(predict.NewBimodal(512)))
-	pcfg := cfg
-	pcfg.Observer = prof
-	base, err := runProgram(ctx, prog, pcfg)
+	br, err := corpus.RunSource(ctx, prog, corpus.SourceRun{
+		Spec:       s.machineSpec(req),
+		ASBR:       req.ASBR,
+		BITEntries: req.BITEntries,
+		BITBanks:   req.BITBanks,
+		Trace:      tr,
+	})
 	if err != nil {
 		return nil, err
 	}
-	eng, n, err := corpus.BuildEngineBanked(prog, prof, corpus.ResolveBITEntries("", req.BITEntries), req.BITBanks, 0)
-	if err != nil {
-		return nil, err
+	c := br.Res.CPU
+	resp := &SimResponse{
+		Predictor: req.Predictor, ASBR: req.ASBR,
+		Stats: encodeStats(br.Res.Stats), Output: c.Output, ExitCode: c.ExitCode(),
 	}
-	fcfg := cfg
-	fcfg.Fold = eng
-	if tr != nil {
-		fcfg.Obs = tr
-		eng.SetEventSink(tr)
-	}
-	c, err := runProgram(ctx, prog, fcfg)
-	if err != nil {
-		return nil, err
-	}
-	resp.Stats = encodeStats(c.Stats())
-	resp.Output = c.Output
-	resp.ExitCode = c.ExitCode()
-	resp.BITEntries = n
-	resp.BaselineCycles = base.Stats().Cycles
-	resp.Improvement = 1 - float64(c.Stats().Cycles)/float64(base.Stats().Cycles)
+	fillASBR(resp, br)
 	return resp, nil
 }
 
-func runProgram(ctx context.Context, prog *isa.Program, cfg cpu.Config) (*cpu.CPU, error) {
-	c, err := cpu.New(cfg, prog)
-	if err != nil {
-		return nil, err
+// fillASBR adds an ASBR run's selection size and its gain over the
+// profiled baseline to the response.
+func fillASBR(resp *SimResponse, br *corpus.BenchResult) {
+	if !resp.ASBR {
+		return
 	}
-	if _, err := c.RunContext(ctx); err != nil {
-		return nil, err
-	}
-	return c, nil
+	resp.BITEntries = br.Loaded
+	resp.BaselineCycles = br.BaselineCycles
+	resp.Improvement = 1 - float64(br.Res.Stats.Cycles)/float64(br.BaselineCycles)
 }
 
 // submitJob validates and enqueues an async job, returning its queued
