@@ -37,6 +37,7 @@ import (
 	"asbr/internal/cpu"
 	"asbr/internal/fault"
 	"asbr/internal/obs"
+	"asbr/internal/runner"
 	"asbr/internal/serve"
 	"asbr/internal/serve/client"
 )
@@ -294,12 +295,14 @@ func cmdReplay(args []string) error {
 	if err != nil {
 		return err
 	}
+	// One store for the whole log: each benchmark program is built once.
+	arts := &runner.Artifacts{}
 	failed := 0
 	for i, rec := range recs {
 		if *engine != "" {
 			rec.Config.Engine = *engine
 		}
-		got, err := corpus.Run(rec)
+		got, err := corpus.RunWith(context.Background(), arts, rec)
 		if err != nil {
 			return fmt.Errorf("record %d (%s): %v", i, rec.Key, err)
 		}

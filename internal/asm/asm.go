@@ -21,6 +21,11 @@
 // constants. Labels may appear alone on a line. Pseudo-instructions are
 // expanded deterministically so that pass one can lay out addresses
 // exactly.
+//
+// Assemble parses the text into statements (Stmt) and assembles those.
+// A code generator builds the statements itself and calls
+// AssembleStmts, which skips printing and parsing; Format prints them
+// as the text Assemble turns into the same program.
 package asm
 
 import (
@@ -59,6 +64,21 @@ func Assemble(src string) (*isa.Program, error) {
 
 // AssembleWith is Assemble with explicit options.
 func AssembleWith(src string, opt Options) (*isa.Program, error) {
+	stmts, err := parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return assemble(stmts, opt)
+}
+
+// AssembleStmts assembles statements into a loadable program using
+// default segment placement, as Assemble does with their Format text.
+func AssembleStmts(stmts []Stmt) (*isa.Program, error) {
+	return assemble(stmts, Options{})
+}
+
+// assemble is the assembler core: both passes over the statements.
+func assemble(stmts []Stmt, opt Options) (*isa.Program, error) {
 	if opt.TextBase == 0 {
 		opt.TextBase = isa.DefaultTextBase
 	}
@@ -66,10 +86,6 @@ func AssembleWith(src string, opt Options) (*isa.Program, error) {
 		opt.DataBase = isa.DefaultDataBase
 	}
 	a := &assembler{opt: opt, symbols: make(map[string]uint32)}
-	stmts, err := parse(src)
-	if err != nil {
-		return nil, err
-	}
 	if err := a.layout(stmts); err != nil {
 		return nil, err
 	}
@@ -96,26 +112,15 @@ const (
 	segData
 )
 
-// stmt is one parsed source statement.
-type stmt struct {
-	line   int
-	labels []string
-	op     string   // mnemonic or directive (with leading '.'), may be ""
-	args   []string // comma-separated operand fields, pre-trimmed
-	raw    string   // original text after the mnemonic (for .asciiz)
-}
-
-// parse splits source into statements.
-func parse(src string) ([]stmt, error) {
-	out := make([]stmt, 0, strings.Count(src, "\n")+1)
+// parse splits source into statements. A line that defines several
+// labels becomes one label-only statement per extra label.
+func parse(src string) ([]Stmt, error) {
+	out := make([]Stmt, 0, strings.Count(src, "\n")+1)
 	for ln := 1; ; ln++ {
 		line, rest, more := strings.Cut(src, "\n")
-		s, ok, err := parseLine(ln, line)
-		if err != nil {
+		var err error
+		if out, err = parseLine(out, ln, line); err != nil {
 			return nil, err
-		}
-		if ok {
-			out = append(out, s)
 		}
 		if !more {
 			return out, nil
@@ -154,14 +159,13 @@ func stripComment(line string) string {
 	return line
 }
 
-// parseLine parses one source line, reporting false for a line that
-// holds no statement.
-func parseLine(ln int, line string) (stmt, bool, error) {
+// parseLine appends the statements of one source line to out.
+func parseLine(out []Stmt, ln int, line string) ([]Stmt, error) {
 	line = strings.TrimSpace(stripComment(line))
 	if line == "" {
-		return stmt{}, false, nil
+		return out, nil
 	}
-	s := stmt{line: ln}
+	s := Stmt{Line: ln}
 	// Peel leading labels.
 	for {
 		cand, rest, found := strings.Cut(line, ":")
@@ -169,42 +173,53 @@ func parseLine(ln int, line string) (stmt, bool, error) {
 		if !found || !isIdent(cand) {
 			break
 		}
-		s.labels = append(s.labels, cand)
+		if s.Label != "" {
+			out = append(out, s)
+		}
+		s.Label = cand
 		line = strings.TrimSpace(rest)
 	}
 	if line == "" {
-		return s, len(s.labels) > 0, nil
+		if s.Label != "" {
+			out = append(out, s)
+		}
+		return out, nil
 	}
 	// Split mnemonic from operands.
 	sp := strings.IndexAny(line, " \t")
 	if sp < 0 {
-		s.op = strings.ToLower(line)
-		return s, true, nil
+		s.Op = strings.ToLower(line)
+		return append(out, s), nil
 	}
-	s.op = strings.ToLower(line[:sp])
-	s.raw = strings.TrimSpace(line[sp+1:])
+	s.Op = strings.ToLower(line[:sp])
+	raw := strings.TrimSpace(line[sp+1:])
+	if s.Op == ".ascii" || s.Op == ".asciiz" {
+		// A string keeps its commas and parentheses.
+		s.Args = []Operand{{Text: raw}}
+		return append(out, s), nil
+	}
 	// Split operands on commas outside quotes and parentheses.
 	depth := 0
 	start := 0
-	for i := 0; i < len(s.raw); i++ {
-		switch s.raw[i] {
+	for i := 0; i < len(raw); i++ {
+		switch raw[i] {
 		case '"', '\'':
-			i = closeQuote(s.raw, i)
+			i = closeQuote(raw, i)
 		case '(':
 			depth++
 		case ')':
 			depth--
 		case ',':
 			if depth == 0 {
-				s.args = append(s.args, strings.TrimSpace(s.raw[start:i]))
+				s.Args = append(s.Args, Operand{Text: strings.TrimSpace(raw[start:i])})
 				start = i + 1
 			}
 		}
 	}
-	if start < len(s.raw) || len(s.args) > 0 {
-		s.args = append(s.args, strings.TrimSpace(s.raw[start:]))
+	if start < len(raw) || len(s.Args) > 0 {
+		s.Args = append(s.Args, Operand{Text: strings.TrimSpace(raw[start:])})
 	}
-	return s, true, nil
+	return append(out, s), nil
 }
 
 func isIdent(s string) bool {
@@ -226,35 +241,31 @@ type assembler struct {
 	symbols map[string]uint32
 	text    []uint32
 	data    []byte
+	buf     []isa.Inst // one statement's expansion
 }
 
 // layout is pass one: assign every label an address and size every
 // statement, so pass two can resolve forward references.
-func (a *assembler) layout(stmts []stmt) error {
+func (a *assembler) layout(stmts []Stmt) error {
 	seg := segText
 	textPC := a.opt.TextBase
 	dataPC := a.opt.DataBase
-	def := func(label string, addr uint32, line int) error {
-		if _, dup := a.symbols[label]; dup {
-			return errf(line, "duplicate label %q", label)
-		}
-		a.symbols[label] = addr
-		return nil
-	}
-	for _, s := range stmts {
-		addr := textPC
-		if seg == segData {
-			addr = dataPC
-		}
-		for _, l := range s.labels {
-			if err := def(l, addr, s.line); err != nil {
-				return err
+	for i := range stmts {
+		s := &stmts[i]
+		if s.Label != "" {
+			addr := textPC
+			if seg == segData {
+				addr = dataPC
 			}
+			if _, dup := a.symbols[s.Label]; dup {
+				return errf(s.Line, "duplicate label %q", s.Label)
+			}
+			a.symbols[s.Label] = addr
 		}
-		if s.op == "" {
+		if s.Op == "" {
 			continue
 		}
-		if strings.HasPrefix(s.op, ".") {
+		if strings.HasPrefix(s.Op, ".") {
 			var err error
 			seg, textPC, dataPC, err = a.sizeDirective(s, seg, textPC, dataPC)
 			if err != nil {
@@ -263,7 +274,7 @@ func (a *assembler) layout(stmts []stmt) error {
 			continue
 		}
 		if seg != segText {
-			return errf(s.line, "instruction %q in data segment", s.op)
+			return errf(s.Line, "instruction %q in data segment", s.Op)
 		}
 		n, err := expandSize(s)
 		if err != nil {
@@ -271,21 +282,28 @@ func (a *assembler) layout(stmts []stmt) error {
 		}
 		textPC += uint32(n) * 4
 	}
+	// Size the segments for pass two, unless a cursor wrapped.
+	if textPC > a.opt.TextBase {
+		a.text = make([]uint32, 0, (textPC-a.opt.TextBase)/4)
+	}
+	if dataPC > a.opt.DataBase {
+		a.data = make([]byte, 0, dataPC-a.opt.DataBase)
+	}
 	return nil
 }
 
 // sizeDirective advances segment cursors for a directive in pass one.
-func (a *assembler) sizeDirective(s stmt, seg int, textPC, dataPC uint32) (int, uint32, uint32, error) {
+func (a *assembler) sizeDirective(s *Stmt, seg int, textPC, dataPC uint32) (int, uint32, uint32, error) {
 	adv := func(n uint32) {
 		dataPC += n
 	}
-	switch s.op {
+	switch s.Op {
 	case ".word", ".half", ".byte", ".space", ".asciiz", ".ascii":
 		if seg != segData {
-			return seg, 0, 0, errf(s.line, "data directive %s outside .data segment", s.op)
+			return seg, 0, 0, errf(s.Line, "data directive %s outside .data segment", s.Op)
 		}
 	}
-	switch s.op {
+	switch s.Op {
 	case ".text":
 		return segText, textPC, dataPC, nil
 	case ".data":
@@ -293,19 +311,19 @@ func (a *assembler) sizeDirective(s stmt, seg int, textPC, dataPC uint32) (int, 
 	case ".globl", ".global", ".ent", ".end", ".set", ".file":
 		return seg, textPC, dataPC, nil // accepted and ignored
 	case ".word":
-		adv(4 * uint32(len(s.args)))
+		adv(4 * uint32(len(s.Args)))
 	case ".half":
-		adv(2 * uint32(len(s.args)))
+		adv(2 * uint32(len(s.Args)))
 	case ".byte":
-		adv(uint32(len(s.args)))
+		adv(uint32(len(s.Args)))
 	case ".space":
-		n, err := parseUint(s.args, s.line)
+		n, err := parseUint(s.Args, s.Line)
 		if err != nil {
 			return seg, 0, 0, err
 		}
 		adv(n)
 	case ".align":
-		n, err := parseUint(s.args, s.line)
+		n, err := parseUint(s.Args, s.Line)
 		if err != nil {
 			return seg, 0, 0, err
 		}
@@ -316,51 +334,58 @@ func (a *assembler) sizeDirective(s stmt, seg int, textPC, dataPC uint32) (int, 
 			dataPC = (dataPC + mask) &^ mask
 		}
 	case ".asciiz", ".ascii":
-		str, err := parseString(s.raw, s.line)
+		str, err := parseString(s)
 		if err != nil {
 			return seg, 0, 0, err
 		}
 		n := uint32(len(str))
-		if s.op == ".asciiz" {
+		if s.Op == ".asciiz" {
 			n++
 		}
 		adv(n)
 	default:
-		return seg, 0, 0, errf(s.line, "unknown directive %q", s.op)
+		return seg, 0, 0, errf(s.Line, "unknown directive %q", s.Op)
 	}
 	return seg, textPC, dataPC, nil
 }
 
-func parseUint(args []string, line int) (uint32, error) {
+func parseUint(args []Operand, line int) (uint32, error) {
 	if len(args) != 1 {
 		return 0, errf(line, "directive needs one numeric argument")
 	}
-	v, err := strconv.ParseInt(args[0], 0, 64)
+	if o := args[0]; o.Kind == KindImm && o.Imm >= 0 {
+		return uint32(o.Imm), nil
+	}
+	arg := args[0].String()
+	v, err := strconv.ParseInt(arg, 0, 64)
 	if err != nil || v < 0 {
-		return 0, errf(line, "bad numeric argument %q", args[0])
+		return 0, errf(line, "bad numeric argument %q", arg)
 	}
 	return uint32(v), nil
 }
 
-func parseString(raw string, line int) (string, error) {
-	raw = strings.TrimSpace(raw)
-	s, err := strconv.Unquote(raw)
+// parseString reads the string literal of an .ascii or .asciiz
+// statement: its operand text, unsplit.
+func parseString(s *Stmt) (string, error) {
+	raw := strings.TrimSpace(string(appendArgs(nil, s.Args)))
+	str, err := strconv.Unquote(raw)
 	if err != nil {
-		return "", errf(line, "bad string literal %s", raw)
+		return "", errf(s.Line, "bad string literal %s", raw)
 	}
-	return s, nil
+	return str, nil
 }
 
 // emit is pass two: encode instructions and data with all symbols known.
-func (a *assembler) emit(stmts []stmt) error {
+func (a *assembler) emit(stmts []Stmt) error {
 	seg := segText
 	textPC := a.opt.TextBase
 	dataPC := a.opt.DataBase
-	for _, s := range stmts {
-		if s.op == "" {
+	for i := range stmts {
+		s := &stmts[i]
+		if s.Op == "" {
 			continue
 		}
-		if strings.HasPrefix(s.op, ".") {
+		if strings.HasPrefix(s.Op, ".") {
 			var err error
 			seg, textPC, dataPC, err = a.emitDirective(s, seg, textPC, dataPC)
 			if err != nil {
@@ -375,7 +400,7 @@ func (a *assembler) emit(stmts []stmt) error {
 		for _, in := range insts {
 			w, err := isa.Encode(in)
 			if err != nil {
-				return errf(s.line, "%v", err)
+				return errf(s.Line, "%v", err)
 			}
 			a.text = append(a.text, w)
 			textPC += 4
@@ -384,12 +409,12 @@ func (a *assembler) emit(stmts []stmt) error {
 	return nil
 }
 
-func (a *assembler) emitDirective(s stmt, seg int, textPC, dataPC uint32) (int, uint32, uint32, error) {
+func (a *assembler) emitDirective(s *Stmt, seg int, textPC, dataPC uint32) (int, uint32, uint32, error) {
 	emitBytes := func(bs ...byte) {
 		a.data = append(a.data, bs...)
 		dataPC += uint32(len(bs))
 	}
-	switch s.op {
+	switch s.Op {
 	case ".text":
 		return segText, textPC, dataPC, nil
 	case ".data":
@@ -397,34 +422,34 @@ func (a *assembler) emitDirective(s stmt, seg int, textPC, dataPC uint32) (int, 
 	case ".globl", ".global", ".ent", ".end", ".set", ".file":
 		return seg, textPC, dataPC, nil
 	case ".word":
-		for _, arg := range s.args {
-			v, err := a.value(arg, s.line)
+		for _, arg := range s.Args {
+			v, err := a.value(arg, s.Line)
 			if err != nil {
 				return seg, 0, 0, err
 			}
 			emitBytes(byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 		}
 	case ".half":
-		for _, arg := range s.args {
-			v, err := a.value(arg, s.line)
+		for _, arg := range s.Args {
+			v, err := a.value(arg, s.Line)
 			if err != nil {
 				return seg, 0, 0, err
 			}
 			emitBytes(byte(v), byte(v>>8))
 		}
 	case ".byte":
-		for _, arg := range s.args {
-			v, err := a.value(arg, s.line)
+		for _, arg := range s.Args {
+			v, err := a.value(arg, s.Line)
 			if err != nil {
 				return seg, 0, 0, err
 			}
 			emitBytes(byte(v))
 		}
 	case ".space":
-		n, _ := parseUint(s.args, s.line)
+		n, _ := parseUint(s.Args, s.Line)
 		emitBytes(make([]byte, n)...)
 	case ".align":
-		n, _ := parseUint(s.args, s.line)
+		n, _ := parseUint(s.Args, s.Line)
 		mask := uint32(1)<<n - 1
 		if seg == segData {
 			for dataPC&mask != 0 {
@@ -437,12 +462,12 @@ func (a *assembler) emitDirective(s stmt, seg int, textPC, dataPC uint32) (int, 
 			}
 		}
 	case ".asciiz", ".ascii":
-		str, err := parseString(s.raw, s.line)
+		str, err := parseString(s)
 		if err != nil {
 			return seg, 0, 0, err
 		}
 		emitBytes([]byte(str)...)
-		if s.op == ".asciiz" {
+		if s.Op == ".asciiz" {
 			emitBytes(0)
 		}
 	}
@@ -451,8 +476,17 @@ func (a *assembler) emitDirective(s stmt, seg int, textPC, dataPC uint32) (int, 
 
 // value evaluates a .word/.half/.byte operand: an integer literal, a
 // label, a character constant, or label+offset.
-func (a *assembler) value(arg string, line int) (int64, error) {
-	arg = strings.TrimSpace(arg)
+func (a *assembler) value(o Operand, line int) (int64, error) {
+	switch o.Kind {
+	case KindImm:
+		return o.Imm, nil
+	case KindSym:
+		if addr, ok := a.symbols[o.Text]; ok {
+			return int64(addr), nil
+		}
+		return 0, errf(line, "undefined symbol %q", o.Text)
+	}
+	arg := strings.TrimSpace(o.String())
 	if arg == "" {
 		return 0, errf(line, "missing operand")
 	}

@@ -27,16 +27,16 @@ import (
 
 // expandSize reports how many instruction words a statement assembles
 // to. It must agree exactly with expand.
-func expandSize(s stmt) (int, error) {
-	switch s.op {
+func expandSize(s *Stmt) (int, error) {
+	switch s.Op {
 	case "nop", "move", "neg", "not", "b",
 		"beqz", "bnez":
 		return 1, nil
 	case "li":
-		if len(s.args) != 2 {
-			return 0, errf(s.line, "li needs 2 operands")
+		if len(s.Args) != 2 {
+			return 0, errf(s.Line, "li needs 2 operands")
 		}
-		v, err := parseImmOperand(s.args[1], s.line)
+		v, err := immOperand(s.Args[1], s.Line)
 		if err != nil {
 			return 0, err
 		}
@@ -49,63 +49,110 @@ func expandSize(s stmt) (int, error) {
 	case "mul", "rem":
 		return 2, nil
 	case "div":
-		if len(s.args) == 3 {
+		if len(s.Args) == 3 {
 			return 2, nil
 		}
 		return 1, nil
 	case "bge", "bgt", "ble", "blt", "bgeu", "bgtu", "bleu", "bltu":
 		return 2, nil
 	case "lb", "lbu", "lh", "lhu", "lw", "sb", "sh", "sw":
-		if len(s.args) == 2 {
-			if _, _, ok := splitMem(s.args[1]); !ok {
+		if len(s.Args) == 2 {
+			if _, _, ok, _ := memOperand(s.Args[1], s.Line); !ok {
 				return 2, nil // symbolic address form
 			}
 		}
 		return 1, nil
 	}
-	if _, ok := isa.OpByName(s.op); !ok {
-		return 0, errf(s.line, "unknown mnemonic %q", s.op)
+	if _, ok := isa.OpByName(s.Op); !ok {
+		return 0, errf(s.Line, "unknown mnemonic %q", s.Op)
 	}
 	return 1, nil
 }
 
+// The operand readers below take a typed operand as it is when it has
+// the kind they read, and otherwise read its text form, so a statement
+// assembles the same as its Format text.
+
+// regOperand reads a register operand.
+func regOperand(o Operand, line int) (isa.Reg, error) {
+	if o.Kind == KindReg && o.Reg < isa.NumRegs {
+		return o.Reg, nil
+	}
+	return parseReg(o.String(), line)
+}
+
+// immOperand reads an integer literal or a character constant.
+func immOperand(o Operand, line int) (int64, error) {
+	if o.Kind == KindImm {
+		return o.Imm, nil
+	}
+	return parseImmOperand(o.String(), line)
+}
+
+// memOperand reads an off(base) memory operand; ok is false for any
+// other form.
+func memOperand(o Operand, line int) (off int64, base isa.Reg, ok bool, err error) {
+	if o.Kind == KindMem && o.Reg < isa.NumRegs {
+		return o.Imm, o.Reg, true, nil
+	}
+	offText, baseText, ok := splitMem(o.String())
+	if !ok {
+		return 0, 0, false, nil
+	}
+	if base, err = parseReg(baseText, line); err == nil {
+		off, err = parseImmOperand(offText, line)
+	}
+	return off, base, true, err
+}
+
+// branchOff resolves a branch operand (label or literal word offset)
+// relative to the branch instruction at address bpc.
+func (a *assembler) branchOff(o Operand, line int, bpc uint32) (int32, error) {
+	if o.Kind == KindImm && int64(int32(o.Imm)) == o.Imm {
+		return int32(o.Imm), nil
+	}
+	arg := strings.TrimSpace(o.String())
+	if addr, ok := a.symbols[arg]; ok {
+		diff := int64(addr) - int64(bpc) - 4
+		if diff%4 != 0 {
+			return 0, errf(line, "branch target %q misaligned", arg)
+		}
+		off := diff / 4
+		if off < -0x8000 || off > 0x7fff {
+			return 0, errf(line, "branch to %q out of range (%d words)", arg, off)
+		}
+		return int32(off), nil
+	}
+	v, err := strconv.ParseInt(arg, 0, 32)
+	if err != nil {
+		return 0, errf(line, "bad branch target %q", arg)
+	}
+	return int32(v), nil
+}
+
+// insts returns ins as the current statement's expansion, in the
+// assembler's scratch buffer.
+func (a *assembler) insts(ins ...isa.Inst) ([]isa.Inst, error) {
+	a.buf = append(a.buf[:0], ins...)
+	return a.buf, nil
+}
+
 // expand assembles one statement into instructions. pc is the address
-// of the first emitted word.
-func (a *assembler) expand(s stmt, pc uint32) ([]isa.Inst, error) {
+// of the first emitted word. The result is valid until the next call.
+func (a *assembler) expand(s *Stmt, pc uint32) ([]isa.Inst, error) {
 	need := func(n int) error {
-		if len(s.args) != n {
-			return errf(s.line, "%s needs %d operand(s), got %d", s.op, n, len(s.args))
+		if len(s.Args) != n {
+			return errf(s.Line, "%s needs %d operand(s), got %d", s.Op, n, len(s.Args))
 		}
 		return nil
 	}
-	reg := func(i int) (isa.Reg, error) { return parseReg(s.args[i], s.line) }
-	imm := func(i int) (int64, error) { return parseImmOperand(s.args[i], s.line) }
+	reg := func(i int) (isa.Reg, error) { return regOperand(s.Args[i], s.Line) }
+	imm := func(i int) (int64, error) { return immOperand(s.Args[i], s.Line) }
+	branchOff := func(i int, bpc uint32) (int32, error) { return a.branchOff(s.Args[i], s.Line, bpc) }
 
-	// branchOff resolves a branch operand (label or literal word
-	// offset) relative to the branch instruction at address bpc.
-	branchOff := func(arg string, bpc uint32) (int32, error) {
-		arg = strings.TrimSpace(arg)
-		if addr, ok := a.symbols[arg]; ok {
-			diff := int64(addr) - int64(bpc) - 4
-			if diff%4 != 0 {
-				return 0, errf(s.line, "branch target %q misaligned", arg)
-			}
-			off := diff / 4
-			if off < -0x8000 || off > 0x7fff {
-				return 0, errf(s.line, "branch to %q out of range (%d words)", arg, off)
-			}
-			return int32(off), nil
-		}
-		v, err := strconv.ParseInt(arg, 0, 32)
-		if err != nil {
-			return 0, errf(s.line, "bad branch target %q", arg)
-		}
-		return int32(v), nil
-	}
-
-	switch s.op {
+	switch s.Op {
 	case "nop":
-		return []isa.Inst{isa.Nop()}, nil
+		return a.insts(isa.Nop())
 	case "move":
 		if err := need(2); err != nil {
 			return nil, err
@@ -118,7 +165,7 @@ func (a *assembler) expand(s stmt, pc uint32) ([]isa.Inst, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Inst{{Op: isa.OpADDU, Rd: rd, Rs: rs}}, nil
+		return a.insts(isa.Inst{Op: isa.OpADDU, Rd: rd, Rs: rs})
 	case "neg":
 		if err := need(2); err != nil {
 			return nil, err
@@ -131,7 +178,7 @@ func (a *assembler) expand(s stmt, pc uint32) ([]isa.Inst, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Inst{{Op: isa.OpSUBU, Rd: rd, Rt: rs}}, nil
+		return a.insts(isa.Inst{Op: isa.OpSUBU, Rd: rd, Rt: rs})
 	case "not":
 		if err := need(2); err != nil {
 			return nil, err
@@ -144,7 +191,7 @@ func (a *assembler) expand(s stmt, pc uint32) ([]isa.Inst, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Inst{{Op: isa.OpNOR, Rd: rd, Rs: rs}}, nil
+		return a.insts(isa.Inst{Op: isa.OpNOR, Rd: rd, Rs: rs})
 	case "li":
 		if err := need(2); err != nil {
 			return nil, err
@@ -157,7 +204,13 @@ func (a *assembler) expand(s stmt, pc uint32) ([]isa.Inst, error) {
 		if err != nil {
 			return nil, err
 		}
-		return liSeq(rt, v), nil
+		switch {
+		case v >= -0x8000 && v <= 0x7fff:
+			return a.insts(isa.Inst{Op: isa.OpADDIU, Rt: rt, Imm: int32(v)})
+		case v >= 0 && v <= 0xffff:
+			return a.insts(isa.Inst{Op: isa.OpORI, Rt: rt, Imm: int32(v)})
+		}
+		return a.insts(luiOri(rt, uint32(v)))
 	case "la":
 		if err := need(2); err != nil {
 			return nil, err
@@ -166,20 +219,20 @@ func (a *assembler) expand(s stmt, pc uint32) ([]isa.Inst, error) {
 		if err != nil {
 			return nil, err
 		}
-		addr, err := a.addrOperand(s.args[1], s.line)
+		addr, err := a.addrOperand(s.Args[1], s.Line)
 		if err != nil {
 			return nil, err
 		}
-		return luiOri(rt, addr), nil
+		return a.insts(luiOri(rt, addr))
 	case "b":
 		if err := need(1); err != nil {
 			return nil, err
 		}
-		off, err := branchOff(s.args[0], pc)
+		off, err := branchOff(0, pc)
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Inst{{Op: isa.OpBEQ, Imm: off}}, nil
+		return a.insts(isa.Inst{Op: isa.OpBEQ, Imm: off})
 	case "beqz", "bnez":
 		if err := need(2); err != nil {
 			return nil, err
@@ -188,15 +241,15 @@ func (a *assembler) expand(s stmt, pc uint32) ([]isa.Inst, error) {
 		if err != nil {
 			return nil, err
 		}
-		off, err := branchOff(s.args[1], pc)
+		off, err := branchOff(1, pc)
 		if err != nil {
 			return nil, err
 		}
 		op := isa.OpBEQ
-		if s.op == "bnez" {
+		if s.Op == "bnez" {
 			op = isa.OpBNE
 		}
-		return []isa.Inst{{Op: op, Rs: rs, Imm: off}}, nil
+		return a.insts(isa.Inst{Op: op, Rs: rs, Imm: off})
 	case "bge", "bgt", "ble", "blt", "bgeu", "bgtu", "bleu", "bltu":
 		if err := need(3); err != nil {
 			return nil, err
@@ -209,15 +262,15 @@ func (a *assembler) expand(s stmt, pc uint32) ([]isa.Inst, error) {
 		if err != nil {
 			return nil, err
 		}
-		off, err := branchOff(s.args[2], pc+4) // branch is the second word
+		off, err := branchOff(2, pc+4) // branch is the second word
 		if err != nil {
 			return nil, err
 		}
 		sltOp := isa.OpSLT
-		if strings.HasSuffix(s.op, "u") {
+		if strings.HasSuffix(s.Op, "u") {
 			sltOp = isa.OpSLTU
 		}
-		base := strings.TrimSuffix(s.op, "u")
+		base := strings.TrimSuffix(s.Op, "u")
 		var cmp isa.Inst
 		brOp := isa.OpBEQ
 		switch base {
@@ -232,7 +285,7 @@ func (a *assembler) expand(s stmt, pc uint32) ([]isa.Inst, error) {
 		case "ble": // !(rt<rs)
 			cmp = isa.Inst{Op: sltOp, Rd: isa.RegAT, Rs: rt, Rt: rs}
 		}
-		return []isa.Inst{cmp, {Op: brOp, Rs: isa.RegAT, Imm: off}}, nil
+		return a.insts(cmp, isa.Inst{Op: brOp, Rs: isa.RegAT, Imm: off})
 	case "mul", "rem":
 		if err := need(3); err != nil {
 			return nil, err
@@ -249,18 +302,18 @@ func (a *assembler) expand(s stmt, pc uint32) ([]isa.Inst, error) {
 		if err != nil {
 			return nil, err
 		}
-		if s.op == "mul" {
-			return []isa.Inst{
-				{Op: isa.OpMULT, Rs: rs, Rt: rt},
-				{Op: isa.OpMFLO, Rd: rd},
-			}, nil
+		if s.Op == "mul" {
+			return a.insts(
+				isa.Inst{Op: isa.OpMULT, Rs: rs, Rt: rt},
+				isa.Inst{Op: isa.OpMFLO, Rd: rd},
+			)
 		}
-		return []isa.Inst{
-			{Op: isa.OpDIV, Rs: rs, Rt: rt},
-			{Op: isa.OpMFHI, Rd: rd},
-		}, nil
+		return a.insts(
+			isa.Inst{Op: isa.OpDIV, Rs: rs, Rt: rt},
+			isa.Inst{Op: isa.OpMFHI, Rd: rd},
+		)
 	case "div":
-		if len(s.args) == 3 {
+		if len(s.Args) == 3 {
 			rd, err := reg(0)
 			if err != nil {
 				return nil, err
@@ -273,16 +326,16 @@ func (a *assembler) expand(s stmt, pc uint32) ([]isa.Inst, error) {
 			if err != nil {
 				return nil, err
 			}
-			return []isa.Inst{
-				{Op: isa.OpDIV, Rs: rs, Rt: rt},
-				{Op: isa.OpMFLO, Rd: rd},
-			}, nil
+			return a.insts(
+				isa.Inst{Op: isa.OpDIV, Rs: rs, Rt: rt},
+				isa.Inst{Op: isa.OpMFLO, Rd: rd},
+			)
 		}
 	}
 
-	op, ok := isa.OpByName(s.op)
+	op, ok := isa.OpByName(s.Op)
 	if !ok {
-		return nil, errf(s.line, "unknown mnemonic %q", s.op)
+		return nil, errf(s.Line, "unknown mnemonic %q", s.Op)
 	}
 	switch op {
 	case isa.OpADD, isa.OpADDU, isa.OpSUB, isa.OpSUBU, isa.OpAND, isa.OpOR,
@@ -296,7 +349,7 @@ func (a *assembler) expand(s stmt, pc uint32) ([]isa.Inst, error) {
 		if err := firstErr(e1, e2, e3); err != nil {
 			return nil, err
 		}
-		return []isa.Inst{{Op: op, Rd: rd, Rs: rs, Rt: rt}}, nil
+		return a.insts(isa.Inst{Op: op, Rd: rd, Rs: rs, Rt: rt})
 	case isa.OpSLLV, isa.OpSRLV, isa.OpSRAV:
 		if err := need(3); err != nil {
 			return nil, err
@@ -307,7 +360,7 @@ func (a *assembler) expand(s stmt, pc uint32) ([]isa.Inst, error) {
 		if err := firstErr(e1, e2, e3); err != nil {
 			return nil, err
 		}
-		return []isa.Inst{{Op: op, Rd: rd, Rt: rt, Rs: rs}}, nil
+		return a.insts(isa.Inst{Op: op, Rd: rd, Rt: rt, Rs: rs})
 	case isa.OpSLL, isa.OpSRL, isa.OpSRA:
 		if err := need(3); err != nil {
 			return nil, err
@@ -318,7 +371,7 @@ func (a *assembler) expand(s stmt, pc uint32) ([]isa.Inst, error) {
 		if err := firstErr(e1, e2, e3); err != nil {
 			return nil, err
 		}
-		return []isa.Inst{{Op: op, Rd: rd, Rt: rt, Imm: int32(sh)}}, nil
+		return a.insts(isa.Inst{Op: op, Rd: rd, Rt: rt, Imm: int32(sh)})
 	case isa.OpMULT, isa.OpMULTU, isa.OpDIV, isa.OpDIVU:
 		if err := need(2); err != nil {
 			return nil, err
@@ -328,7 +381,7 @@ func (a *assembler) expand(s stmt, pc uint32) ([]isa.Inst, error) {
 		if err := firstErr(e1, e2); err != nil {
 			return nil, err
 		}
-		return []isa.Inst{{Op: op, Rs: rs, Rt: rt}}, nil
+		return a.insts(isa.Inst{Op: op, Rs: rs, Rt: rt})
 	case isa.OpMFHI, isa.OpMFLO:
 		if err := need(1); err != nil {
 			return nil, err
@@ -337,7 +390,7 @@ func (a *assembler) expand(s stmt, pc uint32) ([]isa.Inst, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Inst{{Op: op, Rd: rd}}, nil
+		return a.insts(isa.Inst{Op: op, Rd: rd})
 	case isa.OpMTHI, isa.OpMTLO, isa.OpJR:
 		if err := need(1); err != nil {
 			return nil, err
@@ -346,14 +399,14 @@ func (a *assembler) expand(s stmt, pc uint32) ([]isa.Inst, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Inst{{Op: op, Rs: rs}}, nil
+		return a.insts(isa.Inst{Op: op, Rs: rs})
 	case isa.OpJALR:
-		if len(s.args) == 1 {
+		if len(s.Args) == 1 {
 			rs, err := reg(0)
 			if err != nil {
 				return nil, err
 			}
-			return []isa.Inst{{Op: op, Rd: isa.RegRA, Rs: rs}}, nil
+			return a.insts(isa.Inst{Op: op, Rd: isa.RegRA, Rs: rs})
 		}
 		if err := need(2); err != nil {
 			return nil, err
@@ -363,7 +416,7 @@ func (a *assembler) expand(s stmt, pc uint32) ([]isa.Inst, error) {
 		if err := firstErr(e1, e2); err != nil {
 			return nil, err
 		}
-		return []isa.Inst{{Op: op, Rd: rd, Rs: rs}}, nil
+		return a.insts(isa.Inst{Op: op, Rd: rd, Rs: rs})
 	case isa.OpADDI, isa.OpADDIU, isa.OpSLTI, isa.OpSLTIU, isa.OpANDI, isa.OpORI, isa.OpXORI:
 		if err := need(3); err != nil {
 			return nil, err
@@ -374,7 +427,7 @@ func (a *assembler) expand(s stmt, pc uint32) ([]isa.Inst, error) {
 		if err := firstErr(e1, e2, e3); err != nil {
 			return nil, err
 		}
-		return []isa.Inst{{Op: op, Rt: rt, Rs: rs, Imm: int32(v)}}, nil
+		return a.insts(isa.Inst{Op: op, Rt: rt, Rs: rs, Imm: int32(v)})
 	case isa.OpLUI:
 		if err := need(2); err != nil {
 			return nil, err
@@ -384,7 +437,7 @@ func (a *assembler) expand(s stmt, pc uint32) ([]isa.Inst, error) {
 		if err := firstErr(e1, e2); err != nil {
 			return nil, err
 		}
-		return []isa.Inst{{Op: op, Rt: rt, Imm: int32(v)}}, nil
+		return a.insts(isa.Inst{Op: op, Rt: rt, Imm: int32(v)})
 	case isa.OpLB, isa.OpLBU, isa.OpLH, isa.OpLHU, isa.OpLW, isa.OpSB, isa.OpSH, isa.OpSW:
 		if err := need(2); err != nil {
 			return nil, err
@@ -393,27 +446,23 @@ func (a *assembler) expand(s stmt, pc uint32) ([]isa.Inst, error) {
 		if err != nil {
 			return nil, err
 		}
-		if off, base, ok := splitMem(s.args[1]); ok {
-			rs, err := parseReg(base, s.line)
-			if err != nil {
-				return nil, err
-			}
-			v, err := parseImmOperand(off, s.line)
-			if err != nil {
-				return nil, err
-			}
-			return []isa.Inst{{Op: op, Rt: rt, Rs: rs, Imm: int32(v)}}, nil
+		off, rs, ok, err := memOperand(s.Args[1], s.Line)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			return a.insts(isa.Inst{Op: op, Rt: rt, Rs: rs, Imm: int32(off)})
 		}
 		// Symbolic form: lui at, %hi(sym); op rt, %lo(sym)(at).
-		addr, err := a.addrOperand(s.args[1], s.line)
+		addr, err := a.addrOperand(s.Args[1], s.Line)
 		if err != nil {
 			return nil, err
 		}
 		hi, lo := hiLo(addr)
-		return []isa.Inst{
-			{Op: isa.OpLUI, Rt: isa.RegAT, Imm: int32(hi)},
-			{Op: op, Rt: rt, Rs: isa.RegAT, Imm: lo},
-		}, nil
+		return a.insts(
+			isa.Inst{Op: isa.OpLUI, Rt: isa.RegAT, Imm: int32(hi)},
+			isa.Inst{Op: op, Rt: rt, Rs: isa.RegAT, Imm: lo},
+		)
 	case isa.OpBEQ, isa.OpBNE:
 		if err := need(3); err != nil {
 			return nil, err
@@ -423,11 +472,11 @@ func (a *assembler) expand(s stmt, pc uint32) ([]isa.Inst, error) {
 		if err := firstErr(e1, e2); err != nil {
 			return nil, err
 		}
-		off, err := branchOff(s.args[2], pc)
+		off, err := branchOff(2, pc)
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Inst{{Op: op, Rs: rs, Rt: rt, Imm: off}}, nil
+		return a.insts(isa.Inst{Op: op, Rs: rs, Rt: rt, Imm: off})
 	case isa.OpBLEZ, isa.OpBGTZ, isa.OpBLTZ, isa.OpBGEZ:
 		if err := need(2); err != nil {
 			return nil, err
@@ -436,22 +485,22 @@ func (a *assembler) expand(s stmt, pc uint32) ([]isa.Inst, error) {
 		if err != nil {
 			return nil, err
 		}
-		off, err := branchOff(s.args[1], pc)
+		off, err := branchOff(1, pc)
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Inst{{Op: op, Rs: rs, Imm: off}}, nil
+		return a.insts(isa.Inst{Op: op, Rs: rs, Imm: off})
 	case isa.OpJ, isa.OpJAL:
 		if err := need(1); err != nil {
 			return nil, err
 		}
-		addr, err := a.addrOperand(s.args[0], s.line)
+		addr, err := a.addrOperand(s.Args[0], s.Line)
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Inst{{Op: op, Target: addr}}, nil
+		return a.insts(isa.Inst{Op: op, Target: addr})
 	case isa.OpSYSCALL, isa.OpBREAK:
-		return []isa.Inst{{Op: op}}, nil
+		return a.insts(isa.Inst{Op: op})
 	case isa.OpBITSW:
 		if err := need(1); err != nil {
 			return nil, err
@@ -460,29 +509,15 @@ func (a *assembler) expand(s stmt, pc uint32) ([]isa.Inst, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []isa.Inst{{Op: op, Imm: int32(v)}}, nil
+		return a.insts(isa.Inst{Op: op, Imm: int32(v)})
 	}
-	return nil, errf(s.line, "unsupported mnemonic %q", s.op)
-}
-
-// liSeq builds the canonical load-immediate sequence for v.
-func liSeq(rt isa.Reg, v int64) []isa.Inst {
-	switch {
-	case v >= -0x8000 && v <= 0x7fff:
-		return []isa.Inst{{Op: isa.OpADDIU, Rt: rt, Imm: int32(v)}}
-	case v >= 0 && v <= 0xffff:
-		return []isa.Inst{{Op: isa.OpORI, Rt: rt, Imm: int32(v)}}
-	default:
-		return luiOri(rt, uint32(v))
-	}
+	return nil, errf(s.Line, "unsupported mnemonic %q", s.Op)
 }
 
 // luiOri builds the two-word absolute-address load.
-func luiOri(rt isa.Reg, addr uint32) []isa.Inst {
-	return []isa.Inst{
-		{Op: isa.OpLUI, Rt: rt, Imm: int32(addr >> 16)},
-		{Op: isa.OpORI, Rt: rt, Rs: rt, Imm: int32(addr & 0xffff)},
-	}
+func luiOri(rt isa.Reg, addr uint32) (lui, ori isa.Inst) {
+	return isa.Inst{Op: isa.OpLUI, Rt: rt, Imm: int32(addr >> 16)},
+		isa.Inst{Op: isa.OpORI, Rt: rt, Rs: rt, Imm: int32(addr & 0xffff)}
 }
 
 // hiLo splits an address for a lui + signed-offset pair.
@@ -537,8 +572,8 @@ func parseImmOperand(s string, line int) (int64, error) {
 
 // addrOperand resolves a jump/la operand: a symbol, symbol+offset, or
 // absolute numeric address.
-func (a *assembler) addrOperand(s string, line int) (uint32, error) {
-	v, err := a.value(s, line)
+func (a *assembler) addrOperand(o Operand, line int) (uint32, error) {
+	v, err := a.value(o, line)
 	if err != nil {
 		return 0, err
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"asbr/internal/cc"
+	"asbr/internal/corpus"
 	"asbr/internal/workload"
 )
 
@@ -25,5 +26,24 @@ func TestLexAllAllocs(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Errorf("lexing %d tokens made %v allocations, want at most 2", len(toks), allocs)
+	}
+}
+
+// TestCompileToProgramAllocs bounds the allocations of compiling and
+// assembling one generated program of 238 assembly lines, 473 on the
+// statement path. Formatting each instruction, or printing the text
+// and parsing it back, adds at least one per line and fails the bound.
+func TestCompileToProgramAllocs(t *testing.T) {
+	src, err := corpus.Generate(1, corpus.Knobs{LoopDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := cc.CompileToProgram(src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 600 {
+		t.Errorf("CompileToProgram made %v allocations, want at most 600", allocs)
 	}
 }

@@ -2,7 +2,7 @@ package cc
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"asbr/internal/asm"
 	"asbr/internal/isa"
@@ -50,8 +50,9 @@ type funcSig struct {
 type gen struct {
 	globals map[string]*GlobalDecl
 	funcs   map[string]*funcSig
-	text    []string
-	data    []string
+	text    []asm.Stmt
+	data    []asm.Stmt
+	args    []asm.Operand // backing store of the statements' Args
 	labelN  int
 
 	// Per-function state.
@@ -60,7 +61,6 @@ type gen struct {
 	nLocals   int
 	localBase int
 	spillBase int
-	body      []string
 	depth     int
 	regBase   int // rotating base into exprRegs (see rotate)
 	breakLbl  []string
@@ -72,68 +72,76 @@ type gen struct {
 
 // Compile translates MiniC source to assembly text for package asm.
 func Compile(src string) (string, error) {
-	f, err := Parse(src)
+	stmts, err := compile(src)
 	if err != nil {
 		return "", err
 	}
-	return Generate(f)
+	return asm.Format(stmts), nil
 }
 
-// CompileToProgram compiles and assembles MiniC source.
+// CompileToProgram compiles and assembles MiniC source. The generated
+// statements go to the assembler as they are, never printed and read
+// back; the program equals asm.Assemble(Compile(src))'s.
 func CompileToProgram(src string) (*isa.Program, error) {
-	text, err := Compile(src)
+	stmts, err := compile(src)
 	if err != nil {
 		return nil, err
 	}
-	p, err := asm.Assemble(text)
+	p, err := asm.AssembleStmts(stmts)
 	if err != nil {
 		return nil, fmt.Errorf("cc: internal: generated assembly rejected: %v", err)
 	}
 	return p, nil
 }
 
-// Generate emits assembly for a parsed file.
-func Generate(f *File) (string, error) {
+func compile(src string) ([]asm.Stmt, error) {
+	f, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return Generate(f)
+}
+
+// Generate emits the assembly statements of a parsed file: the .text
+// segment, then the .data segment if there are globals. Each
+// statement's Line is its line in the asm.Format text.
+func Generate(f *File) ([]asm.Stmt, error) {
 	g := &gen{
 		globals: make(map[string]*GlobalDecl),
 		funcs:   make(map[string]*funcSig),
+		text:    []asm.Stmt{{Op: ".text"}},
+		data:    []asm.Stmt{{Op: ".data"}},
 	}
 	for _, gd := range f.Globals {
 		if _, dup := g.globals[gd.Name]; dup {
-			return "", errf(gd.Line, "duplicate global %q", gd.Name)
+			return nil, errf(gd.Line, "duplicate global %q", gd.Name)
 		}
 		g.globals[gd.Name] = gd
 		g.emitGlobal(gd)
 	}
 	for _, fn := range f.Funcs {
 		if _, dup := g.funcs[fn.Name]; dup {
-			return "", errf(fn.Line, "duplicate function %q", fn.Name)
+			return nil, errf(fn.Line, "duplicate function %q", fn.Name)
 		}
 		if _, shadow := g.globals[fn.Name]; shadow {
-			return "", errf(fn.Line, "function %q collides with a global", fn.Name)
+			return nil, errf(fn.Line, "function %q collides with a global", fn.Name)
 		}
 		g.funcs[fn.Name] = &funcSig{ret: fn.Ret, params: fn.Params, defined: true}
 	}
 	for _, fn := range f.Funcs {
 		if err := g.genFunc(fn); err != nil {
-			return "", err
+			return nil, err
 		}
 	}
-	g.text = Peephole(g.text)
-	var b strings.Builder
-	b.WriteString("\t.text\n")
-	for _, l := range g.text {
-		b.WriteString(l)
-		b.WriteByte('\n')
+	text := Peephole(g.text[1:]) // compacts in place, after the .text directive
+	out := g.text[:1+len(text)]
+	if len(g.data) > 1 {
+		out = append(out, g.data...)
 	}
-	if len(g.data) > 0 {
-		b.WriteString("\t.data\n")
-		for _, l := range g.data {
-			b.WriteString(l)
-			b.WriteByte('\n')
-		}
+	for i := range out {
+		out[i].Line = i + 1
 	}
-	return b.String(), nil
+	return out, nil
 }
 
 func (g *gen) emitGlobal(gd *GlobalDecl) {
@@ -142,34 +150,46 @@ func (g *gen) emitGlobal(gd *GlobalDecl) {
 		if gd.HasInit {
 			v = gd.Init[0]
 		}
-		g.data = append(g.data, fmt.Sprintf("%s:\t.word %d", gd.Name, int32(v)))
+		g.data = append(g.data, asm.Stmt{Label: gd.Name, Op: ".word", Args: g.operands(asm.Imm(int64(int32(v))))})
 		return
 	}
 	if len(gd.Init) == 0 {
-		g.data = append(g.data, fmt.Sprintf("%s:\t.space %d", gd.Name, gd.Size*4))
+		g.data = append(g.data, asm.Stmt{Label: gd.Name, Op: ".space", Args: g.operands(asm.Imm(int64(gd.Size * 4)))})
 		return
 	}
-	parts := make([]string, 0, len(gd.Init))
+	words := make([]asm.Operand, 0, len(gd.Init))
 	for _, v := range gd.Init {
-		parts = append(parts, fmt.Sprintf("%d", int32(v)))
+		words = append(words, asm.Imm(int64(int32(v))))
 	}
-	g.data = append(g.data, fmt.Sprintf("%s:\t.word %s", gd.Name, strings.Join(parts, ", ")))
+	g.data = append(g.data, asm.Stmt{Label: gd.Name, Op: ".word", Args: words})
 	if rest := gd.Size - len(gd.Init); rest > 0 {
-		g.data = append(g.data, fmt.Sprintf("\t.space %d", rest*4))
+		g.data = append(g.data, asm.Stmt{Op: ".space", Args: g.operands(asm.Imm(int64(rest * 4)))})
 	}
 }
 
 func (g *gen) label() string {
 	g.labelN++
-	return fmt.Sprintf(".L%d", g.labelN)
+	return ".L" + strconv.Itoa(g.labelN)
 }
 
-func (g *gen) emit(format string, args ...interface{}) {
-	g.body = append(g.body, "\t"+fmt.Sprintf(format, args...))
+// operands copies args into the operand store and returns the copy, so
+// that statements share a few large allocations.
+func (g *gen) operands(args ...asm.Operand) []asm.Operand {
+	if cap(g.args)-len(g.args) < len(args) {
+		g.args = make([]asm.Operand, 0, max(2*cap(g.args), 256))
+	}
+	n := len(g.args)
+	g.args = append(g.args, args...)
+	return g.args[n:len(g.args):len(g.args)]
+}
+
+// emit appends the instruction `op args...` to the text segment.
+func (g *gen) emit(op string, args ...asm.Operand) {
+	g.text = append(g.text, asm.Stmt{Op: op, Args: g.operands(args...)})
 }
 
 func (g *gen) emitLabel(l string) {
-	g.body = append(g.body, l+":")
+	g.text = append(g.text, asm.Stmt{Label: l})
 }
 
 // reg returns the expression register at stack position i. The base
@@ -314,9 +334,8 @@ func (g *gen) genFunc(fn *FuncDecl) error {
 	g.scopes = nil
 	g.nLocals = 0
 	g.depth = 0
-	g.body = nil
 	g.breakLbl, g.contLbl = nil, nil
-	g.retLbl = fmt.Sprintf(".Lret_%s", fn.Name)
+	g.retLbl = ".Lret_" + fn.Name
 
 	hasCall, maxArgs := countCalls(fn.Body)
 	argArea := 0
@@ -328,7 +347,8 @@ func (g *gen) genFunc(fn *FuncDecl) error {
 		argArea = 4 * maxArgs
 		spillArea = 4 * spillSlots
 	}
-	g.regAssign = collectRegLocals(fn, hasCall)
+	var stackSlots int
+	g.regAssign, stackSlots = collectRegLocals(fn, hasCall)
 	g.usedSRegs = g.usedSRegs[:0]
 	for _, r := range g.regAssign {
 		g.usedSRegs = append(g.usedSRegs, r)
@@ -337,56 +357,53 @@ func (g *gen) genFunc(fn *FuncDecl) error {
 	g.spillBase = argArea
 	g.localBase = argArea + spillArea + 4*len(g.usedSRegs)
 	sRegBase := argArea + spillArea
+	// The frame is known before the body, so the prologue comes first.
+	frame := g.localBase + 4*stackSlots + 4 // + saved ra
+	if frame%8 != 0 {
+		frame += 4
+	}
+	raOff := frame - 4
+	sp, ra := asm.Reg(isa.RegSP), asm.Reg(isa.RegRA)
 
+	g.emitLabel(fn.Name)
+	g.emit("addiu", sp, sp, asm.Imm(int64(-frame)))
+	g.emit("sw", ra, asm.Mem(int64(raOff), isa.RegSP))
+	for i, r := range g.usedSRegs {
+		g.emit("sw", asm.Reg(r), asm.Mem(int64(sRegBase+4*i), isa.RegSP))
+	}
 	g.openScope()
-	var paramSlots []localVar
-	for _, prm := range fn.Params {
+	for i, prm := range fn.Params {
 		lv, err := g.declareLocal(prm.Name, prm.Typ, fn.Line)
 		if err != nil {
 			return err
 		}
-		paramSlots = append(paramSlots, lv)
+		argReg := asm.Reg(isa.RegA0 + isa.Reg(i))
+		switch {
+		case i < 4 && lv.inReg:
+			g.emit("move", asm.Reg(lv.reg), argReg)
+		case i < 4:
+			g.emit("sw", argReg, asm.Mem(int64(lv.off), isa.RegSP))
+		case lv.inReg:
+			g.emit("lw", asm.Reg(lv.reg), asm.Mem(int64(frame+4*i), isa.RegSP))
+		default:
+			g.emit("lw", asm.Reg(isa.RegT0), asm.Mem(int64(frame+4*i), isa.RegSP))
+			g.emit("sw", asm.Reg(isa.RegT0), asm.Mem(int64(lv.off), isa.RegSP))
+		}
 	}
 	if err := g.genBlock(fn.Body); err != nil {
 		return err
 	}
 	g.closeScope()
-
-	frame := g.localBase + 4*g.nLocals + 4 // + saved ra
-	if frame%8 != 0 {
-		frame += 4
+	if g.nLocals != stackSlots {
+		return errf(fn.Line, "internal: %s declared %d stack locals, frame holds %d", fn.Name, g.nLocals, stackSlots)
 	}
-	raOff := frame - 4
-
-	var out []string
-	out = append(out, fn.Name+":")
-	out = append(out, fmt.Sprintf("\taddiu sp, sp, -%d", frame))
-	out = append(out, fmt.Sprintf("\tsw ra, %d(sp)", raOff))
+	g.emitLabel(g.retLbl)
 	for i, r := range g.usedSRegs {
-		out = append(out, fmt.Sprintf("\tsw %s, %d(sp)", r, sRegBase+4*i))
+		g.emit("lw", asm.Reg(r), asm.Mem(int64(sRegBase+4*i), isa.RegSP))
 	}
-	for i, lv := range paramSlots {
-		switch {
-		case i < 4 && lv.inReg:
-			out = append(out, fmt.Sprintf("\tmove %s, a%d", lv.reg, i))
-		case i < 4:
-			out = append(out, fmt.Sprintf("\tsw a%d, %d(sp)", i, lv.off))
-		case lv.inReg:
-			out = append(out, fmt.Sprintf("\tlw %s, %d(sp)", lv.reg, frame+4*i))
-		default:
-			out = append(out, fmt.Sprintf("\tlw t0, %d(sp)", frame+4*i))
-			out = append(out, fmt.Sprintf("\tsw t0, %d(sp)", lv.off))
-		}
-	}
-	out = append(out, g.body...)
-	out = append(out, g.retLbl+":")
-	for i, r := range g.usedSRegs {
-		out = append(out, fmt.Sprintf("\tlw %s, %d(sp)", r, sRegBase+4*i))
-	}
-	out = append(out, fmt.Sprintf("\tlw ra, %d(sp)", raOff))
-	out = append(out, fmt.Sprintf("\taddiu sp, sp, %d", frame))
-	out = append(out, "\tjr ra")
-	g.text = append(g.text, out...)
+	g.emit("lw", ra, asm.Mem(int64(raOff), isa.RegSP))
+	g.emit("addiu", sp, sp, asm.Imm(int64(frame)))
+	g.emit("jr", ra)
 	return nil
 }
 

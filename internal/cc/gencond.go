@@ -1,6 +1,9 @@
 package cc
 
-import "asbr/internal/isa"
+import (
+	"asbr/internal/asm"
+	"asbr/internal/isa"
+)
 
 // Conditional-branch generation. Zero comparisons compile to the
 // ISA's direct branch forms (beqz/bnez/blez/bgtz/bltz/bgez), which are
@@ -64,7 +67,7 @@ func (g *gen) genCond(e Expr, label string, when bool) error {
 	switch x := e.(type) {
 	case *NumLit:
 		if (x.Val != 0) == when {
-			g.emit("j %s", label)
+			g.emit("j", asm.Sym(label))
 		}
 		return nil
 	case *Unary:
@@ -112,25 +115,25 @@ func (g *gen) genCond(e Expr, label string, when bool) error {
 			// distance the ASBR threshold compares against.
 			if c, ok := foldConst(x.Y); ok && c == 0 {
 				if r, ok := g.regLocal(x.X); ok {
-					g.emit("%s %s, %s", zeroBranch(x.Op, when), r, label)
+					g.emit(zeroBranch(x.Op, when), asm.Reg(r), asm.Sym(label))
 					return nil
 				}
 				if _, err := g.genExpr(x.X); err != nil {
 					return err
 				}
-				g.emit("%s %s, %s", zeroBranch(x.Op, when), g.top(), label)
+				g.emit(zeroBranch(x.Op, when), asm.Reg(g.top()), asm.Sym(label))
 				g.pop()
 				return nil
 			}
 			if c, ok := foldConst(x.X); ok && c == 0 {
 				if r, ok := g.regLocal(x.Y); ok {
-					g.emit("%s %s, %s", zeroBranch(mirrorCmp(x.Op), when), r, label)
+					g.emit(zeroBranch(mirrorCmp(x.Op), when), asm.Reg(r), asm.Sym(label))
 					return nil
 				}
 				if _, err := g.genExpr(x.Y); err != nil {
 					return err
 				}
-				g.emit("%s %s, %s", zeroBranch(mirrorCmp(x.Op), when), g.top(), label)
+				g.emit(zeroBranch(mirrorCmp(x.Op), when), asm.Reg(g.top()), asm.Sym(label))
 				g.pop()
 				return nil
 			}
@@ -148,7 +151,7 @@ func (g *gen) genCond(e Expr, label string, when bool) error {
 				if (x.Op == tokNe) == when {
 					mn = "bne"
 				}
-				g.emit("%s %s, %s, %s", mn, ra, rb, label)
+				g.emit(mn, asm.Reg(ra), asm.Reg(rb), asm.Sym(label))
 				if pb {
 					g.pop()
 				}
@@ -168,7 +171,7 @@ func (g *gen) genCond(e Expr, label string, when bool) error {
 		mn = "bnez"
 	}
 	if r, ok := g.regLocal(e); ok {
-		g.emit("%s %s, %s", mn, r, label)
+		g.emit(mn, asm.Reg(r), asm.Sym(label))
 		return nil
 	}
 	t, err := g.genExpr(e)
@@ -178,7 +181,7 @@ func (g *gen) genCond(e Expr, label string, when bool) error {
 	if t == TypeVoid {
 		return errf(exprLine(e), "void value used as condition")
 	}
-	g.emit("%s %s, %s", mn, g.top(), label)
+	g.emit(mn, asm.Reg(g.top()), asm.Sym(label))
 	g.pop()
 	return nil
 }
@@ -208,8 +211,8 @@ func (g *gen) genOrderingCond(x *Binary, label string, when bool) error {
 		if err != nil {
 			return err
 		}
-		g.emit("slti %s, %s, %d", dst, ra, cmp)
-		g.emit("%s %s, %s", zeroTest(when != inv), dst, label)
+		g.emit("slti", asm.Reg(dst), asm.Reg(ra), asm.Imm(int64(cmp)))
+		g.emit(zeroTest(when != inv), asm.Reg(dst), asm.Sym(label))
 		g.pop()
 		if pa {
 			g.pop()
@@ -231,11 +234,11 @@ func (g *gen) genOrderingCond(x *Binary, label string, when bool) error {
 		return err
 	}
 	if swap {
-		g.emit("slt %s, %s, %s", dst, rb, ra)
+		g.emit("slt", asm.Reg(dst), asm.Reg(rb), asm.Reg(ra))
 	} else {
-		g.emit("slt %s, %s, %s", dst, ra, rb)
+		g.emit("slt", asm.Reg(dst), asm.Reg(ra), asm.Reg(rb))
 	}
-	g.emit("%s %s, %s", zeroTest(when != inv), dst, label)
+	g.emit(zeroTest(when != inv), asm.Reg(dst), asm.Sym(label))
 	g.pop()
 	if pb {
 		g.pop()

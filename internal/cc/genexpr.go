@@ -1,6 +1,9 @@
 package cc
 
-import "asbr/internal/isa"
+import (
+	"asbr/internal/asm"
+	"asbr/internal/isa"
+)
 
 // Expression code generation. genExpr pushes the value onto the
 // expression-register stack and returns its type.
@@ -12,7 +15,7 @@ func (g *gen) genExpr(e Expr) (Type, error) {
 		if err != nil {
 			return 0, err
 		}
-		g.emit("li %s, %d", r, int32(x.Val))
+		g.emit("li", asm.Reg(r), asm.Imm(int64(int32(x.Val))))
 		return TypeInt, nil
 
 	case *Ident:
@@ -22,9 +25,9 @@ func (g *gen) genExpr(e Expr) (Type, error) {
 				return 0, err
 			}
 			if lv.inReg {
-				g.emit("move %s, %s", r, lv.reg)
+				g.emit("move", asm.Reg(r), asm.Reg(lv.reg))
 			} else {
-				g.emit("lw %s, %d(sp)", r, lv.off)
+				g.emit("lw", asm.Reg(r), asm.Mem(int64(lv.off), isa.RegSP))
 			}
 			return lv.typ, nil
 		}
@@ -34,10 +37,10 @@ func (g *gen) genExpr(e Expr) (Type, error) {
 				return 0, err
 			}
 			if gd.IsArr {
-				g.emit("la %s, %s", r, gd.Name)
+				g.emit("la", asm.Reg(r), asm.Sym(gd.Name))
 				return TypePtr, nil
 			}
-			g.emit("lw %s, %s", r, gd.Name)
+			g.emit("lw", asm.Reg(r), asm.Sym(gd.Name))
 			return TypeInt, nil
 		}
 		return 0, errf(x.Line, "undefined variable %q", x.Name)
@@ -49,19 +52,19 @@ func (g *gen) genExpr(e Expr) (Type, error) {
 			if err != nil {
 				return 0, err
 			}
-			g.emit("neg %s, %s", g.top(), g.top())
+			g.emit("neg", asm.Reg(g.top()), asm.Reg(g.top()))
 			return t, nil
 		case tokTilde:
 			if _, err := g.genExpr(x.X); err != nil {
 				return 0, err
 			}
-			g.emit("not %s, %s", g.top(), g.top())
+			g.emit("not", asm.Reg(g.top()), asm.Reg(g.top()))
 			return TypeInt, nil
 		case tokBang:
 			if _, err := g.genExpr(x.X); err != nil {
 				return 0, err
 			}
-			g.emit("sltiu %s, %s, 1", g.top(), g.top())
+			g.emit("sltiu", asm.Reg(g.top()), asm.Reg(g.top()), asm.Imm(1))
 			return TypeInt, nil
 		case tokStar:
 			t, err := g.genExpr(x.X)
@@ -71,7 +74,7 @@ func (g *gen) genExpr(e Expr) (Type, error) {
 			if t != TypePtr {
 				return 0, errf(x.Line, "dereference of non-pointer")
 			}
-			g.emit("lw %s, 0(%s)", g.top(), g.top())
+			g.emit("lw", asm.Reg(g.top()), asm.Mem(0, g.top()))
 			return TypeInt, nil
 		case tokAmp:
 			if _, err := g.genAddr(x.X); err != nil {
@@ -94,7 +97,7 @@ func (g *gen) genExpr(e Expr) (Type, error) {
 		if err != nil {
 			return 0, err
 		}
-		g.emit("j %s", endL)
+		g.emit("j", asm.Sym(endL))
 		g.emitLabel(falseL)
 		g.depth = d0 // both arms produce into the same register
 		t2, err := g.genExpr(x.F)
@@ -121,7 +124,7 @@ func (g *gen) genExpr(e Expr) (Type, error) {
 		if _, err := g.genAddr(x); err != nil {
 			return 0, err
 		}
-		g.emit("lw %s, 0(%s)", g.top(), g.top())
+		g.emit("lw", asm.Reg(g.top()), asm.Mem(0, g.top()))
 		return TypeInt, nil
 
 	case *Call:
@@ -148,10 +151,10 @@ func (g *gen) genBinary(x *Binary) (Type, error) {
 			if err := g.genCondFalse(x.Y, falseL); err != nil {
 				return 0, err
 			}
-			g.emit("li %s, 1", r)
-			g.emit("j %s", endL)
+			g.emit("li", asm.Reg(r), asm.Imm(1))
+			g.emit("j", asm.Sym(endL))
 			g.emitLabel(falseL)
-			g.emit("li %s, 0", r)
+			g.emit("li", asm.Reg(r), asm.Imm(0))
 			g.emitLabel(endL)
 		} else {
 			trueL := g.label()
@@ -161,10 +164,10 @@ func (g *gen) genBinary(x *Binary) (Type, error) {
 			if err := g.genCondTrue(x.Y, trueL); err != nil {
 				return 0, err
 			}
-			g.emit("li %s, 0", r)
-			g.emit("j %s", endL)
+			g.emit("li", asm.Reg(r), asm.Imm(0))
+			g.emit("j", asm.Sym(endL))
 			g.emitLabel(trueL)
-			g.emit("li %s, 1", r)
+			g.emit("li", asm.Reg(r), asm.Imm(1))
 			g.emitLabel(endL)
 		}
 		g.depth++ // result now live in r
@@ -196,20 +199,20 @@ func (g *gen) genBinary(x *Binary) (Type, error) {
 		if err != nil {
 			return 0, err
 		}
-		g.emit("sll %s, %s, 2", r, rb)
+		g.emit("sll", asm.Reg(r), asm.Reg(rb), asm.Imm(2))
 		rb, pb = r, true
 	} else if scaleB {
-		g.emit("sll %s, %s, 2", rb, rb)
+		g.emit("sll", asm.Reg(rb), asm.Reg(rb), asm.Imm(2))
 	}
 	if scaleA && !pa {
 		r, err := g.push(x.Line)
 		if err != nil {
 			return 0, err
 		}
-		g.emit("sll %s, %s, 2", r, ra)
+		g.emit("sll", asm.Reg(r), asm.Reg(ra), asm.Imm(2))
 		ra, pa = r, true
 	} else if scaleA {
-		g.emit("sll %s, %s, 2", ra, ra)
+		g.emit("sll", asm.Reg(ra), asm.Reg(ra), asm.Imm(2))
 	}
 	if scaleA || scaleB {
 		resType = TypePtr
@@ -237,49 +240,49 @@ func (g *gen) genBinary(x *Binary) (Type, error) {
 	}
 	switch x.Op {
 	case tokPlus:
-		g.emit("addu %s, %s, %s", dst, ra, rb)
+		g.emit("addu", asm.Reg(dst), asm.Reg(ra), asm.Reg(rb))
 	case tokMinus:
 		if tl == TypePtr && tr == TypePtr {
-			g.emit("subu %s, %s, %s", dst, ra, rb)
-			g.emit("sra %s, %s, 2", dst, dst)
+			g.emit("subu", asm.Reg(dst), asm.Reg(ra), asm.Reg(rb))
+			g.emit("sra", asm.Reg(dst), asm.Reg(dst), asm.Imm(2))
 		} else {
-			g.emit("subu %s, %s, %s", dst, ra, rb)
+			g.emit("subu", asm.Reg(dst), asm.Reg(ra), asm.Reg(rb))
 			if tl == TypePtr {
 				resType = TypePtr
 			}
 		}
 	case tokStar:
-		g.emit("mul %s, %s, %s", dst, ra, rb)
+		g.emit("mul", asm.Reg(dst), asm.Reg(ra), asm.Reg(rb))
 	case tokSlash:
-		g.emit("div %s, %s, %s", dst, ra, rb)
+		g.emit("div", asm.Reg(dst), asm.Reg(ra), asm.Reg(rb))
 	case tokPercent:
-		g.emit("rem %s, %s, %s", dst, ra, rb)
+		g.emit("rem", asm.Reg(dst), asm.Reg(ra), asm.Reg(rb))
 	case tokAmp:
-		g.emit("and %s, %s, %s", dst, ra, rb)
+		g.emit("and", asm.Reg(dst), asm.Reg(ra), asm.Reg(rb))
 	case tokPipe:
-		g.emit("or %s, %s, %s", dst, ra, rb)
+		g.emit("or", asm.Reg(dst), asm.Reg(ra), asm.Reg(rb))
 	case tokCaret:
-		g.emit("xor %s, %s, %s", dst, ra, rb)
+		g.emit("xor", asm.Reg(dst), asm.Reg(ra), asm.Reg(rb))
 	case tokShl:
-		g.emit("sllv %s, %s, %s", dst, ra, rb)
+		g.emit("sllv", asm.Reg(dst), asm.Reg(ra), asm.Reg(rb))
 	case tokShr:
-		g.emit("srav %s, %s, %s", dst, ra, rb)
+		g.emit("srav", asm.Reg(dst), asm.Reg(ra), asm.Reg(rb))
 	case tokLt:
-		g.emit("slt %s, %s, %s", dst, ra, rb)
+		g.emit("slt", asm.Reg(dst), asm.Reg(ra), asm.Reg(rb))
 	case tokGt:
-		g.emit("slt %s, %s, %s", dst, rb, ra)
+		g.emit("slt", asm.Reg(dst), asm.Reg(rb), asm.Reg(ra))
 	case tokLe:
-		g.emit("slt %s, %s, %s", dst, rb, ra)
-		g.emit("xori %s, %s, 1", dst, dst)
+		g.emit("slt", asm.Reg(dst), asm.Reg(rb), asm.Reg(ra))
+		g.emit("xori", asm.Reg(dst), asm.Reg(dst), asm.Imm(1))
 	case tokGe:
-		g.emit("slt %s, %s, %s", dst, ra, rb)
-		g.emit("xori %s, %s, 1", dst, dst)
+		g.emit("slt", asm.Reg(dst), asm.Reg(ra), asm.Reg(rb))
+		g.emit("xori", asm.Reg(dst), asm.Reg(dst), asm.Imm(1))
 	case tokEq:
-		g.emit("xor %s, %s, %s", dst, ra, rb)
-		g.emit("sltiu %s, %s, 1", dst, dst)
+		g.emit("xor", asm.Reg(dst), asm.Reg(ra), asm.Reg(rb))
+		g.emit("sltiu", asm.Reg(dst), asm.Reg(dst), asm.Imm(1))
 	case tokNe:
-		g.emit("xor %s, %s, %s", dst, ra, rb)
-		g.emit("sltu %s, zero, %s", dst, dst)
+		g.emit("xor", asm.Reg(dst), asm.Reg(ra), asm.Reg(rb))
+		g.emit("sltu", asm.Reg(dst), asm.Reg(isa.RegZero), asm.Reg(dst))
 	default:
 		return 0, errf(x.Line, "internal: bad binary op")
 	}
@@ -290,7 +293,7 @@ func (g *gen) genBinary(x *Binary) (Type, error) {
 		g.pop()
 	}
 	if g.top() != dst {
-		g.emit("move %s, %s", g.top(), dst)
+		g.emit("move", asm.Reg(g.top()), asm.Reg(dst))
 	}
 	return resType, nil
 }
@@ -318,8 +321,8 @@ func (g *gen) operand(e Expr) (r isa.Reg, typ Type, pushed bool, err error) {
 func (g *gen) genBinImm(x *Binary, tl Type, c int32, src isa.Reg, pushed bool) (Type, bool, error) {
 	fits := func(v int32) bool { return v >= -0x8000 && v <= 0x7fff }
 	ufits := func(v int32) bool { return v >= 0 && v <= 0xffff }
-	// one emits a single op dst,src,imm form.
-	one := func(format string, args ...interface{}) (Type, bool, error) {
+	// one emits a single `op dst, src, imm` form.
+	one := func(op string, imm int32) (Type, bool, error) {
 		dst := src
 		if !pushed {
 			var err error
@@ -328,22 +331,23 @@ func (g *gen) genBinImm(x *Binary, tl Type, c int32, src isa.Reg, pushed bool) (
 				return 0, false, err
 			}
 		}
-		g.emit(format, append([]interface{}{dst, src}, args...)...)
+		g.emit(op, asm.Reg(dst), asm.Reg(src), asm.Imm(int64(imm)))
 		return TypeInt, true, nil
 	}
-	two := func(f1 string, a1 int32, f2 string) (Type, bool, error) {
-		t, done, err := one(f1, a1)
+	// notOne emits one, then inverts its 0/1 result.
+	notOne := func(op string, imm int32) (Type, bool, error) {
+		t, done, err := one(op, imm)
 		if err != nil || !done {
 			return t, done, err
 		}
-		g.emit(f2, g.top(), g.top())
+		g.emit("xori", asm.Reg(g.top()), asm.Reg(g.top()), asm.Imm(1))
 		return TypeInt, true, nil
 	}
 	switch x.Op {
 	case tokPlus:
 		if tl == TypePtr {
 			if fits(c * 4) {
-				t, done, err := one("addiu %s, %s, %d", c*4)
+				t, done, err := one("addiu", c*4)
 				if done {
 					t = TypePtr
 				}
@@ -352,12 +356,12 @@ func (g *gen) genBinImm(x *Binary, tl Type, c int32, src isa.Reg, pushed bool) (
 			return 0, false, nil
 		}
 		if fits(c) {
-			return one("addiu %s, %s, %d", c)
+			return one("addiu", c)
 		}
 	case tokMinus:
 		if tl == TypePtr {
 			if fits(-c * 4) {
-				t, done, err := one("addiu %s, %s, %d", -c*4)
+				t, done, err := one("addiu", -c*4)
 				if done {
 					t = TypePtr
 				}
@@ -366,27 +370,27 @@ func (g *gen) genBinImm(x *Binary, tl Type, c int32, src isa.Reg, pushed bool) (
 			return 0, false, nil
 		}
 		if fits(-c) {
-			return one("addiu %s, %s, %d", -c)
+			return one("addiu", -c)
 		}
 	case tokAmp:
 		if ufits(c) {
-			return one("andi %s, %s, %d", c)
+			return one("andi", c)
 		}
 	case tokPipe:
 		if ufits(c) {
-			return one("ori %s, %s, %d", c)
+			return one("ori", c)
 		}
 	case tokCaret:
 		if ufits(c) {
-			return one("xori %s, %s, %d", c)
+			return one("xori", c)
 		}
 	case tokShl:
 		if c >= 0 && c < 32 {
-			return one("sll %s, %s, %d", c)
+			return one("sll", c)
 		}
 	case tokShr:
 		if c >= 0 && c < 32 {
-			return one("sra %s, %s, %d", c)
+			return one("sra", c)
 		}
 	case tokStar:
 		// Strength-reduce power-of-two multiplies.
@@ -395,23 +399,23 @@ func (g *gen) genBinImm(x *Binary, tl Type, c int32, src isa.Reg, pushed bool) (
 			for 1<<sh < int(c) {
 				sh++
 			}
-			return one("sll %s, %s, %d", sh)
+			return one("sll", sh)
 		}
 	case tokLt:
 		if fits(c) {
-			return one("slti %s, %s, %d", c)
+			return one("slti", c)
 		}
 	case tokGe:
 		if fits(c) {
-			return two("slti %s, %s, %d", c, "xori %s, %s, 1")
+			return notOne("slti", c)
 		}
 	case tokLe:
 		if fits(c + 1) {
-			return one("slti %s, %s, %d", c+1)
+			return one("slti", c+1)
 		}
 	case tokGt:
 		if fits(c + 1) {
-			return two("slti %s, %s, %d", c+1, "xori %s, %s, 1")
+			return notOne("slti", c+1)
 		}
 	}
 	return 0, false, nil
@@ -429,18 +433,18 @@ func (g *gen) genAssign(x *Assign) (Type, error) {
 					return err
 				}
 				if lv.inReg {
-					g.emit("move %s, %s", r, lv.reg)
+					g.emit("move", asm.Reg(r), asm.Reg(lv.reg))
 				} else {
-					g.emit("lw %s, %d(sp)", r, lv.off)
+					g.emit("lw", asm.Reg(r), asm.Mem(int64(lv.off), isa.RegSP))
 				}
 				return nil
 			}); err != nil {
 				return 0, err
 			}
 			if lv.inReg {
-				g.emit("move %s, %s", lv.reg, g.top())
+				g.emit("move", asm.Reg(lv.reg), asm.Reg(g.top()))
 			} else {
-				g.emit("sw %s, %d(sp)", g.top(), lv.off)
+				g.emit("sw", asm.Reg(g.top()), asm.Mem(int64(lv.off), isa.RegSP))
 			}
 			return lv.typ, nil
 		}
@@ -453,12 +457,12 @@ func (g *gen) genAssign(x *Assign) (Type, error) {
 				if err != nil {
 					return err
 				}
-				g.emit("lw %s, %s", r, gd.Name)
+				g.emit("lw", asm.Reg(r), asm.Sym(gd.Name))
 				return nil
 			}); err != nil {
 				return 0, err
 			}
-			g.emit("sw %s, %s", g.top(), gd.Name)
+			g.emit("sw", asm.Reg(g.top()), asm.Sym(gd.Name))
 			return TypeInt, nil
 		}
 		return 0, errf(x.Line, "undefined variable %q", id.Name)
@@ -473,15 +477,15 @@ func (g *gen) genAssign(x *Assign) (Type, error) {
 		if err != nil {
 			return err
 		}
-		g.emit("lw %s, 0(%s)", r, addr)
+		g.emit("lw", asm.Reg(r), asm.Mem(0, addr))
 		return nil
 	}); err != nil {
 		return 0, err
 	}
-	g.emit("sw %s, 0(%s)", g.top(), addr)
+	g.emit("sw", asm.Reg(g.top()), asm.Mem(0, addr))
 	// Drop the address, keep the value on top.
 	val, dst := g.top(), g.reg(g.depth-2)
-	g.emit("move %s, %s", dst, val)
+	g.emit("move", asm.Reg(dst), asm.Reg(val))
 	g.pop()
 	return TypeInt, nil
 }
@@ -517,25 +521,25 @@ func (g *gen) genAssignRHS(x *Assign, loadCur func() error) error {
 	a, b := g.reg(g.depth-2), g.reg(g.depth-1)
 	switch binOp {
 	case tokPlus:
-		g.emit("addu %s, %s, %s", a, a, b)
+		g.emit("addu", asm.Reg(a), asm.Reg(a), asm.Reg(b))
 	case tokMinus:
-		g.emit("subu %s, %s, %s", a, a, b)
+		g.emit("subu", asm.Reg(a), asm.Reg(a), asm.Reg(b))
 	case tokStar:
-		g.emit("mul %s, %s, %s", a, a, b)
+		g.emit("mul", asm.Reg(a), asm.Reg(a), asm.Reg(b))
 	case tokSlash:
-		g.emit("div %s, %s, %s", a, a, b)
+		g.emit("div", asm.Reg(a), asm.Reg(a), asm.Reg(b))
 	case tokPercent:
-		g.emit("rem %s, %s, %s", a, a, b)
+		g.emit("rem", asm.Reg(a), asm.Reg(a), asm.Reg(b))
 	case tokShl:
-		g.emit("sllv %s, %s, %s", a, a, b)
+		g.emit("sllv", asm.Reg(a), asm.Reg(a), asm.Reg(b))
 	case tokShr:
-		g.emit("srav %s, %s, %s", a, a, b)
+		g.emit("srav", asm.Reg(a), asm.Reg(a), asm.Reg(b))
 	case tokAmp:
-		g.emit("and %s, %s, %s", a, a, b)
+		g.emit("and", asm.Reg(a), asm.Reg(a), asm.Reg(b))
 	case tokPipe:
-		g.emit("or %s, %s, %s", a, a, b)
+		g.emit("or", asm.Reg(a), asm.Reg(a), asm.Reg(b))
 	case tokCaret:
-		g.emit("xor %s, %s, %s", a, a, b)
+		g.emit("xor", asm.Reg(a), asm.Reg(a), asm.Reg(b))
 	default:
 		return errf(x.Line, "internal: bad compound op")
 	}
@@ -555,7 +559,7 @@ func (g *gen) genAddr(e Expr) (Type, error) {
 			if err != nil {
 				return 0, err
 			}
-			g.emit("addiu %s, sp, %d", r, lv.off)
+			g.emit("addiu", asm.Reg(r), asm.Reg(isa.RegSP), asm.Imm(int64(lv.off)))
 			return lv.typ, nil
 		}
 		if gd, ok := g.globals[x.Name]; ok {
@@ -563,7 +567,7 @@ func (g *gen) genAddr(e Expr) (Type, error) {
 			if err != nil {
 				return 0, err
 			}
-			g.emit("la %s, %s", r, gd.Name)
+			g.emit("la", asm.Reg(r), asm.Sym(gd.Name))
 			return TypeInt, nil
 		}
 		return 0, errf(x.Line, "undefined variable %q", x.Name)
@@ -577,7 +581,7 @@ func (g *gen) genAddr(e Expr) (Type, error) {
 		}
 		if c, ok := foldConst(x.Idx); ok && c*4 >= -0x8000 && c*4 <= 0x7fff {
 			if c != 0 {
-				g.emit("addiu %s, %s, %d", g.top(), g.top(), int32(c*4))
+				g.emit("addiu", asm.Reg(g.top()), asm.Reg(g.top()), asm.Imm(int64(int32(c*4))))
 			}
 			return TypeInt, nil
 		}
@@ -585,8 +589,8 @@ func (g *gen) genAddr(e Expr) (Type, error) {
 			return 0, err
 		}
 		a, b := g.reg(g.depth-2), g.reg(g.depth-1)
-		g.emit("sll %s, %s, 2", b, b)
-		g.emit("addu %s, %s, %s", a, a, b)
+		g.emit("sll", asm.Reg(b), asm.Reg(b), asm.Imm(2))
+		g.emit("addu", asm.Reg(a), asm.Reg(a), asm.Reg(b))
 		g.pop()
 		return TypeInt, nil
 	case *Unary:
@@ -616,9 +620,9 @@ func (g *gen) genCall(x *Call) (Type, error) {
 			if _, err := g.genExpr(x.Args[0]); err != nil {
 				return 0, err
 			}
-			g.emit("move a0, %s", g.top())
+			g.emit("move", asm.Reg(isa.RegA0), asm.Reg(g.top()))
 			g.pop()
-			g.emit("li v0, %d", syscallCodes[x.Name])
+			g.emit("li", asm.Reg(isa.RegV0), asm.Imm(int64(syscallCodes[x.Name])))
 			g.emit("syscall")
 			return TypeVoid, nil
 		case "bitsw":
@@ -626,7 +630,7 @@ func (g *gen) genCall(x *Call) (Type, error) {
 			if len(x.Args) != 1 || !ok {
 				return 0, errf(x.Line, "bitsw takes one constant argument")
 			}
-			g.emit("bitsw %d", c)
+			g.emit("bitsw", asm.Imm(int64(c)))
 			return TypeVoid, nil
 		}
 		return 0, errf(x.Line, "undefined function %q", x.Name)
@@ -647,23 +651,23 @@ func (g *gen) genCall(x *Call) (Type, error) {
 	}
 	// Stack args first (slots beyond a3), then register args.
 	for i := len(x.Args) - 1; i >= 4; i-- {
-		g.emit("sw %s, %d(sp)", g.reg(d0+i), 4*i)
+		g.emit("sw", asm.Reg(g.reg(d0+i)), asm.Mem(int64(4*i), isa.RegSP))
 	}
 	n := len(x.Args)
 	if n > 4 {
 		n = 4
 	}
 	for i := 0; i < n; i++ {
-		g.emit("move a%d, %s", i, g.reg(d0+i))
+		g.emit("move", asm.Reg(isa.RegA0+isa.Reg(i)), asm.Reg(g.reg(d0+i)))
 	}
 	g.depth = d0
 	// Spill live expression registers across the call.
 	for i := 0; i < d0; i++ {
-		g.emit("sw %s, %d(sp)", g.reg(i), g.spillBase+4*i)
+		g.emit("sw", asm.Reg(g.reg(i)), asm.Mem(int64(g.spillBase+4*i), isa.RegSP))
 	}
-	g.emit("jal %s", x.Name)
+	g.emit("jal", asm.Sym(x.Name))
 	for i := 0; i < d0; i++ {
-		g.emit("lw %s, %d(sp)", g.reg(i), g.spillBase+4*i)
+		g.emit("lw", asm.Reg(g.reg(i)), asm.Mem(int64(g.spillBase+4*i), isa.RegSP))
 	}
 	if sig.ret == TypeVoid {
 		return TypeVoid, nil
@@ -672,6 +676,6 @@ func (g *gen) genCall(x *Call) (Type, error) {
 	if err != nil {
 		return 0, err
 	}
-	g.emit("move %s, v0", r)
+	g.emit("move", asm.Reg(r), asm.Reg(isa.RegV0))
 	return sig.ret, nil
 }

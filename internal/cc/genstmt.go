@@ -1,5 +1,10 @@
 package cc
 
+import (
+	"asbr/internal/asm"
+	"asbr/internal/isa"
+)
+
 // Statement code generation. Loops are rotated (single backward
 // conditional branch per iteration), the common shape in embedded
 // compiler output and the shape the paper's loop-branch analysis
@@ -35,9 +40,9 @@ func (g *gen) genStmt(s Stmt) error {
 				return err
 			}
 			if lv.inReg {
-				g.emit("move %s, %s", lv.reg, g.top())
+				g.emit("move", asm.Reg(lv.reg), asm.Reg(g.top()))
 			} else {
-				g.emit("sw %s, %d(sp)", g.top(), lv.off)
+				g.emit("sw", asm.Reg(g.top()), asm.Mem(int64(lv.off), isa.RegSP))
 			}
 			g.pop()
 		}
@@ -71,7 +76,7 @@ func (g *gen) genStmt(s Stmt) error {
 		}
 		if x.Else != nil {
 			endL := g.label()
-			g.emit("j %s", endL)
+			g.emit("j", asm.Sym(endL))
 			g.emitLabel(elseL)
 			if err := g.genStmt(x.Else); err != nil {
 				return err
@@ -83,7 +88,7 @@ func (g *gen) genStmt(s Stmt) error {
 		return nil
 	case *WhileStmt:
 		condL, bodyL, endL := g.label(), g.label(), g.label()
-		g.emit("j %s", condL)
+		g.emit("j", asm.Sym(condL))
 		g.emitLabel(bodyL)
 		g.breakLbl = append(g.breakLbl, endL)
 		g.contLbl = append(g.contLbl, condL)
@@ -122,7 +127,7 @@ func (g *gen) genStmt(s Stmt) error {
 			}
 		}
 		condL, bodyL, contL, endL := g.label(), g.label(), g.label(), g.label()
-		g.emit("j %s", condL)
+		g.emit("j", asm.Sym(condL))
 		g.emitLabel(bodyL)
 		g.breakLbl = append(g.breakLbl, endL)
 		g.contLbl = append(g.contLbl, contL)
@@ -147,7 +152,7 @@ func (g *gen) genStmt(s Stmt) error {
 				return err
 			}
 		} else {
-			g.emit("j %s", bodyL)
+			g.emit("j", asm.Sym(bodyL))
 		}
 		g.emitLabel(endL)
 		g.closeScope()
@@ -160,24 +165,24 @@ func (g *gen) genStmt(s Stmt) error {
 			if _, err := g.genExpr(x.X); err != nil {
 				return err
 			}
-			g.emit("move v0, %s", g.top())
+			g.emit("move", asm.Reg(isa.RegV0), asm.Reg(g.top()))
 			g.pop()
 		} else if g.fn.Ret != TypeVoid {
 			return errf(x.Line, "non-void function %q returns nothing", g.fn.Name)
 		}
-		g.emit("j %s", g.retLbl)
+		g.emit("j", asm.Sym(g.retLbl))
 		return nil
 	case *BreakStmt:
 		if len(g.breakLbl) == 0 {
 			return errf(x.Line, "break outside loop")
 		}
-		g.emit("j %s", g.breakLbl[len(g.breakLbl)-1])
+		g.emit("j", asm.Sym(g.breakLbl[len(g.breakLbl)-1]))
 		return nil
 	case *ContinueStmt:
 		if len(g.contLbl) == 0 {
 			return errf(x.Line, "continue outside loop")
 		}
-		g.emit("j %s", g.contLbl[len(g.contLbl)-1])
+		g.emit("j", asm.Sym(g.contLbl[len(g.contLbl)-1]))
 		return nil
 	}
 	return errf(0, "internal: unknown statement %T", s)
@@ -206,11 +211,11 @@ func (g *gen) genAssignVoid(x *Assign) error {
 			if x.Op == tokAssign {
 				switch rhs := x.X.(type) {
 				case *NumLit:
-					g.emit("li %s, %d", lv.reg, int32(rhs.Val))
+					g.emit("li", asm.Reg(lv.reg), asm.Imm(int64(int32(rhs.Val))))
 					return nil
 				case *Ident:
 					if src, isReg := g.regLocal(rhs); isReg {
-						g.emit("move %s, %s", lv.reg, src)
+						g.emit("move", asm.Reg(lv.reg), asm.Reg(src))
 						return nil
 					}
 				}
@@ -234,43 +239,43 @@ func (g *gen) genAssignVoid(x *Assign) error {
 
 // compoundImm emits `r OP= c` in place when a single immediate
 // instruction expresses it.
-func (g *gen) compoundImm(r interface{ String() string }, op tokKind, c int32, line int) (bool, error) {
+func (g *gen) compoundImm(r isa.Reg, op tokKind, c int32, line int) (bool, error) {
 	fits := func(v int32) bool { return v >= -0x8000 && v <= 0x7fff }
 	ufits := func(v int32) bool { return v >= 0 && v <= 0xffff }
 	switch op {
 	case tokPlusEq:
 		if fits(c) {
-			g.emit("addiu %s, %s, %d", r, r, c)
+			g.emit("addiu", asm.Reg(r), asm.Reg(r), asm.Imm(int64(c)))
 			return true, nil
 		}
 	case tokMinusEq:
 		if fits(-c) {
-			g.emit("addiu %s, %s, %d", r, r, -c)
+			g.emit("addiu", asm.Reg(r), asm.Reg(r), asm.Imm(int64(-c)))
 			return true, nil
 		}
 	case tokAndEq:
 		if ufits(c) {
-			g.emit("andi %s, %s, %d", r, r, c)
+			g.emit("andi", asm.Reg(r), asm.Reg(r), asm.Imm(int64(c)))
 			return true, nil
 		}
 	case tokOrEq:
 		if ufits(c) {
-			g.emit("ori %s, %s, %d", r, r, c)
+			g.emit("ori", asm.Reg(r), asm.Reg(r), asm.Imm(int64(c)))
 			return true, nil
 		}
 	case tokXorEq:
 		if ufits(c) {
-			g.emit("xori %s, %s, %d", r, r, c)
+			g.emit("xori", asm.Reg(r), asm.Reg(r), asm.Imm(int64(c)))
 			return true, nil
 		}
 	case tokShlEq:
 		if c >= 0 && c < 32 {
-			g.emit("sll %s, %s, %d", r, r, c)
+			g.emit("sll", asm.Reg(r), asm.Reg(r), asm.Imm(int64(c)))
 			return true, nil
 		}
 	case tokShrEq:
 		if c >= 0 && c < 32 {
-			g.emit("sra %s, %s, %d", r, r, c)
+			g.emit("sra", asm.Reg(r), asm.Reg(r), asm.Imm(int64(c)))
 			return true, nil
 		}
 	}

@@ -1,11 +1,13 @@
 package cc
 
 import (
-	"fmt"
-	"strings"
+	"slices"
+
+	"asbr/internal/asm"
+	"asbr/internal/isa"
 )
 
-// Peephole optimization over the generated assembly lines, before
+// Peephole optimization over the generated assembly statements, before
 // assembly. Working at this level keeps label references symbolic, so
 // deleting instructions is free (no branch-offset or address fixups).
 //
@@ -23,158 +25,101 @@ import (
 // for the expression-stack temporaries that may cross labels (ternary
 // and short-circuit results).
 
-// aline is one parsed assembly line.
-type aline struct {
-	label string   // non-empty for label lines
-	op    string   // mnemonic
-	args  []string // operands, comma-split
-	raw   string   // original text (fallback)
-}
+// regSet is a set of registers, one bit per register.
+type regSet uint32
 
-func parseALine(s string) aline {
-	t := strings.TrimSpace(s)
-	if strings.HasSuffix(t, ":") {
-		return aline{label: strings.TrimSuffix(t, ":"), raw: s}
-	}
-	sp := strings.IndexAny(t, " \t")
-	if sp < 0 {
-		return aline{op: t, raw: s}
-	}
-	op := t[:sp]
-	rest := strings.TrimSpace(t[sp+1:])
-	parts := strings.Split(rest, ",")
-	for i := range parts {
-		parts[i] = strings.TrimSpace(parts[i])
-	}
-	return aline{op: op, args: parts, raw: s}
-}
+func (s regSet) has(r isa.Reg) bool { return s&(1<<r) != 0 }
 
-// String renders the line back to assembly text.
-func (l aline) String() string {
-	if l.label != "" {
-		return l.label + ":"
-	}
-	if len(l.args) == 0 {
-		return "\t" + l.op
-	}
-	return "\t" + l.op + " " + strings.Join(l.args, ", ")
-}
-
-// isBarrier reports whether the instruction ends a block or clobbers
+// isBarrier reports whether the statement ends a block or clobbers
 // state the analysis does not model (calls, returns, syscalls).
-func (l aline) isBarrier() bool {
-	switch l.op {
+func isBarrier(l *asm.Stmt) bool {
+	switch l.Op {
 	case "j", "jal", "jr", "jalr", "syscall", "bitsw", "break",
 		"beq", "bne", "beqz", "bnez", "blez", "bgtz", "bltz", "bgez", "b",
 		"bge", "bgt", "ble", "blt", "bgeu", "bgtu", "bleu", "bltu":
 		return true
 	}
-	return l.label != ""
-}
-
-// memBase extracts the base register of an "off(reg)" operand.
-func memBase(arg string) (string, bool) {
-	open := strings.IndexByte(arg, '(')
-	if open < 0 || !strings.HasSuffix(arg, ")") {
-		return "", false
-	}
-	return arg[open+1 : len(arg)-1], true
+	return l.Label != ""
 }
 
 // defsUses reports the registers an emitted instruction writes and
 // reads. Only mnemonics the code generator emits are modeled; anything
 // else is treated as a barrier by the caller.
-func (l aline) defsUses() (defs, uses []string, known bool) {
-	a := l.args
-	reg := func(s string) bool {
-		_, ok := regName(s)
-		return ok
+func defsUses(l *asm.Stmt) (defs, uses regSet, known bool) {
+	a := l.Args
+	isReg := func(i int) bool { return a[i].Kind == asm.KindReg }
+	// reg is the set holding operand i when it is a register.
+	reg := func(i int) regSet {
+		if !isReg(i) {
+			return 0
+		}
+		return 1 << a[i].Reg
 	}
-	switch l.op {
+	switch l.Op {
 	case "move", "neg", "not":
-		if len(a) == 2 && reg(a[0]) && reg(a[1]) {
-			return []string{a[0]}, []string{a[1]}, true
+		if len(a) == 2 && isReg(0) && isReg(1) {
+			return reg(0), reg(1), true
 		}
-	case "li":
-		if len(a) == 2 && reg(a[0]) {
-			return []string{a[0]}, nil, true
-		}
-	case "la":
-		if len(a) == 2 && reg(a[0]) {
-			return []string{a[0]}, nil, true
+	case "li", "la":
+		if len(a) == 2 && isReg(0) {
+			return reg(0), 0, true
 		}
 	case "addu", "subu", "and", "or", "xor", "nor", "slt", "sltu",
-		"sllv", "srlv", "srav":
-		if len(a) == 3 && reg(a[0]) && reg(a[1]) && reg(a[2]) {
-			return []string{a[0]}, []string{a[1], a[2]}, true
+		"sllv", "srlv", "srav", "mul", "div", "rem":
+		if len(a) == 3 && isReg(0) && isReg(1) && isReg(2) {
+			return reg(0), reg(1) | reg(2), true
 		}
 	case "addiu", "slti", "sltiu", "andi", "ori", "xori", "sll", "srl", "sra":
-		if len(a) == 3 && reg(a[0]) && reg(a[1]) {
-			return []string{a[0]}, []string{a[1]}, true
-		}
-	case "mul", "div", "rem":
-		if len(a) == 3 && reg(a[0]) && reg(a[1]) && reg(a[2]) {
-			return []string{a[0]}, []string{a[1], a[2]}, true
+		if len(a) == 3 && isReg(0) && isReg(1) {
+			return reg(0), reg(1), true
 		}
 	case "lw", "lb", "lbu", "lh", "lhu":
 		if len(a) == 2 {
-			if base, ok := memBase(a[1]); ok && reg(base) {
-				return []string{a[0]}, []string{base}, true
+			if a[1].Kind == asm.KindMem {
+				return reg(0), 1 << a[1].Reg, true
 			}
 			// Symbolic form expands through the assembler temporary.
-			return []string{a[0], "at"}, nil, true
+			return reg(0) | 1<<isa.RegAT, 0, true
 		}
 	case "sw", "sb", "sh":
 		if len(a) == 2 {
-			if base, ok := memBase(a[1]); ok && reg(base) {
-				return nil, []string{a[0], base}, true
+			if a[1].Kind == asm.KindMem {
+				return 0, reg(0) | 1<<a[1].Reg, true
 			}
-			return []string{"at"}, []string{a[0]}, true
+			return 1 << isa.RegAT, reg(0), true
 		}
 	case "beqz", "bnez", "blez", "bgtz", "bltz", "bgez":
-		if len(a) == 2 && reg(a[0]) {
-			return nil, []string{a[0]}, true
+		if len(a) == 2 && isReg(0) {
+			return 0, reg(0), true
 		}
 	case "beq", "bne":
-		if len(a) == 3 && reg(a[0]) && reg(a[1]) {
-			return nil, []string{a[0], a[1]}, true
+		if len(a) == 3 && isReg(0) && isReg(1) {
+			return 0, reg(0) | reg(1), true
 		}
 	case "nop":
-		return nil, nil, true
+		return 0, 0, true
 	}
-	return nil, nil, false
+	return 0, 0, false
 }
 
-// regName canonicalizes a register operand.
-func regName(s string) (string, bool) {
-	switch s {
-	case "zero", "at", "v0", "v1", "a0", "a1", "a2", "a3",
-		"t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7",
-		"s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7",
-		"t8", "t9", "k0", "k1", "gp", "sp", "fp", "ra":
-		return s, true
+// moveRegs returns the destination and source of `move d, s`.
+func moveRegs(l *asm.Stmt) (d, s isa.Reg, ok bool) {
+	if l.Op != "move" || len(l.Args) != 2 || l.Args[0].Kind != asm.KindReg || l.Args[1].Kind != asm.KindReg {
+		return 0, 0, false
 	}
-	return "", false
-}
-
-func contains(list []string, r string) bool {
-	for _, x := range list {
-		if x == r {
-			return true
-		}
-	}
-	return false
+	return l.Args[0].Reg, l.Args[1].Reg, true
 }
 
 // replaceUses rewrites reads of 'from' to 'to' in one instruction
 // (never the destination operand).
-func (l *aline) replaceUses(from, to string) {
-	for i, a := range l.args {
-		if a == from && !(i == 0 && writesArg0(l.op)) {
-			l.args[i] = to
-		}
-		if base, ok := memBase(a); ok && base == from {
-			l.args[i] = a[:strings.IndexByte(a, '(')] + "(" + to + ")"
+func replaceUses(l *asm.Stmt, from, to isa.Reg) {
+	for i := range l.Args {
+		a := &l.Args[i]
+		switch {
+		case a.Kind == asm.KindReg && a.Reg == from && !(i == 0 && writesArg0(l.Op)):
+			a.Reg = to
+		case a.Kind == asm.KindMem && a.Reg == from:
+			a.Reg = to
 		}
 	}
 }
@@ -190,63 +135,42 @@ func writesArg0(op string) bool {
 	return true
 }
 
-// Peephole rewrites the generated lines. Exported for tests; Generate
-// applies it automatically.
-func Peephole(lines []string) []string {
-	parsed := make([]aline, len(lines))
-	for i, s := range lines {
-		parsed[i] = parseALine(s)
-	}
+// Peephole rewrites the generated statements in place and returns
+// them compacted, a prefix of ls. Generate applies it automatically.
+func Peephole(ls []asm.Stmt) []asm.Stmt {
 	changed := true
 	for pass := 0; changed && pass < 4; pass++ {
-		changed = copyPropagate(parsed)
-		parsed = compact(parsed)
-		if fuseStoreBack(parsed) {
+		changed = copyPropagate(ls)
+		ls = compact(ls)
+		if fuseStoreBack(ls) {
 			changed = true
 		}
-		parsed = compact(parsed)
+		ls = compact(ls)
 	}
-	out := make([]string, 0, len(parsed))
-	for _, l := range parsed {
-		out = append(out, l.String())
-	}
-	return out
+	return ls
 }
 
-// deadMark marks a line for deletion.
+// deadOp marks a statement for deletion.
 const deadOp = "\x00dead"
 
-func compact(in []aline) []aline {
-	out := in[:0]
-	for _, l := range in {
-		if l.op != deadOp {
-			out = append(out, l)
-		}
-	}
-	return out
+func compact(in []asm.Stmt) []asm.Stmt {
+	return slices.DeleteFunc(in, func(l asm.Stmt) bool { return l.Op == deadOp })
 }
 
 // copyPropagate applies pattern 1 over every block.
-func copyPropagate(ls []aline) bool {
+func copyPropagate(ls []asm.Stmt) bool {
 	changed := false
-	for i := 0; i < len(ls); i++ {
-		l := ls[i]
-		if l.op != "move" || len(l.args) != 2 {
-			continue
-		}
-		d, s := l.args[0], l.args[1]
-		if _, ok := regName(d); !ok {
-			continue
-		}
-		if _, ok := regName(s); !ok {
+	for i := range ls {
+		d, s, ok := moveRegs(&ls[i])
+		if !ok {
 			continue
 		}
 		if d == s {
-			ls[i].op = deadOp
+			ls[i].Op = deadOp
 			changed = true
 			continue
 		}
-		if s == "zero" {
+		if s == isa.RegZero {
 			continue // li 0 form; leave for clarity
 		}
 		// Walk forward: substitute d -> s.
@@ -254,23 +178,23 @@ func copyPropagate(ls []aline) bool {
 		redefined := false
 		for j := i + 1; j < len(ls); j++ {
 			n := &ls[j]
-			if n.op == deadOp {
+			if n.Op == deadOp {
 				continue
 			}
-			if n.label != "" {
+			if n.Label != "" {
 				usesAfterStop = true // d may be live into the next block
 				break
 			}
-			defs, uses, known := n.defsUses()
-			barrier := n.isBarrier()
+			defs, uses, known := defsUses(n)
+			barrier := isBarrier(n)
 			if barrier || !known {
 				// Branches may read d; check uses when known.
 				if known {
-					if contains(uses, d) {
-						n.replaceUses(d, s)
+					if uses.has(d) {
+						replaceUses(n, d, s)
 						changed = true
 					}
-				} else if lineMentions(n, d) {
+				} else if mentions(n, d) {
 					// Unknown instruction touching d: give up.
 					usesAfterStop = true
 					break
@@ -281,36 +205,33 @@ func copyPropagate(ls []aline) bool {
 				}
 				continue
 			}
-			if contains(uses, d) {
-				n.replaceUses(d, s)
+			if uses.has(d) {
+				replaceUses(n, d, s)
 				changed = true
 			}
-			if contains(defs, s) {
+			if defs.has(s) {
 				// Source overwritten: stop substituting; d retains the
 				// old value, so it may still be read later.
 				usesAfterStop = true
 				break
 			}
-			if contains(defs, d) {
+			if defs.has(d) {
 				redefined = true
 				break
 			}
 		}
 		if redefined && !usesAfterStop {
-			ls[i].op = deadOp
+			ls[i].Op = deadOp
 			changed = true
 		}
 	}
 	return changed
 }
 
-// lineMentions reports whether any operand textually references reg.
-func lineMentions(l *aline, reg string) bool {
-	for _, a := range l.args {
-		if a == reg {
-			return true
-		}
-		if base, ok := memBase(a); ok && base == reg {
+// mentions reports whether any operand references reg.
+func mentions(l *asm.Stmt, reg isa.Reg) bool {
+	for _, a := range l.Args {
+		if (a.Kind == asm.KindReg || a.Kind == asm.KindMem) && a.Reg == reg {
 			return true
 		}
 	}
@@ -319,21 +240,19 @@ func lineMentions(l *aline, reg string) bool {
 
 // fuseStoreBack applies pattern 2: `op d, ...` + `move x, d` with d
 // dead afterwards becomes `op x, ...`.
-func fuseStoreBack(ls []aline) bool {
+func fuseStoreBack(ls []asm.Stmt) bool {
 	changed := false
 	for i := 0; i+1 < len(ls); i++ {
-		mv := ls[i+1]
-		if mv.op != "move" || len(mv.args) != 2 {
+		x, d, ok := moveRegs(&ls[i+1])
+		if !ok {
 			continue
 		}
-		x, d := mv.args[0], mv.args[1]
-		defs, uses, known := ls[i].defsUses()
-		if !known || len(defs) != 1 || defs[0] != d || d == x {
+		defs, uses, known := defsUses(&ls[i])
+		if !known || defs != 1<<d || d == x {
 			continue
 		}
-		// The op must not read x (retargeting would corrupt an input)
-		// and must not be a load/store through the symbolic form.
-		if contains(uses, x) {
+		// The op must not read x (retargeting would corrupt an input).
+		if uses.has(x) {
 			continue
 		}
 		// d must be dead after the move: redefined in this block
@@ -341,8 +260,8 @@ func fuseStoreBack(ls []aline) bool {
 		if !deadAfter(ls, i+2, d) {
 			continue
 		}
-		ls[i].args[0] = x
-		ls[i+1].op = deadOp
+		ls[i].Args[0] = asm.Reg(x)
+		ls[i+1].Op = deadOp
 		changed = true
 	}
 	return changed
@@ -350,28 +269,26 @@ func fuseStoreBack(ls []aline) bool {
 
 // deadAfter reports whether reg is redefined before any use within the
 // current block starting at index j.
-func deadAfter(ls []aline, j int, reg string) bool {
+func deadAfter(ls []asm.Stmt, j int, reg isa.Reg) bool {
 	for ; j < len(ls); j++ {
-		n := ls[j]
-		if n.op == deadOp {
+		n := &ls[j]
+		if n.Op == deadOp {
 			continue
 		}
-		if n.label != "" || n.isBarrier() {
+		if isBarrier(n) {
 			// Unknown liveness beyond: presume live (conservative).
 			return false
 		}
-		defs, uses, known := n.defsUses()
+		defs, uses, known := defsUses(n)
 		if !known {
 			return false
 		}
-		if contains(uses, reg) {
+		if uses.has(reg) {
 			return false
 		}
-		if contains(defs, reg) {
+		if defs.has(reg) {
 			return true
 		}
 	}
 	return false
 }
-
-var _ = fmt.Sprintf

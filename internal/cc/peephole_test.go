@@ -11,19 +11,54 @@ import (
 	"asbr/internal/isa"
 )
 
-func peep(lines ...string) []string {
-	in := make([]string, len(lines))
-	for i, l := range lines {
-		if strings.HasSuffix(l, ":") {
-			in[i] = l
-		} else {
-			in[i] = "\t" + l
+// operandOf types one operand field: a register, an integer, an
+// off(base) memory operand, or else a symbol.
+func operandOf(f string) asm.Operand {
+	if r, ok := isa.RegByName(f); ok {
+		return asm.Reg(r)
+	}
+	if v, err := strconv.ParseInt(f, 0, 64); err == nil {
+		return asm.Imm(v)
+	}
+	if off, base, ok := strings.Cut(f, "("); ok {
+		if r, ok := isa.RegByName(strings.TrimSuffix(base, ")")); ok {
+			v, _ := strconv.ParseInt(off, 0, 64)
+			return asm.Mem(v, r)
 		}
 	}
-	out := Peephole(in)
+	return asm.Sym(f)
+}
+
+// peephole runs Peephole over assembly lines, each a label ("name:")
+// or an instruction, and renders the result line by line.
+func peephole(lines []string) []string {
+	stmts := make([]asm.Stmt, len(lines))
+	for i, l := range lines {
+		l = strings.TrimSpace(l)
+		if name, ok := strings.CutSuffix(l, ":"); ok {
+			stmts[i] = asm.Stmt{Label: name}
+			continue
+		}
+		op, rest, _ := strings.Cut(l, " ")
+		stmts[i].Op = op
+		if rest != "" {
+			for _, f := range strings.Split(rest, ",") {
+				stmts[i].Args = append(stmts[i].Args, operandOf(strings.TrimSpace(f)))
+			}
+		}
+	}
+	out := Peephole(stmts)
 	res := make([]string, len(out))
-	for i, l := range out {
-		res[i] = strings.TrimSpace(l)
+	for i := range out {
+		res[i] = out[i].String()
+	}
+	return res
+}
+
+func peep(lines ...string) []string {
+	res := peephole(lines)
+	for i := range res {
+		res[i] = strings.TrimSpace(res[i])
 	}
 	return res
 }
@@ -192,7 +227,7 @@ func TestPeepholeRandomEquivalence(t *testing.T) {
 				pre = append(pre, "\t"+l)
 			}
 		}
-		opt := Peephole(append([]string(nil), pre...))
+		opt := peephole(pre)
 
 		exec := func(lines []string) [8]int32 {
 			p, err := asm.Assemble(strings.Join(lines, "\n"))
@@ -245,10 +280,11 @@ void main() {
 	// raw generator via Generate and comparing to an unoptimized
 	// reassembly is circular), so instead assert the optimized program
 	// still computes correctly and contains no trivially dead moves.
-	text, err := Generate(f)
+	stmts, err := Generate(f)
 	if err != nil {
 		t.Fatal(err)
 	}
+	text := asm.Format(stmts)
 	for _, line := range strings.Split(text, "\n") {
 		l := strings.TrimSpace(line)
 		if strings.HasPrefix(l, "move ") {

@@ -37,10 +37,11 @@ var regLocalPool = []isa.Reg{
 // collectRegLocals excludes by count.
 var leafExtraPool = []isa.Reg{isa.RegV1, isa.RegA3, isa.RegA2, isa.RegA1, isa.RegA0}
 
-// collectRegLocals decides the register assignment for fn's locals.
-// hasCall must be true if the body contains any call (including the
-// print/exit/putchar/bitsw builtins).
-func collectRegLocals(fn *FuncDecl, hasCall bool) map[string]isa.Reg {
+// collectRegLocals decides the register assignment for fn's locals,
+// and counts the declarations (parameters included) left in the stack
+// frame, one slot each. hasCall must be true if the body contains any
+// call (including the print/exit/putchar/bitsw builtins).
+func collectRegLocals(fn *FuncDecl, hasCall bool) (assign map[string]isa.Reg, stackSlots int) {
 	declCount := map[string]int{}
 	useCount := map[string]int{}
 	addrTaken := map[string]bool{}
@@ -157,12 +158,17 @@ func collectRegLocals(fn *FuncDecl, hasCall bool) map[string]isa.Reg {
 			pool = append(pool[:len(pool):len(pool)], r)
 		}
 	}
-	assign := make(map[string]isa.Reg)
+	assign = make(map[string]isa.Reg)
 	for i, c := range cands {
 		if i >= len(pool) {
 			break
 		}
 		assign[c.name] = pool[i]
 	}
-	return assign
+	for name, n := range declCount {
+		if _, inReg := assign[name]; !inReg {
+			stackSlots += n
+		}
+	}
+	return assign, stackSlots
 }

@@ -1,16 +1,20 @@
 package corpus
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"maps"
+	"slices"
 	"testing"
 
 	"asbr/internal/asm"
 	"asbr/internal/cc"
 	"asbr/internal/core"
+	"asbr/internal/isa"
 	"asbr/internal/sched"
 	"asbr/internal/workload"
 )
@@ -79,6 +83,56 @@ func TestCompileGolden(t *testing.T) {
 	if got := hex.EncodeToString(h.Sum(nil)); got != compileGoldenDigest {
 		t.Fatalf("front-end output digest over %d programs = %s, want %s", len(srcs), got, compileGoldenDigest)
 	}
+}
+
+// TestCompilePathsAgree holds the statement path to the text path:
+// for every program of compileGoldenSources, cc.CompileToProgram, which
+// assembles the generated statements without printing them, builds the
+// program asm.Assemble builds from cc.Compile's text.
+func TestCompilePathsAgree(t *testing.T) {
+	names, srcs := compileGoldenSources(t)
+	for i, src := range srcs {
+		if diff, err := comparePaths(src); err != nil || diff != "" {
+			t.Errorf("%s: CompileToProgram and Assemble(Compile) differ in %s (err %v)", names[i], diff, err)
+		}
+	}
+}
+
+// comparePaths builds src through cc.CompileToProgram and through
+// asm.Assemble(cc.Compile(src)) and names the first program field in
+// which they differ, or "" when the programs are equal.
+func comparePaths(src string) (string, error) {
+	direct, err := cc.CompileToProgram(src)
+	if err != nil {
+		return "", err
+	}
+	text, err := cc.Compile(src)
+	if err != nil {
+		return "", err
+	}
+	viaText, err := asm.Assemble(text)
+	if err != nil {
+		return "", err
+	}
+	return programDiff(direct, viaText), nil
+}
+
+// programDiff names the first field in which two programs differ, or
+// returns "" when they are equal.
+func programDiff(a, b *isa.Program) string {
+	switch {
+	case a.TextBase != b.TextBase || a.DataBase != b.DataBase:
+		return "segment bases"
+	case !slices.Equal(a.Text, b.Text):
+		return "text words"
+	case !bytes.Equal(a.Data, b.Data):
+		return "data"
+	case a.Entry != b.Entry:
+		return "entry"
+	case !maps.Equal(a.Symbols, b.Symbols):
+		return "symbols"
+	}
+	return ""
 }
 
 // hashWords writes a length-prefixed little-endian word list.

@@ -257,13 +257,20 @@ func Run(rec Record) (obs.Snapshot, error) {
 	return RunContext(context.Background(), rec)
 }
 
-// RunContext is Run with cancellation. The record is validated first;
-// the engine may be overridden per replay by mutating
-// rec.Config.Engine before the call (the point of a differential
-// replay). A bench record replays through RunBench over a fresh
-// artifact store, a source record through BuildSource and RunSource:
-// the served job's own execution path.
+// RunContext is Run with cancellation, over a fresh artifact store
+// (see RunWith).
 func RunContext(ctx context.Context, rec Record) (obs.Snapshot, error) {
+	return RunWith(ctx, &runner.Artifacts{}, rec)
+}
+
+// RunWith replays one record over an artifact store. The record is
+// validated first; the engine may be overridden per replay by mutating
+// rec.Config.Engine before the call (the point of a differential
+// replay). A bench record replays through RunBench over arts, so
+// records of one benchmark replayed through one store build its
+// program once; a source record replays through BuildSource and
+// RunSource. Either way it runs the served job's own execution path.
+func RunWith(ctx context.Context, arts *runner.Artifacts, rec Record) (obs.Snapshot, error) {
 	if err := rec.Validate(); err != nil {
 		return obs.Snapshot{}, err
 	}
@@ -278,7 +285,7 @@ func RunContext(ctx context.Context, rec Record) (obs.Snapshot, error) {
 		// manual/compiler bits.
 		var pk runner.ProgramKey
 		if pk, err = runner.ParseProgramKey(rec.Key); err == nil {
-			br, err = RunBench(ctx, &runner.Artifacts{}, BenchRun{
+			br, err = RunBench(ctx, arts, BenchRun{
 				Bench:      rec.Bench,
 				Build:      workload.BuildOptions{ManualSchedule: pk.Manual, CompilerSchedule: pk.Compiler},
 				Spec:       c.MachineSpec(eng),

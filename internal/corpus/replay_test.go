@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"asbr/internal/obs"
+	"asbr/internal/runner"
 )
 
 // exitSource is the smallest valid assembly record payload.
@@ -155,6 +157,42 @@ func TestLogWriterConcurrent(t *testing.T) {
 	// Invalid records are rejected at append time, not replay time.
 	if err := lw.Append(Record{Key: "x"}); err == nil {
 		t.Error("Append accepted an invalid record")
+	}
+}
+
+// TestReplaySharesArtifacts replays records of one benchmark through
+// one artifact store, as asbr-corpus replay does: the program is built
+// once for all of them, and every snapshot equals the one a replay
+// over a fresh store records.
+func TestReplaySharesArtifacts(t *testing.T) {
+	configs := []ReplayConfig{
+		{Samples: 32, Seed: 1},
+		{Samples: 32, Seed: 2, Predictor: "gshare"},
+		{Samples: 32, Seed: 1, ASBR: true},
+		{Samples: 16, Seed: 3, Engine: "reference"},
+	}
+	recs := make([]Record, len(configs))
+	for i, c := range configs {
+		recs[i] = benchRecord()
+		recs[i].Config = c
+		snap, err := Run(recs[i])
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		recs[i].Snapshot = snap
+	}
+	arts := &runner.Artifacts{}
+	for i, rec := range recs {
+		got, err := RunWith(context.Background(), arts, rec)
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if diffs := got.Diff(rec.Snapshot); len(diffs) > 0 {
+			t.Errorf("record %d: shared-store replay differs: %v", i, diffs)
+		}
+	}
+	if st := arts.Stats(); st.ProgramBuilds != 1 || st.ProgramGets != uint64(len(recs)) {
+		t.Errorf("%d replays built the program %d times in %d gets, want once", len(recs), st.ProgramBuilds, st.ProgramGets)
 	}
 }
 

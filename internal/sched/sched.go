@@ -34,8 +34,14 @@ type DistanceChange struct {
 	After  int
 }
 
-// pseudo-register index for the HI/LO pair in dependence analysis.
-const hiloReg = isa.NumRegs
+// Dependence resources, one bit each: the registers, then the HI/LO
+// pair and memory. A load reads memory and a store writes it, so
+// stores order against every memory operation and loads only against
+// stores.
+const (
+	hiloBit = uint64(1) << isa.NumRegs
+	memBit  = hiloBit << 1
+)
 
 // Schedule returns a copy of p with each eligible basic block
 // rescheduled. The input program is not modified. An error means an
@@ -53,12 +59,12 @@ func Schedule(p *isa.Program) (*isa.Program, Stats, error) {
 	copy(out.Text, p.Text)
 	st := Stats{Distances: make(map[uint32]DistanceChange)}
 
+	var s scheduler
 	leaders := blockLeaders(p)
 	blockStart := 0
 	for i := 0; i <= len(out.Text); i++ {
-		pc := p.TextBase + uint32(i*4)
-		if i == len(out.Text) || (i > blockStart && leaders[pc]) {
-			if err := scheduleBlock(out, blockStart, i, &st); err != nil {
+		if i == len(out.Text) || (i > blockStart && leaders[i]) {
+			if err := s.scheduleBlock(out, blockStart, i, &st); err != nil {
 				return nil, st, err
 			}
 			blockStart = i
@@ -67,9 +73,31 @@ func Schedule(p *isa.Program) (*isa.Program, Stats, error) {
 	return out, st, nil
 }
 
-// scheduleBlock reschedules instructions [start,end) of out.Text when
+// scheduler holds the working state of one block, reused from block to
+// block.
+type scheduler struct {
+	body       []isa.Inst
+	defs, uses []uint64 // per instruction: the resources it writes and reads
+	deps       []uint64 // row i holds bit j when body[j] must precede body[i]
+	remaining  []int    // un-emitted predecessor count
+	inSlice    []bool
+	emitted    []bool
+	order      []int
+}
+
+// resize returns buf with n zero elements, reusing its storage.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// scheduleBlock reschedules instructions [start,end) of p.Text when
 // the block ends in a foldable conditional branch.
-func scheduleBlock(p *isa.Program, start, end int, st *Stats) error {
+func (s *scheduler) scheduleBlock(p *isa.Program, start, end int, st *Stats) error {
 	n := end - start
 	if n < 3 {
 		return nil // a def, an independent instruction, and a branch at minimum
@@ -84,7 +112,7 @@ func scheduleBlock(p *isa.Program, start, end int, st *Stats) error {
 	}
 	st.BlocksConsidered++
 
-	body := make([]isa.Inst, 0, n-1)
+	body := s.body[:0]
 	for i := start; i < end-1; i++ {
 		in, err := isa.Decode(p.Text[i])
 		if err != nil {
@@ -98,6 +126,7 @@ func scheduleBlock(p *isa.Program, start, end int, st *Stats) error {
 		}
 		body = append(body, in)
 	}
+	s.body = body
 	m := len(body)
 
 	// Find the last definition of the condition register.
@@ -113,32 +142,30 @@ func scheduleBlock(p *isa.Program, start, end int, st *Stats) error {
 	}
 	before := m - 1 - defIdx
 
-	preds := dependences(body)
+	s.dependences()
+	w := (m + 63) / 64
+	dep := func(i, j int) bool { return s.deps[i*w+j/64]>>(j%64)&1 != 0 }
 
 	// The slice to hoist: the def and all its transitive predecessors.
-	inSlice := make([]bool, m)
-	var mark func(int)
-	mark = func(i int) {
-		if inSlice[i] {
-			return
+	// Predecessors come first, so one backward sweep closes the set.
+	s.inSlice = resize(s.inSlice, m)
+	inSlice := s.inSlice
+	inSlice[defIdx] = true
+	for i := defIdx; i > 0; i-- {
+		if !inSlice[i] {
+			continue
 		}
-		inSlice[i] = true
-		for _, j := range preds[i] {
-			mark(j)
+		for j := 0; j < i; j++ {
+			if dep(i, j) {
+				inSlice[j] = true
+			}
 		}
 	}
-	mark(defIdx)
 
 	// List scheduling: emit ready instructions, slice members first.
-	emitted := make([]bool, m)
-	remaining := make([]int, m) // un-emitted predecessor count
-	for i := range preds {
-		remaining[i] = 0
-		for range preds[i] {
-			remaining[i]++
-		}
-	}
-	order := make([]int, 0, m)
+	s.emitted = resize(s.emitted, m)
+	emitted, remaining := s.emitted, s.remaining
+	order := s.order[:0]
 	for len(order) < m {
 		pick := -1
 		for i := 0; i < m; i++ {
@@ -160,17 +187,13 @@ func scheduleBlock(p *isa.Program, start, end int, st *Stats) error {
 		}
 		emitted[pick] = true
 		order = append(order, pick)
-		for i := 0; i < m; i++ {
-			if emitted[i] {
-				continue
-			}
-			for _, j := range preds[i] {
-				if j == pick {
-					remaining[i]--
-				}
+		for i := pick + 1; i < m; i++ {
+			if dep(i, pick) {
+				remaining[i]--
 			}
 		}
 	}
+	s.order = order
 
 	// Compute the new def position and rewrite only on improvement.
 	newDefPos := -1
@@ -183,76 +206,73 @@ func scheduleBlock(p *isa.Program, start, end int, st *Stats) error {
 	if after <= before {
 		return nil
 	}
-	words := make([]uint32, m)
 	for pos, idx := range order {
 		w, err := isa.Encode(body[idx])
 		if err != nil {
 			return fmt.Errorf("sched: re-encoding block at 0x%08x: %w",
 				p.TextBase+uint32(start*4), err)
 		}
-		words[pos] = w
+		p.Text[start+pos] = w
 	}
-	copy(p.Text[start:start+m], words)
 	st.BlocksScheduled++
 	branchPC := p.TextBase + uint32((end-1)*4)
 	st.Distances[branchPC] = DistanceChange{Before: before, After: after}
 	return nil
 }
 
-// dependences builds the must-precede lists for a straight-line body:
-// flow, anti and output register dependences (including HI/LO), and
-// conservative memory ordering (stores order against all memory ops).
-func dependences(body []isa.Inst) [][]int {
+// dependences builds the must-precede matrix of s.body: flow, anti and
+// output dependences over the registers, HI/LO and memory, and each
+// instruction's predecessor count.
+func (s *scheduler) dependences() {
+	body := s.body
 	m := len(body)
-	preds := make([][]int, m)
-	defs := make([][]int, m) // register indexes defined
-	uses := make([][]int, m)
+	s.defs = resize(s.defs, m)
+	s.uses = resize(s.uses, m)
 	for i, in := range body {
+		var d, u uint64
 		if rd, has := in.DestReg(); has {
-			defs[i] = append(defs[i], int(rd))
+			d |= 1 << rd
 		}
 		src, n := in.SrcRegs()
 		for _, r := range src[:n] {
-			uses[i] = append(uses[i], int(r))
+			u |= 1 << r
 		}
 		switch in.Op {
 		case isa.OpMULT, isa.OpMULTU, isa.OpDIV, isa.OpDIVU, isa.OpMTHI, isa.OpMTLO:
-			defs[i] = append(defs[i], hiloReg)
+			d |= hiloBit
 		case isa.OpMFHI, isa.OpMFLO:
-			uses[i] = append(uses[i], hiloReg)
+			u |= hiloBit
 		}
-	}
-	intersects := func(a, b []int) bool {
-		for _, x := range a {
-			for _, y := range b {
-				if x == y {
-					return true
-				}
-			}
+		if in.IsLoad() {
+			u |= memBit
+		} else if in.IsStore() {
+			d |= memBit
 		}
-		return false
+		s.defs[i], s.uses[i] = d, u
 	}
+	w := (m + 63) / 64
+	s.deps = resize(s.deps, m*w)
+	s.remaining = resize(s.remaining, m)
 	for i := 1; i < m; i++ {
+		row := s.deps[i*w : (i+1)*w]
 		for j := 0; j < i; j++ {
-			dep := intersects(defs[j], uses[i]) || // flow
-				intersects(uses[j], defs[i]) || // anti
-				intersects(defs[j], defs[i]) // output
-			if !dep {
-				ji, ii := body[j], body[i]
-				dep = (ji.IsStore() && (ii.IsLoad() || ii.IsStore())) ||
-					(ji.IsLoad() && ii.IsStore())
-			}
-			if dep {
-				preds[i] = append(preds[i], j)
+			if s.defs[j]&s.uses[i]|s.uses[j]&s.defs[i]|s.defs[j]&s.defs[i] != 0 {
+				row[j/64] |= 1 << (j % 64)
+				s.remaining[i]++
 			}
 		}
 	}
-	return preds
 }
 
-// blockLeaders computes basic-block leader addresses.
-func blockLeaders(p *isa.Program) map[uint32]bool {
-	leaders := map[uint32]bool{p.TextBase: true}
+// blockLeaders marks the text words that begin a basic block: branch
+// and jump targets, the words after control transfers, and symbols.
+func blockLeaders(p *isa.Program) []bool {
+	leaders := make([]bool, len(p.Text))
+	mark := func(addr uint32) {
+		if off := addr - p.TextBase; off%4 == 0 && off/4 < uint32(len(leaders)) {
+			leaders[off/4] = true
+		}
+	}
 	for i, w := range p.Text {
 		pc := p.TextBase + uint32(i*4)
 		in, err := isa.Decode(w)
@@ -261,19 +281,19 @@ func blockLeaders(p *isa.Program) map[uint32]bool {
 		}
 		switch {
 		case in.IsCondBranch():
-			leaders[in.BranchTarget(pc)] = true
-			leaders[pc+4] = true
+			mark(in.BranchTarget(pc))
+			mark(pc + 4)
 		case in.Op == isa.OpJ || in.Op == isa.OpJAL:
-			leaders[in.Target] = true
-			leaders[pc+4] = true
+			mark(in.Target)
+			mark(pc + 4)
 		case in.Op == isa.OpJR || in.Op == isa.OpJALR:
-			leaders[pc+4] = true
+			mark(pc + 4)
 		}
 	}
 	// Every symbol is a potential entry point (function labels).
 	for _, addr := range p.Symbols {
 		if p.InText(addr) {
-			leaders[addr] = true
+			mark(addr)
 		}
 	}
 	return leaders
