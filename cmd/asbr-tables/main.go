@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"text/tabwriter"
@@ -108,7 +109,7 @@ func main() {
 			os.Exit(1)
 		}
 	} else {
-		render(tabs)
+		render(os.Stdout, tabs)
 	}
 	if tabs.HasErrors() {
 		for _, e := range tabs.Errors {
@@ -133,52 +134,52 @@ func remoteSweep(sf *cliflags.Sim, names, benches []string, n int, seed int64, u
 	})
 }
 
-// render prints every table the sweep carries in reporting order.
-func render(t *experiment.TablesJSON) {
+// render writes every table the sweep carries in reporting order.
+func render(w io.Writer, t *experiment.TablesJSON) {
 	if t.Fig6 != nil {
-		fig6(t)
+		fig6(w, t)
 	}
 	for _, bt := range []*experiment.BranchTableJSON{t.Fig7, t.Fig9, t.Fig10} {
 		if bt != nil {
-			branchTable(bt, t.Samples)
+			branchTable(w, bt, t.Samples)
 		}
 	}
 	if t.Fig11 != nil {
-		fig11(t)
+		fig11(w, t)
 	}
 	if t.Power != nil {
-		powerArea(t)
+		powerArea(w, t)
 	}
 	if t.Motivation != nil {
-		motivation(t)
+		motivation(w, t)
 	}
 	if t.Ablations != nil {
-		ablations(t.Ablations)
+		ablations(w, t.Ablations)
 	}
 	if t.Faults != nil {
-		faults(t)
+		faults(w, t)
 	}
 	if t.Predictability != nil {
-		predictability(t)
+		predictability(w, t)
 	}
 }
 
-func newTab() *tabwriter.Writer {
-	return tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+func newTab(w io.Writer) *tabwriter.Writer {
+	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 }
 
 // printCellErrors lists each failed cell's reason under the table.
-func printCellErrors(errs []*experiment.CellError) {
+func printCellErrors(w io.Writer, errs []*experiment.CellError) {
 	for _, e := range errs {
 		if e != nil {
-			fmt.Printf("  ERR(%s): %s\n", e.Code, e.Message)
+			fmt.Fprintf(w, "  ERR(%s): %s\n", e.Code, e.Message)
 		}
 	}
 }
 
-func fig6(t *experiment.TablesJSON) {
-	fmt.Printf("Figure 6: branch predictability of the benchmarks (n=%d)\n", t.Samples)
-	w := newTab()
+func fig6(out io.Writer, t *experiment.TablesJSON) {
+	fmt.Fprintf(out, "Figure 6: branch predictability of the benchmarks (n=%d)\n", t.Samples)
+	w := newTab(out)
 	fmt.Fprintln(w, "benchmark\tpredictor\tCycles\tCPI\tAcc")
 	var errs []*experiment.CellError
 	for _, r := range t.Fig6 {
@@ -190,8 +191,8 @@ func fig6(t *experiment.TablesJSON) {
 		fmt.Fprintf(w, "%s\t%s\t%d\t%.2f\t%.0f%%\n", r.Benchmark, r.Predictor, r.Cycles, r.CPI, 100*r.Accuracy)
 	}
 	w.Flush()
-	printCellErrors(errs)
-	fmt.Println()
+	printCellErrors(out, errs)
+	fmt.Fprintln(out)
 }
 
 // figureTitle maps the wire table name onto the paper's figure label.
@@ -207,10 +208,10 @@ func figureTitle(name string) string {
 	return name
 }
 
-func branchTable(bt *experiment.BranchTableJSON, samples int) {
-	fmt.Printf("%s: execution statistics for the branches selected for %s (n=%d)\n",
+func branchTable(out io.Writer, bt *experiment.BranchTableJSON, samples int) {
+	fmt.Fprintf(out, "%s: execution statistics for the branches selected for %s (n=%d)\n",
 		figureTitle(bt.Figure), bt.Benchmark, samples)
-	w := newTab()
+	w := newTab(out)
 	fmt.Fprintln(w, "branch\tpc\texec #\tnot taken\tbimodal\tgshare\tdist")
 	for _, r := range bt.Rows {
 		dist := fmt.Sprintf("%d", r.Distance)
@@ -222,13 +223,13 @@ func branchTable(bt *experiment.BranchTableJSON, samples int) {
 			r.Accuracy["not taken"], r.Accuracy["bimodal-2048"], r.Accuracy["gshare-11/2048"], dist)
 	}
 	w.Flush()
-	fmt.Println()
+	fmt.Fprintln(out)
 }
 
-func fig11(t *experiment.TablesJSON) {
-	fmt.Printf("Figure 11: application-specific branch resolution results (n=%d, update=%v)\n",
+func fig11(out io.Writer, t *experiment.TablesJSON) {
+	fmt.Fprintf(out, "Figure 11: application-specific branch resolution results (n=%d, update=%v)\n",
 		t.Samples, t.Update)
-	w := newTab()
+	w := newTab(out)
 	fmt.Fprintln(w, "benchmark\taux predictor\tCycles\tImpr.\tvs\tfolds\tfallbacks")
 	var errs []*experiment.CellError
 	for _, r := range t.Fig11 {
@@ -241,13 +242,13 @@ func fig11(t *experiment.TablesJSON) {
 			r.Benchmark, r.Aux, r.Cycles, 100*r.Improvement, r.BaselineName, r.Folds, r.Fallbacks)
 	}
 	w.Flush()
-	printCellErrors(errs)
-	fmt.Println()
+	printCellErrors(out, errs)
+	fmt.Fprintln(out)
 }
 
-func powerArea(t *experiment.TablesJSON) {
-	fmt.Printf("Power/area model: the abstract's energy and area claims (n=%d)\n", t.Samples)
-	w := newTab()
+func powerArea(out io.Writer, t *experiment.TablesJSON) {
+	fmt.Fprintf(out, "Power/area model: the abstract's energy and area claims (n=%d)\n", t.Samples)
+	w := newTab(out)
 	fmt.Fprintln(w, "benchmark\tconfig\tinsts\twrong-path\tenergy\tpredictor+BTB energy\tarea (bits)")
 	for _, r := range t.Power {
 		fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%.0f\t%.0f\t%d\n",
@@ -255,13 +256,13 @@ func powerArea(t *experiment.TablesJSON) {
 			r.Energy.Total, r.Energy.Predictor+r.Energy.BTB, r.AreaBits)
 	}
 	w.Flush()
-	fmt.Println()
+	fmt.Fprintln(out)
 }
 
-func motivation(t *experiment.TablesJSON) {
+func motivation(out io.Writer, t *experiment.TablesJSON) {
 	m := t.Motivation
-	fmt.Printf("Motivation (paper §3, Figure 1): data correlation vs. input dependence (n=%d)\n", t.Samples)
-	w := newTab()
+	fmt.Fprintf(out, "Motivation (paper §3, Figure 1): data correlation vs. input dependence (n=%d)\n", t.Samples)
+	w := newTab(out)
 	fmt.Fprintln(w, "branch\texec #\tbimodal\tgshare\tASBR fold rate")
 	for _, r := range m.Rows {
 		fmt.Fprintf(w, "%s\t%d\t%.2f\t%.2f\t%.2f\n", r.Name, r.Exec, r.Bimodal, r.GShare, r.FoldRate)
@@ -271,41 +272,41 @@ func motivation(t *experiment.TablesJSON) {
 	if !m.AccMatch {
 		verdict = "MISMATCH"
 	}
-	fmt.Printf("cycles: %d baseline -> %d with B4+B5 folded (%s)\n\n",
+	fmt.Fprintf(out, "cycles: %d baseline -> %d with B4+B5 folded (%s)\n\n",
 		m.BaselineCycles, m.ASBRCycles, verdict)
 }
 
-func ablations(a *experiment.AblationsJSON) {
-	fmt.Printf("Ablation: BDT update point (paper §5.2 thresholds), %s\n", a.ThresholdBench)
-	w := newTab()
+func ablations(out io.Writer, a *experiment.AblationsJSON) {
+	fmt.Fprintf(out, "Ablation: BDT update point (paper §5.2 thresholds), %s\n", a.ThresholdBench)
+	w := newTab(out)
 	fmt.Fprintln(w, "update\tthreshold\tCycles\tfolds\tfallbacks")
 	for _, r := range a.Threshold {
 		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\n", r.Update, r.Threshold, r.Cycles, r.Folds, r.Fallbacks)
 	}
 	w.Flush()
-	fmt.Println()
+	fmt.Fprintln(out)
 
-	fmt.Printf("Ablation: BIT capacity sweep, %s\n", a.BITSizeBench)
-	w = newTab()
+	fmt.Fprintf(out, "Ablation: BIT capacity sweep, %s\n", a.BITSizeBench)
+	w = newTab(out)
 	fmt.Fprintln(w, "entries\tselected\tCycles\tfolds")
 	for _, r := range a.BITSize {
 		fmt.Fprintf(w, "%d\t%d\t%d\t%d\n", r.Entries, r.K, r.Cycles, r.Folds)
 	}
 	w.Flush()
-	fmt.Println()
+	fmt.Fprintln(out)
 
-	fmt.Printf("Ablation: §5.1 scheduling, %s\n", a.SchedulingBench)
-	w = newTab()
+	fmt.Fprintf(out, "Ablation: §5.1 scheduling, %s\n", a.SchedulingBench)
+	w = newTab(out)
 	fmt.Fprintln(w, "scheduling\tCycles\tbaseline\tImpr.\tfolds\tcandidates")
 	for _, r := range a.Scheduling {
 		fmt.Fprintf(w, "%s\t%d\t%d\t%.1f%%\t%d\t%d\n",
 			r.Label, r.Cycles, r.Baseline, 100*r.Improvement, r.Folds, r.Candidates)
 	}
 	w.Flush()
-	fmt.Println()
+	fmt.Fprintln(out)
 
-	fmt.Printf("Ablation: BDT validity counters, %s\n", a.ValidityBench)
-	w = newTab()
+	fmt.Fprintf(out, "Ablation: BDT validity counters, %s\n", a.ValidityBench)
+	w = newTab(out)
 	fmt.Fprintln(w, "mode\tCycles\tfolds\tfallbacks\toutput")
 	for _, r := range a.Validity {
 		verdict := "bit-exact"
@@ -315,12 +316,12 @@ func ablations(a *experiment.AblationsJSON) {
 		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%s\n", r.Label, r.Cycles, r.Folds, r.Fallbacks, verdict)
 	}
 	w.Flush()
-	fmt.Println()
+	fmt.Fprintln(out)
 }
 
-func faults(t *experiment.TablesJSON) {
-	fmt.Printf("Fault injection: lockstep divergence detection (n=%d)\n", t.Samples)
-	w := newTab()
+func faults(out io.Writer, t *experiment.TablesJSON) {
+	fmt.Fprintf(out, "Fault injection: lockstep divergence detection (n=%d)\n", t.Samples)
+	w := newTab(out)
 	fmt.Fprintln(w, "benchmark\tplan\tinjected\tdiverged\tfirst divergent pc\tcycle\tcommits")
 	var errs []*experiment.CellError
 	for _, r := range t.Faults {
@@ -341,26 +342,26 @@ func faults(t *experiment.TablesJSON) {
 			r.Benchmark, r.Plan, r.Injected, diverged, pc, cyc, r.Commits)
 	}
 	w.Flush()
-	printCellErrors(errs)
-	fmt.Println()
+	printCellErrors(out, errs)
+	fmt.Fprintln(out)
 }
 
 // predictability renders the branch-predictability classification: one
 // block per benchmark listing every static branch with its shadow-zoo
 // accuracies and class, then the class census and the headline rescued
 // fraction.
-func predictability(t *experiment.TablesJSON) {
-	fmt.Printf("Predictability: static branches vs. the dynamic predictor zoo (n=%d, update=%v)\n",
+func predictability(out io.Writer, t *experiment.TablesJSON) {
+	fmt.Fprintf(out, "Predictability: static branches vs. the dynamic predictor zoo (n=%d, update=%v)\n",
 		t.Samples, t.Update)
 	var errs []*experiment.CellError
 	for _, r := range t.Predictability {
 		if r.Error != nil {
-			fmt.Printf("%s: ERR\n", r.Benchmark)
+			fmt.Fprintf(out, "%s: ERR\n", r.Benchmark)
 			errs = append(errs, r.Error)
 			continue
 		}
-		fmt.Printf("%s\n", r.Benchmark)
-		w := newTab()
+		fmt.Fprintf(out, "%s\n", r.Benchmark)
+		w := newTab(out)
 		fmt.Fprintln(w, "pc\texec #\ttaken\tbimodal\tgshare\ttage\tloop\ttageloop\tfold\tbest misses\trescued\tclass")
 		for _, b := range r.Rows {
 			fmt.Fprintf(w, "0x%08x\t%d\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\t%d\t%d\t%s\n",
@@ -370,17 +371,17 @@ func predictability(t *experiment.TablesJSON) {
 				b.FoldRate, b.Mispredicts, b.Rescued, b.Class)
 		}
 		w.Flush()
-		fmt.Printf("classes:")
+		fmt.Fprintf(out, "classes:")
 		for _, c := range []string{
 			experiment.ClassPredictable, experiment.ClassTAGERescued,
 			experiment.ClassLoopRescued, experiment.ClassASBRFolded,
 			experiment.ClassUnpredictable,
 		} {
-			fmt.Printf(" %s=%d", c, r.Classes[c])
+			fmt.Fprintf(out, " %s=%d", c, r.Classes[c])
 		}
-		fmt.Println()
-		fmt.Printf("ASBR rescues %d of %d best-dynamic mispredictions (%.0f%%, %d cycles) that no predictor in the zoo avoids\n\n",
+		fmt.Fprintln(out)
+		fmt.Fprintf(out, "ASBR rescues %d of %d best-dynamic mispredictions (%.0f%%, %d cycles) that no predictor in the zoo avoids\n\n",
 			r.RescuedMispredicts, r.BestMispredicts, 100*r.RescuedFrac, r.RescuedCycles)
 	}
-	printCellErrors(errs)
+	printCellErrors(out, errs)
 }
