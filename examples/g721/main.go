@@ -23,7 +23,7 @@ func main() {
 	opt := experiment.Options{Samples: n, Seed: 1}
 
 	// The per-branch table the paper's Figure 7 reports.
-	tab, err := experiment.SelectedBranches(workload.G721Encode, opt)
+	tab, err := experiment.NewSweep(opt).SelectedBranches(experiment.TableFig7, workload.G721Encode)
 	if err != nil {
 		log.Fatal(err)
 	}

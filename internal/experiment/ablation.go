@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"cmp"
+
 	"asbr/internal/core"
 	"asbr/internal/cpu"
 	"asbr/internal/predict"
@@ -17,26 +19,32 @@ import (
 // cache, so a point that repeats another table's machine is not
 // simulated again.
 
-// ThresholdRow is one row of the BDT-update-point ablation (paper
-// §5.2: thresholds 2/3/4 via the EX/MEM/WB update points).
-type ThresholdRow struct {
-	Update    cpu.Stage
-	Threshold int
-	Cycles    uint64
-	Folds     uint64
-	Fallbacks uint64
+// defaultBITSweepSizes is the capacity axis of the BIT-size ablation.
+var defaultBITSweepSizes = []int{1, 2, 4, 8, 16, 32}
+
+// ablations runs the four ablation studies on their canonical
+// benchmarks. A partial failure still returns the studies that ran,
+// with the first error.
+func (s *Sweep) ablations() (*AblationsJSON, error) {
+	out := &AblationsJSON{
+		ThresholdBench:  workload.G721Encode,
+		BITSizeBench:    workload.G721Encode,
+		SchedulingBench: workload.ADPCMEncode,
+		ValidityBench:   workload.ADPCMEncode,
+	}
+	var errs [4]error
+	out.Threshold, errs[0] = s.ThresholdAblation(out.ThresholdBench)
+	out.BITSize, errs[1] = s.BITSizeAblation(out.BITSizeBench, defaultBITSweepSizes)
+	out.Scheduling, errs[2] = s.SchedulingAblation(out.SchedulingBench)
+	out.Validity, errs[3] = s.ValidityAblation(out.ValidityBench)
+	return out, cmp.Or(errs[:]...)
 }
 
-// ThresholdAblation runs the update-point sweep on a fresh sweep
-// context (see Sweep.ThresholdAblation).
-func ThresholdAblation(bench string, opt Options) ([]ThresholdRow, error) {
-	return NewSweep(opt).ThresholdAblation(bench)
-}
-
-// ThresholdAblation sweeps the three update points with a fixed
-// selection (performed at the EX threshold), showing how fold coverage
-// degrades as the predicate must be ready earlier.
-func (s *Sweep) ThresholdAblation(bench string) ([]ThresholdRow, error) {
+// ThresholdAblation sweeps the three BDT update points (paper §5.2:
+// thresholds 2/3/4 via EX/MEM/WB) with a fixed selection (performed at
+// the EX threshold), showing how fold coverage degrades as the
+// predicate must be ready earlier.
+func (s *Sweep) ThresholdAblation(bench string) ([]ThresholdJSON, error) {
 	pa, err := s.profiledRun(bench)
 	if err != nil {
 		return nil, err
@@ -52,14 +60,14 @@ func (s *Sweep) ThresholdAblation(bench string) ([]ThresholdRow, error) {
 		return nil, err
 	}
 	updates := []cpu.Stage{cpu.StageEX, cpu.StageMEM, cpu.StageWB}
-	return runner.Map(s.opt.Parallel, updates, func(_ int, up cpu.Stage) (ThresholdRow, error) {
+	return runner.Map(s.opt.Parallel, updates, func(_ int, up cpu.Stage) (ThresholdJSON, error) {
 		r, err := s.simulate(bench, pa.prog, predict.AuxBimodal512,
 			&asbrUnit{cfg: core.DefaultConfig(), entries: entries, update: up})
 		if err != nil {
-			return ThresholdRow{}, err
+			return ThresholdJSON{}, err
 		}
-		return ThresholdRow{
-			Update:    up,
+		return ThresholdJSON{
+			Update:    up.String(),
 			Threshold: map[cpu.Stage]int{cpu.StageEX: 2, cpu.StageMEM: 3, cpu.StageWB: 4}[up],
 			Cycles:    r.res.Stats.Cycles,
 			Folds:     r.fold.Folds,
@@ -68,47 +76,33 @@ func (s *Sweep) ThresholdAblation(bench string) ([]ThresholdRow, error) {
 	})
 }
 
-// BITSizeRow is one row of the BIT-capacity sweep.
-type BITSizeRow struct {
-	Entries uint64
-	K       int
-	Cycles  uint64
-	Folds   uint64
-}
-
-// BITSizeAblation runs the capacity sweep on a fresh sweep context
-// (see Sweep.BITSizeAblation).
-func BITSizeAblation(bench string, opt Options, sizes []int) ([]BITSizeRow, error) {
-	return NewSweep(opt).BITSizeAblation(bench, sizes)
-}
-
 // BITSizeAblation sweeps the number of BIT entries, showing the
 // diminishing returns that justify the paper's small 16-entry table.
-func (s *Sweep) BITSizeAblation(bench string, sizes []int) ([]BITSizeRow, error) {
+func (s *Sweep) BITSizeAblation(bench string, sizes []int) ([]BITSizeJSON, error) {
 	pa, err := s.profiledRun(bench)
 	if err != nil {
 		return nil, err
 	}
-	return runner.Map(s.opt.Parallel, sizes, func(_ int, k int) (BITSizeRow, error) {
+	return runner.Map(s.opt.Parallel, sizes, func(_ int, k int) (BITSizeJSON, error) {
 		cands, err := profile.Select(pa.prog, pa.prof, profile.SelectOptions{
 			Aux: "bimodal-512", MinDistance: s.opt.MinDistance(), K: k,
 			MinCount: uint64(s.opt.Samples / 16),
 		})
 		if err != nil {
-			return BITSizeRow{}, err
+			return BITSizeJSON{}, err
 		}
 		entries, err := profile.BuildBITFromCandidates(pa.prog, cands)
 		if err != nil {
-			return BITSizeRow{}, err
+			return BITSizeJSON{}, err
 		}
 		cfg := core.DefaultConfig()
 		cfg.BITEntries = maxInt(k, 1)
 		r, err := s.simulate(bench, pa.prog, predict.AuxBimodal512,
 			&asbrUnit{cfg: cfg, entries: entries, update: s.opt.Update})
 		if err != nil {
-			return BITSizeRow{}, err
+			return BITSizeJSON{}, err
 		}
-		return BITSizeRow{
+		return BITSizeJSON{
 			Entries: uint64(k),
 			K:       len(cands),
 			Cycles:  r.res.Stats.Cycles,
@@ -117,31 +111,15 @@ func (s *Sweep) BITSizeAblation(bench string, sizes []int) ([]BITSizeRow, error)
 	})
 }
 
-// SchedulingRow is one row of the §5.1 scheduling ablation. Baseline
-// and Improvement are measured against the same binary without ASBR,
-// so the source-level overhead of manual scheduling does not pollute
-// the comparison.
-type SchedulingRow struct {
-	Label       string
-	Cycles      uint64
-	Baseline    uint64
-	Improvement float64
-	Folds       uint64
-	Candidates  int
-}
-
-// SchedulingAblation runs the scheduling comparison on a fresh sweep
-// context (see Sweep.SchedulingAblation).
-func SchedulingAblation(bench string, opt Options) ([]SchedulingRow, error) {
-	return NewSweep(opt).SchedulingAblation(bench)
-}
-
 // SchedulingAblation compares no scheduling, compiler-pass-only,
 // manual-source-only, and both — quantifying the paper's claim that
 // scheduling "can boost significantly the effectiveness of the
 // approach". Each variant compiles its own binary (cached in the
-// artifact store) and profiles it independently.
-func (s *Sweep) SchedulingAblation(bench string) ([]SchedulingRow, error) {
+// artifact store) and profiles it independently. A row's Baseline and
+// Improvement are measured against the same binary without ASBR, so
+// the source-level overhead of manual scheduling does not pollute the
+// comparison.
+func (s *Sweep) SchedulingAblation(bench string) ([]SchedulingJSON, error) {
 	variants := []struct {
 		label string
 		bopt  workload.BuildOptions
@@ -154,39 +132,39 @@ func (s *Sweep) SchedulingAblation(bench string) ([]SchedulingRow, error) {
 	return runner.Map(s.opt.Parallel, variants, func(_ int, v struct {
 		label string
 		bopt  workload.BuildOptions
-	}) (SchedulingRow, error) {
+	}) (SchedulingJSON, error) {
 		prog, err := s.arts.Program(bench, v.bopt)
 		if err != nil {
-			return SchedulingRow{}, err
+			return SchedulingJSON{}, err
 		}
 		in, err := s.input(bench)
 		if err != nil {
-			return SchedulingRow{}, err
+			return SchedulingJSON{}, err
 		}
 		prof := profile.New(predict.Must(predict.NewBimodal(512)))
 		cfg := s.machine(predict.BaselineBimodal())
 		cfg.Observer = prof
 		baseRes, err := s.run(prog, cfg, in)
 		if err != nil {
-			return SchedulingRow{}, err
+			return SchedulingJSON{}, err
 		}
 		cands, err := profile.Select(prog, prof, profile.SelectOptions{
 			Aux: "bimodal-512", MinDistance: s.opt.MinDistance(), K: BITSizes()[bench],
 			MinCount: uint64(s.opt.Samples / 16),
 		})
 		if err != nil {
-			return SchedulingRow{}, err
+			return SchedulingJSON{}, err
 		}
 		entries, err := profile.BuildBITFromCandidates(prog, cands)
 		if err != nil {
-			return SchedulingRow{}, err
+			return SchedulingJSON{}, err
 		}
 		r, err := s.simulate(bench, prog, predict.AuxBimodal512,
 			&asbrUnit{cfg: core.DefaultConfig(), entries: entries, update: s.opt.Update})
 		if err != nil {
-			return SchedulingRow{}, err
+			return SchedulingJSON{}, err
 		}
-		return SchedulingRow{
+		return SchedulingJSON{
 			Label:       v.label,
 			Cycles:      r.res.Stats.Cycles,
 			Baseline:    baseRes.Stats.Cycles,
@@ -197,27 +175,12 @@ func (s *Sweep) SchedulingAblation(bench string) ([]SchedulingRow, error) {
 	})
 }
 
-// ValidityRow is one row of the validity-counter ablation.
-type ValidityRow struct {
-	Label         string
-	Cycles        uint64
-	Folds         uint64
-	Fallbacks     uint64
-	OutputCorrect bool
-}
-
-// ValidityAblation runs the safe-vs-unsafe comparison on a fresh sweep
-// context (see Sweep.ValidityAblation).
-func ValidityAblation(bench string, opt Options) ([]ValidityRow, error) {
-	return NewSweep(opt).ValidityAblation(bench)
-}
-
 // ValidityAblation compares the safe engine (validity counters, paper
 // §4) against the unsafe upper bound (fold on every BIT hit with the
 // latest delivered value). The unsafe run measures maximum coverage
 // and demonstrates why the counters are architecturally necessary:
 // its output is checked against the golden model.
-func (s *Sweep) ValidityAblation(bench string) ([]ValidityRow, error) {
+func (s *Sweep) ValidityAblation(bench string) ([]ValidityJSON, error) {
 	pa, err := s.profiledRun(bench)
 	if err != nil {
 		return nil, err
@@ -247,13 +210,13 @@ func (s *Sweep) ValidityAblation(bench string) ([]ValidityRow, error) {
 	return runner.Map(s.opt.Parallel, modes, func(_ int, mode struct {
 		label string
 		track bool
-	}) (ValidityRow, error) {
+	}) (ValidityJSON, error) {
 		cfg := core.DefaultConfig()
 		cfg.TrackValidity = mode.track
 		r, err := s.simulate(bench, pa.prog, predict.AuxBimodal512,
 			&asbrUnit{cfg: cfg, entries: entries, update: s.opt.Update})
 		if err != nil {
-			return ValidityRow{}, err
+			return ValidityJSON{}, err
 		}
 		res := r.res
 		correct := len(res.Output) == len(want)
@@ -265,7 +228,7 @@ func (s *Sweep) ValidityAblation(bench string) ([]ValidityRow, error) {
 				}
 			}
 		}
-		return ValidityRow{
+		return ValidityJSON{
 			Label:         mode.label,
 			Cycles:        res.Stats.Cycles,
 			Folds:         r.fold.Folds,

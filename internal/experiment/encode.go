@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"strings"
@@ -11,10 +12,12 @@ import (
 	"asbr/internal/workload"
 )
 
-// This file is the single machine-readable encoding of every table the
-// reproduction produces. `asbr-tables -json` and the serving layer's
-// /v1/sweep response both marshal a *TablesJSON, so the wire shape of
-// a sweep cannot drift between the CLI and the daemon.
+// This file defines every table the reproduction produces, in the one
+// form all consumers read: the Sweep's table methods build these rows,
+// `asbr-tables` renders them as text or marshals them with -json, and
+// the serving layer's /v1/sweep response and the cluster merge carry
+// the same *TablesJSON, so the shape of a sweep cannot drift between
+// the CLI and the daemon.
 
 // Table names accepted by (*Sweep).Tables, in reporting order.
 const (
@@ -84,19 +87,6 @@ type Fig6JSON struct {
 	Error *CellError `json:"error,omitempty"`
 }
 
-// EncodeFig6 converts Figure 6 rows to the wire form.
-func EncodeFig6(rows []Fig6Row) []Fig6JSON {
-	out := make([]Fig6JSON, len(rows))
-	for i, r := range rows {
-		out[i] = Fig6JSON{
-			Benchmark: r.Benchmark, Predictor: r.Predictor,
-			Snapshot: r.Snapshot,
-			Error:    EncodeCellError(r.Err),
-		}
-	}
-	return out
-}
-
 // BranchJSON is one encoded selected-branch row (Figures 7/9/10).
 type BranchJSON struct {
 	Index      int                `json:"index"`
@@ -116,52 +106,21 @@ type BranchTableJSON struct {
 	Rows      []BranchJSON `json:"rows"`
 }
 
-// crossBlockDistance marks a selection whose defining instruction sits
-// in another basic block (rendered "x-blk" by the text tables).
-const crossBlockDistance = 1 << 20
-
-// EncodeBranchTable converts a selected-branch table to the wire form.
-func EncodeBranchTable(figure string, tab BranchTable) *BranchTableJSON {
-	out := &BranchTableJSON{Figure: figure, Benchmark: tab.Benchmark, Shadows: tab.Shadows}
-	for _, r := range tab.Rows {
-		out.Rows = append(out.Rows, BranchJSON{
-			Index: r.Index, PC: r.PC, Exec: r.Exec, Taken: r.Taken,
-			Accuracy: r.Accuracy, Distance: r.Distance,
-			CrossBlock: r.Distance >= crossBlockDistance,
-		})
-	}
-	return out
-}
-
 // Fig11JSON is one encoded Figure 11 cell. The embedded snapshot
 // provides the folded run's full statistics (including the historical
 // cycles key); folds/fallbacks/folded_frac remain the ASBR engine's
 // own counters, distinct from the snapshot's CPU-side folded keys.
 type Fig11JSON struct {
 	Benchmark string `json:"benchmark"`
-	Aux       string `json:"aux"`
+	Aux       string `json:"aux"` // auxiliary predictor used with ASBR
 	obs.Snapshot
-	Baseline     uint64     `json:"baseline"`
+	Baseline     uint64     `json:"baseline"` // the paper's comparison base for this row
 	BaselineName string     `json:"baseline_name"`
-	Improvement  float64    `json:"improvement"`
+	Improvement  float64    `json:"improvement"` // 1 - cycles/baseline
 	Folds        uint64     `json:"folds"`
 	Fallbacks    uint64     `json:"fallbacks"`
-	FoldedFrac   float64    `json:"folded_frac"`
+	FoldedFrac   float64    `json:"folded_frac"` // folded / dynamic conditional branches
 	Error        *CellError `json:"error,omitempty"`
-}
-
-// EncodeFig11 converts Figure 11 rows to the wire form.
-func EncodeFig11(rows []Fig11Row) []Fig11JSON {
-	out := make([]Fig11JSON, len(rows))
-	for i, r := range rows {
-		out[i] = Fig11JSON{
-			Benchmark: r.Benchmark, Aux: r.Aux, Snapshot: r.Snapshot,
-			Baseline: r.Baseline, BaselineName: r.BaselineName,
-			Improvement: r.Improvement, Folds: r.Folds, Fallbacks: r.Fallbacks,
-			FoldedFrac: r.FoldedFrac, Error: EncodeCellError(r.Err),
-		}
-	}
-	return out
 }
 
 // EnergyJSON is the power model's per-component breakdown.
@@ -187,33 +146,14 @@ type PowerJSON struct {
 	AreaBits     int        `json:"area_bits"`
 }
 
-// EncodePower converts power/area rows to the wire form.
-func EncodePower(rows []PowerRow) []PowerJSON {
-	out := make([]PowerJSON, len(rows))
-	for i, r := range rows {
-		out[i] = PowerJSON{
-			Benchmark: r.Benchmark, Config: r.Config, Cycles: r.Cycles,
-			Instructions: r.Instructions, WrongPath: r.WrongPath,
-			Energy: EnergyJSON{
-				Pipeline: r.Energy.Pipeline, WrongPath: r.Energy.WrongPath,
-				Predictor: r.Energy.Predictor, BTB: r.Energy.BTB,
-				BIT: r.Energy.BIT, BDT: r.Energy.BDT, Caches: r.Energy.Caches,
-				Total: r.Energy.Total(),
-			},
-			AreaBits: r.AreaBits,
-		}
-	}
-	return out
-}
-
 // MotivationRowJSON is one encoded Figure 1 branch.
 type MotivationRowJSON struct {
 	Name     string  `json:"name"`
 	PC       uint32  `json:"pc"`
 	Exec     uint64  `json:"exec"`
-	Bimodal  float64 `json:"bimodal"`
+	Bimodal  float64 `json:"bimodal"` // accuracy
 	GShare   float64 `json:"gshare"`
-	FoldRate float64 `json:"fold_rate"`
+	FoldRate float64 `json:"fold_rate"` // folds / executions under ASBR
 }
 
 // MotivationJSON is the encoded §3 reproduction.
@@ -221,23 +161,7 @@ type MotivationJSON struct {
 	Rows           []MotivationRowJSON `json:"rows"`
 	BaselineCycles uint64              `json:"baseline_cycles"`
 	ASBRCycles     uint64              `json:"asbr_cycles"`
-	AccMatch       bool                `json:"acc_match"`
-}
-
-// EncodeMotivation converts the §3 result to the wire form.
-func EncodeMotivation(res *MotivationResult) *MotivationJSON {
-	out := &MotivationJSON{
-		BaselineCycles: res.BaselineCycles,
-		ASBRCycles:     res.ASBRCycles,
-		AccMatch:       res.AccMatch,
-	}
-	for _, r := range res.Rows {
-		out.Rows = append(out.Rows, MotivationRowJSON{
-			Name: r.Name, PC: r.PC, Exec: r.Exec,
-			Bimodal: r.Bimodal, GShare: r.GShare, FoldRate: r.FoldRate,
-		})
-	}
-	return out
+	AccMatch       bool                `json:"acc_match"` // folded run computes the same acc
 }
 
 // ThresholdJSON is one encoded BDT-update-point row.
@@ -293,45 +217,29 @@ type AblationsJSON struct {
 type FaultJSON struct {
 	Benchmark string     `json:"benchmark"`
 	Plan      string     `json:"plan"`
-	Injected  int        `json:"injected"`
+	Injected  int        `json:"injected"` // faults actually injected
 	Diverged  bool       `json:"diverged"`
 	PC        uint32     `json:"pc"`
 	Cycle     uint64     `json:"cycle"`
 	Commits   uint64     `json:"commits"`
 	BaseError *CellError `json:"base_error,omitempty"`
 	TestError *CellError `json:"test_error,omitempty"`
-	Error     *CellError `json:"error,omitempty"`
-}
-
-// EncodeFaults converts reliability rows to the wire form.
-func EncodeFaults(rows []FaultRow) []FaultJSON {
-	out := make([]FaultJSON, len(rows))
-	for i, r := range rows {
-		out[i] = FaultJSON{
-			Benchmark: r.Benchmark, Plan: r.Plan.String(), Injected: r.Injected,
-			Diverged: r.Report.Diverged, PC: r.Report.PC, Cycle: r.Report.Cycle,
-			Commits:   r.Report.Commits,
-			BaseError: EncodeCellError(r.Report.BaseErr),
-			TestError: EncodeCellError(r.Report.TestErr),
-			Error:     EncodeCellError(r.Err),
-		}
-	}
-	return out
+	Error     *CellError `json:"error,omitempty"` // the pair could not run at all
 }
 
 // PredictabilityBranchJSON is one encoded static-branch verdict.
 type PredictabilityBranchJSON struct {
 	PC           uint32             `json:"pc"`
 	Exec         uint64             `json:"exec"`
-	Taken        float64            `json:"taken"`
-	FoldEligible bool               `json:"fold_eligible"`
-	FoldRate     float64            `json:"fold_rate"`
-	Accuracy     map[string]float64 `json:"accuracy"` // shadow role -> accuracy
-	Best         string             `json:"best"`     // most accurate dynamic shadow role
+	Taken        float64            `json:"taken"`         // taken-outcome fraction
+	FoldEligible bool               `json:"fold_eligible"` // in the benchmark's BIT fold set
+	FoldRate     float64            `json:"fold_rate"`     // executions the ASBR front-end folded
+	Accuracy     map[string]float64 `json:"accuracy"`      // shadow role -> accuracy
+	Best         string             `json:"best"`          // most accurate dynamic shadow role
 	BestAccuracy float64            `json:"best_accuracy"`
 	Mispredicts  uint64             `json:"mispredicts"` // best shadow's misses
 	Rescued      uint64             `json:"rescued"`     // misses removed by folding
-	CycleCost    uint64             `json:"cycle_cost"`
+	CycleCost    uint64             `json:"cycle_cost"`  // misses priced at the flush penalty
 	Class        string             `json:"class"`
 }
 
@@ -340,39 +248,18 @@ type PredictabilityJSON struct {
 	Benchmark string                     `json:"benchmark"`
 	Shadows   map[string]string          `json:"shadows"` // role -> predictor name
 	Rows      []PredictabilityBranchJSON `json:"rows"`
-	Classes   map[string]int             `json:"classes"`
+	Classes   map[string]int             `json:"classes"` // class -> static branch count
 
+	// BestMispredicts sums each branch's best-dynamic miss count;
+	// RescuedMispredicts is the subset removed by ASBR folding, and
+	// RescuedFrac their ratio — the headline "mispredictions no dynamic
+	// predictor in the zoo avoids, that folding removes". RescuedCycles
+	// prices the rescued misses at the flush penalty.
 	BestMispredicts    uint64     `json:"best_mispredicts"`
 	RescuedMispredicts uint64     `json:"rescued_mispredicts"`
 	RescuedFrac        float64    `json:"rescued_frac"`
 	RescuedCycles      uint64     `json:"rescued_cycles"`
 	Error              *CellError `json:"error,omitempty"`
-}
-
-// EncodePredictability converts predictability rows to the wire form.
-func EncodePredictability(rows []PredictabilityRow) []PredictabilityJSON {
-	out := make([]PredictabilityJSON, len(rows))
-	for i, r := range rows {
-		j := PredictabilityJSON{
-			Benchmark: r.Benchmark, Shadows: r.Shadows, Classes: r.Classes,
-			BestMispredicts:    r.BestMispredicts,
-			RescuedMispredicts: r.RescuedMispredicts,
-			RescuedFrac:        r.RescuedFrac,
-			RescuedCycles:      r.RescuedCycles,
-			Error:              EncodeCellError(r.Err),
-		}
-		for _, b := range r.Branches {
-			j.Rows = append(j.Rows, PredictabilityBranchJSON{
-				PC: b.PC, Exec: b.Exec, Taken: b.Taken,
-				FoldEligible: b.FoldEligible, FoldRate: b.FoldRate,
-				Accuracy: b.Accuracy, Best: b.Best, BestAccuracy: b.BestAccuracy,
-				Mispredicts: b.Mispredicts, Rescued: b.Rescued,
-				CycleCost: b.CycleCost, Class: b.Class,
-			})
-		}
-		out[i] = j
-	}
-	return out
 }
 
 // TablesJSON is a full machine-readable sweep: the options it ran
@@ -404,30 +291,7 @@ type TablesJSON struct {
 // HasErrors reports whether the sweep carries any table- or
 // cell-level failure.
 func (t *TablesJSON) HasErrors() bool {
-	if len(t.Errors) > 0 {
-		return true
-	}
-	for _, r := range t.Fig6 {
-		if r.Error != nil {
-			return true
-		}
-	}
-	for _, r := range t.Fig11 {
-		if r.Error != nil {
-			return true
-		}
-	}
-	for _, r := range t.Faults {
-		if r.Error != nil {
-			return true
-		}
-	}
-	for _, r := range t.Predictability {
-		if r.Error != nil {
-			return true
-		}
-	}
-	return false
+	return len(t.Errors) > 0 || firstCellError(t) != nil
 }
 
 // Snapshots yields the embedded obs.Snapshot of every healthy
@@ -449,9 +313,6 @@ func (t *TablesJSON) Snapshots() []obs.Snapshot {
 	}
 	return out
 }
-
-// defaultBITSweepSizes is the capacity axis of the BIT-size ablation.
-var defaultBITSweepSizes = []int{1, 2, 4, 8, 16, 32}
 
 // NormalizeTableNames expands "all"/empty to every table, lower-cases,
 // de-duplicates preserving the canonical order, and rejects unknown
@@ -505,133 +366,36 @@ func (s *Sweep) Tables(names []string) (*TablesJSON, error) {
 		Update:  s.opt.Update.String(),
 	}
 	var first error
-	fail := func(table string, err error) {
-		out.Errors = append(out.Errors, fmt.Sprintf("%s: %v", table, err))
-		if first == nil {
-			first = err
-		}
-	}
 	for _, name := range sel {
+		var err error
 		switch name {
 		case TableFig6:
-			rows, err := s.Fig6()
-			out.Fig6 = EncodeFig6(rows)
-			if err != nil {
-				fail(name, err)
-			}
-		case TableFig7, TableFig9, TableFig10:
-			bench := map[string]string{
-				TableFig7:  workload.G721Encode,
-				TableFig9:  workload.ADPCMEncode,
-				TableFig10: workload.ADPCMDecode,
-			}[name]
-			tab, err := s.SelectedBranches(bench)
-			if err != nil {
-				fail(name, err)
-				continue
-			}
-			enc := EncodeBranchTable(name, tab)
-			switch name {
-			case TableFig7:
-				out.Fig7 = enc
-			case TableFig9:
-				out.Fig9 = enc
-			case TableFig10:
-				out.Fig10 = enc
-			}
+			out.Fig6, err = s.Fig6()
+		case TableFig7:
+			out.Fig7, err = s.SelectedBranches(name, workload.G721Encode)
+		case TableFig9:
+			out.Fig9, err = s.SelectedBranches(name, workload.ADPCMEncode)
+		case TableFig10:
+			out.Fig10, err = s.SelectedBranches(name, workload.ADPCMDecode)
 		case TableFig11:
-			rows, err := s.Fig11()
-			out.Fig11 = EncodeFig11(rows)
-			if err != nil {
-				fail(name, err)
-			}
+			out.Fig11, err = s.Fig11()
 		case TablePower:
-			rows, err := s.PowerArea()
-			if err != nil {
-				fail(name, err)
-				continue
-			}
-			out.Power = EncodePower(rows)
+			out.Power, err = s.PowerArea()
 		case TableMotivation:
-			res, err := s.Motivation(s.opt.Samples, s.opt.Seed)
-			if err != nil {
-				fail(name, err)
-				continue
-			}
-			out.Motivation = EncodeMotivation(res)
+			out.Motivation, err = s.Motivation()
 		case TableAblations:
-			ab, err := s.encodeAblations()
-			out.Ablations = ab
-			if err != nil {
-				fail(name, err)
-			}
+			out.Ablations, err = s.ablations()
 		case TableFaults:
-			rows, err := s.Faults()
-			out.Faults = EncodeFaults(rows)
-			if err != nil {
-				fail(name, err)
-			}
+			out.Faults, err = s.Faults()
 		case TablePredictability:
-			rows, err := s.Predictability()
-			out.Predictability = EncodePredictability(rows)
-			if err != nil {
-				fail(name, err)
-			}
+			out.Predictability, err = s.Predictability()
+		}
+		if err != nil {
+			out.Errors = append(out.Errors, fmt.Sprintf("%s: %v", name, err))
+			first = cmp.Or(first, err)
 		}
 	}
-	if first == nil {
-		first = firstCellError(out)
-	}
-	return out, first
-}
-
-// encodeAblations runs the four ablation studies on their canonical
-// benchmarks. A partial failure still returns the studies that ran.
-func (s *Sweep) encodeAblations() (*AblationsJSON, error) {
-	out := &AblationsJSON{
-		ThresholdBench:  workload.G721Encode,
-		BITSizeBench:    workload.G721Encode,
-		SchedulingBench: workload.ADPCMEncode,
-		ValidityBench:   workload.ADPCMEncode,
-	}
-	var first error
-	keep := func(err error) {
-		if err != nil && first == nil {
-			first = err
-		}
-	}
-	trs, err := s.ThresholdAblation(out.ThresholdBench)
-	keep(err)
-	for _, r := range trs {
-		out.Threshold = append(out.Threshold, ThresholdJSON{
-			Update: r.Update.String(), Threshold: r.Threshold,
-			Cycles: r.Cycles, Folds: r.Folds, Fallbacks: r.Fallbacks,
-		})
-	}
-	brs, err := s.BITSizeAblation(out.BITSizeBench, defaultBITSweepSizes)
-	keep(err)
-	for _, r := range brs {
-		out.BITSize = append(out.BITSize, BITSizeJSON{
-			Entries: r.Entries, K: r.K, Cycles: r.Cycles, Folds: r.Folds,
-		})
-	}
-	srs, err := s.SchedulingAblation(out.SchedulingBench)
-	keep(err)
-	for _, r := range srs {
-		out.Scheduling = append(out.Scheduling, SchedulingJSON{
-			Label: r.Label, Cycles: r.Cycles, Baseline: r.Baseline,
-			Improvement: r.Improvement, Folds: r.Folds, Candidates: r.Candidates,
-		})
-	}
-	vrs, err := s.ValidityAblation(out.ValidityBench)
-	keep(err)
-	for _, r := range vrs {
-		out.Validity = append(out.Validity, ValidityJSON{
-			Label: r.Label, Cycles: r.Cycles, Folds: r.Folds,
-			Fallbacks: r.Fallbacks, OutputCorrect: r.OutputCorrect,
-		})
-	}
-	return out, first
+	return out, cmp.Or(first, firstCellError(out))
 }
 
 // firstCellError returns an error describing the first annotated cell

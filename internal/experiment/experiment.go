@@ -24,8 +24,8 @@ import (
 	"asbr/internal/core"
 	"asbr/internal/cpu"
 	"asbr/internal/mem"
-	"asbr/internal/obs"
 	"asbr/internal/predict"
+	"asbr/internal/profile"
 	"asbr/internal/runner"
 	"asbr/internal/workload"
 )
@@ -178,28 +178,11 @@ func baselineUnits() []baselineUnit {
 	}
 }
 
-// Fig6Row is one cell group of Figure 6: the run's full canonical
-// statistics (embedded obs.Snapshot — Cycles, CPI, Accuracy and the
-// rest promote as before) labelled by benchmark and predictor. A
-// failed cell carries its error in Err with the numeric fields zero;
-// renderers annotate it instead of dropping the table.
-type Fig6Row struct {
-	Benchmark string
-	Predictor string
-	obs.Snapshot
-	Err error // non-nil when this cell's simulation failed
-}
-
-// Fig6 reproduces Figure 6 on a fresh sweep (see Sweep.Fig6).
-func Fig6(opt Options) ([]Fig6Row, error) {
-	return NewSweep(opt).Fig6()
-}
-
 // Fig6 reproduces Figure 6: total cycles, CPI and prediction accuracy
 // of the three general-purpose baseline predictors on all four
 // benchmarks. Each (benchmark, predictor) cell is one pool job; the
 // not-taken and bimodal-2048 cells are Figure 11's baseline runs.
-func (s *Sweep) Fig6() ([]Fig6Row, error) {
+func (s *Sweep) Fig6() ([]Fig6JSON, error) {
 	type job struct {
 		bench string
 		unit  baselineUnit
@@ -210,7 +193,7 @@ func (s *Sweep) Fig6() ([]Fig6Row, error) {
 			jobs = append(jobs, job{bench, u})
 		}
 	}
-	rows, errs := runner.MapErrs(s.opt.Parallel, jobs, func(_ int, j job) (Fig6Row, error) {
+	rows, errs := runner.MapErrs(s.opt.Parallel, jobs, func(_ int, j job) (Fig6JSON, error) {
 		name := j.unit.mk().Name()
 		var res *workload.Result
 		var err error
@@ -220,9 +203,9 @@ func (s *Sweep) Fig6() ([]Fig6Row, error) {
 			res, err = s.plainRun(j.bench, j.unit.mk)
 		}
 		if err != nil {
-			return Fig6Row{}, fmt.Errorf("%s/%s: %w", j.bench, name, err)
+			return Fig6JSON{}, fmt.Errorf("%s/%s: %w", j.bench, name, err)
 		}
-		return Fig6Row{
+		return Fig6JSON{
 			Benchmark: j.bench,
 			Predictor: name,
 			Snapshot:  res.Stats.Snapshot(),
@@ -231,66 +214,53 @@ func (s *Sweep) Fig6() ([]Fig6Row, error) {
 	// Failed cells stay in the table, labeled, so one bad job cannot
 	// hide eleven healthy ones; the first error is still returned for
 	// callers that treat any failure as fatal.
+	return rows, annotate(rows, errs, func(i int, e *CellError) Fig6JSON {
+		return Fig6JSON{Benchmark: jobs[i].bench, Predictor: jobs[i].unit.mk().Name(), Error: e}
+	})
+}
+
+// annotate replaces each failed cell of rows with failed's labelled
+// row carrying the encoded error, and returns the first error.
+func annotate[R any](rows []R, errs []error, failed func(i int, e *CellError) R) error {
 	var first error
 	for i, err := range errs {
 		if err == nil {
 			continue
 		}
-		rows[i] = Fig6Row{Benchmark: jobs[i].bench, Predictor: jobs[i].unit.mk().Name(), Err: err}
+		rows[i] = failed(i, EncodeCellError(err))
 		if first == nil {
 			first = err
 		}
 	}
-	return rows, first
-}
-
-// BranchRow is one selected branch's statistics (Figures 7, 9, 10).
-type BranchRow struct {
-	Index    int
-	PC       uint32
-	Exec     uint64
-	Taken    float64
-	Accuracy map[string]float64 // per baseline predictor
-	Distance int
-}
-
-// BranchTable is one benchmark's selected-branch table.
-type BranchTable struct {
-	Benchmark string
-	Shadows   []string
-	Rows      []BranchRow
-}
-
-// SelectedBranches reproduces Figures 7, 9 and 10 on a fresh sweep
-// (see Sweep.SelectedBranches).
-func SelectedBranches(bench string, opt Options) (BranchTable, error) {
-	return NewSweep(opt).SelectedBranches(bench)
+	return first
 }
 
 // SelectedBranches reproduces Figures 7 (G.721 encode), 9 (ADPCM
 // encode) and 10 (ADPCM decode): execution counts and per-predictor
-// accuracies for the branches selected for folding. The profiled run
-// is shared with every other table of the sweep.
-func (s *Sweep) SelectedBranches(bench string) (BranchTable, error) {
+// accuracies for the branches selected for folding on bench, labelled
+// with the figure's table name. The profiled run is shared with every
+// other table of the sweep.
+func (s *Sweep) SelectedBranches(figure, bench string) (*BranchTableJSON, error) {
 	pa, err := s.profiledRun(bench)
 	if err != nil {
-		return BranchTable{}, err
+		return nil, err
 	}
 	cands, err := selectBranches(bench, pa.prog, pa.prof, s.opt)
 	if err != nil {
-		return BranchTable{}, err
+		return nil, err
 	}
 	shadows := []string{"not taken", "bimodal-2048", "gshare-11/2048"}
-	tab := BranchTable{Benchmark: bench, Shadows: shadows}
+	tab := &BranchTableJSON{Figure: figure, Benchmark: bench, Shadows: shadows}
 	for i, c := range cands {
 		st, _ := pa.prof.Stat(c.PC)
-		row := BranchRow{
-			Index:    i,
-			PC:       c.PC,
-			Exec:     st.Count,
-			Taken:    st.TakenRate(),
-			Accuracy: make(map[string]float64, len(shadows)),
-			Distance: c.Distance,
+		row := BranchJSON{
+			Index:      i,
+			PC:         c.PC,
+			Exec:       st.Count,
+			Taken:      st.TakenRate(),
+			Accuracy:   make(map[string]float64, len(shadows)),
+			Distance:   c.Distance,
+			CrossBlock: c.Distance >= profile.CrossBlockDistance,
 		}
 		for _, sh := range shadows {
 			row.Accuracy[sh] = st.Accuracy(sh)
@@ -298,24 +268,6 @@ func (s *Sweep) SelectedBranches(bench string) (BranchTable, error) {
 		tab.Rows = append(tab.Rows, row)
 	}
 	return tab, nil
-}
-
-// Fig11Row is one cell group of Figure 11: the folded run's canonical
-// statistics (embedded obs.Snapshot; Cycles promotes as before) plus
-// the row's baseline comparison and the ASBR engine's own counters. A
-// failed cell carries its error in Err with the numeric fields zero;
-// renderers annotate it instead of dropping the table.
-type Fig11Row struct {
-	Benchmark string
-	Aux       string // auxiliary predictor used with ASBR
-	obs.Snapshot
-	Baseline     uint64 // the paper's comparison base for this row
-	BaselineName string
-	Improvement  float64 // 1 - Cycles/Baseline
-	Folds        uint64
-	Fallbacks    uint64
-	FoldedFrac   float64 // folded / dynamic conditional branches
-	Err          error   // non-nil when this cell's simulation failed
 }
 
 // auxUnits returns the three ASBR auxiliary configurations of Fig. 11.
@@ -333,11 +285,6 @@ func auxUnits() []struct {
 	}
 }
 
-// Fig11 reproduces Figure 11 on a fresh sweep (see Sweep.Fig11).
-func Fig11(opt Options) ([]Fig11Row, error) {
-	return NewSweep(opt).Fig11()
-}
-
 // Fig11 reproduces Figure 11: ASBR with each auxiliary predictor,
 // compared against the paper's chosen baselines (the "not taken" row
 // compares to the predictor-less baseline; the bi-512/bi-256 rows
@@ -345,7 +292,7 @@ func Fig11(opt Options) ([]Fig11Row, error) {
 // auxiliary) cell is one pool job and one run-cache entry; the
 // profiled run, BIT selection and baseline runs are shared artifacts
 // built once per benchmark.
-func (s *Sweep) Fig11() ([]Fig11Row, error) {
+func (s *Sweep) Fig11() ([]Fig11JSON, error) {
 	type job struct {
 		bench string
 		aux   struct {
@@ -359,14 +306,14 @@ func (s *Sweep) Fig11() ([]Fig11Row, error) {
 			jobs = append(jobs, job{bench, aux})
 		}
 	}
-	rows, errs := runner.MapErrs(s.opt.Parallel, jobs, func(_ int, j job) (Fig11Row, error) {
+	rows, errs := runner.MapErrs(s.opt.Parallel, jobs, func(_ int, j job) (Fig11JSON, error) {
 		pa, err := s.profiledRun(j.bench)
 		if err != nil {
-			return Fig11Row{}, err
+			return Fig11JSON{}, err
 		}
 		entries, err := s.bitEntries(j.bench)
 		if err != nil {
-			return Fig11Row{}, err
+			return Fig11JSON{}, err
 		}
 		baseName := baselineUnitBimodal
 		if j.aux.Label == "not taken" {
@@ -374,12 +321,12 @@ func (s *Sweep) Fig11() ([]Fig11Row, error) {
 		}
 		baseRes, err := s.baselineRun(j.bench, baseName)
 		if err != nil {
-			return Fig11Row{}, err
+			return Fig11JSON{}, err
 		}
 		r, err := s.simulate(j.bench, pa.prog, j.aux.Mk,
 			&asbrUnit{cfg: core.DefaultConfig(), entries: entries, update: s.opt.Update})
 		if err != nil {
-			return Fig11Row{}, fmt.Errorf("%s/%s: %w", j.bench, j.aux.Label, err)
+			return Fig11JSON{}, fmt.Errorf("%s/%s: %w", j.bench, j.aux.Label, err)
 		}
 		res, es := r.res, r.fold
 		base := baseRes.Stats.Cycles
@@ -388,7 +335,7 @@ func (s *Sweep) Fig11() ([]Fig11Row, error) {
 		if dyn > 0 {
 			frac = float64(res.Stats.Folded) / float64(dyn)
 		}
-		return Fig11Row{
+		return Fig11JSON{
 			Benchmark:    j.bench,
 			Aux:          j.aux.Label,
 			Snapshot:     res.Stats.Snapshot(),
@@ -400,15 +347,7 @@ func (s *Sweep) Fig11() ([]Fig11Row, error) {
 			FoldedFrac:   frac,
 		}, nil
 	})
-	var first error
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		rows[i] = Fig11Row{Benchmark: jobs[i].bench, Aux: jobs[i].aux.Label, Err: err}
-		if first == nil {
-			first = err
-		}
-	}
-	return rows, first
+	return rows, annotate(rows, errs, func(i int, e *CellError) Fig11JSON {
+		return Fig11JSON{Benchmark: jobs[i].bench, Aux: jobs[i].aux.Label, Error: e}
+	})
 }

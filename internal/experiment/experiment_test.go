@@ -12,14 +12,14 @@ import (
 var testOpt = Options{Samples: 1024, Seed: 1}
 
 func TestFig6Shape(t *testing.T) {
-	rows, err := Fig6(testOpt)
+	rows, err := NewSweep(testOpt).Fig6()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 12 {
 		t.Fatalf("rows = %d, want 4 benchmarks x 3 predictors", len(rows))
 	}
-	byKey := map[string]Fig6Row{}
+	byKey := map[string]Fig6JSON{}
 	for _, r := range rows {
 		byKey[r.Benchmark+"/"+r.Predictor] = r
 	}
@@ -51,8 +51,9 @@ func TestFig6Shape(t *testing.T) {
 
 func TestSelectedBranchesShape(t *testing.T) {
 	want := BITSizes()
+	s := NewSweep(testOpt)
 	for _, b := range workload.Names() {
-		tab, err := SelectedBranches(b, testOpt)
+		tab, err := s.SelectedBranches("", b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +82,7 @@ func TestSelectedBranchesShape(t *testing.T) {
 // baseline on every benchmark, and the ADPCM gains exceed the G.721
 // gains, exactly as in the paper's Figure 11.
 func TestFig11Shape(t *testing.T) {
-	rows, err := Fig11(testOpt)
+	rows, err := NewSweep(testOpt).Fig11()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestFig11Shape(t *testing.T) {
 }
 
 func TestThresholdAblation(t *testing.T) {
-	rows, err := ThresholdAblation(workload.G721Encode, testOpt)
+	rows, err := NewSweep(testOpt).ThresholdAblation(workload.G721Encode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestThresholdAblation(t *testing.T) {
 }
 
 func TestBITSizeAblation(t *testing.T) {
-	rows, err := BITSizeAblation(workload.G721Encode, testOpt, []int{1, 4, 16, 32})
+	rows, err := NewSweep(testOpt).BITSizeAblation(workload.G721Encode, []int{1, 4, 16, 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +164,12 @@ func TestBITSizeAblation(t *testing.T) {
 func TestSchedulingAblation(t *testing.T) {
 	// ADPCM: the automatic pass increases fold coverage and improvement
 	// over no scheduling (paper §5.1's claim at the compiler level).
-	rows, err := SchedulingAblation(workload.ADPCMEncode, testOpt)
+	s := NewSweep(testOpt)
+	rows, err := s.SchedulingAblation(workload.ADPCMEncode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byLabel := map[string]SchedulingRow{}
+	byLabel := map[string]SchedulingJSON{}
 	for _, r := range rows {
 		byLabel[r.Label] = r
 	}
@@ -183,11 +185,11 @@ func TestSchedulingAblation(t *testing.T) {
 	// G.721: the manual source scheduling (software-pipelined quan,
 	// paper Figure 5) is what makes the highest-frequency branch
 	// foldable at all.
-	rows, err = SchedulingAblation(workload.G721Encode, testOpt)
+	rows, err = s.SchedulingAblation(workload.G721Encode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byLabel = map[string]SchedulingRow{}
+	byLabel = map[string]SchedulingJSON{}
 	for _, r := range rows {
 		byLabel[r.Label] = r
 	}
@@ -202,7 +204,7 @@ func TestSchedulingAblation(t *testing.T) {
 }
 
 func TestValidityAblation(t *testing.T) {
-	rows, err := ValidityAblation(workload.ADPCMEncode, testOpt)
+	rows, err := NewSweep(testOpt).ValidityAblation(workload.ADPCMEncode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +246,7 @@ func TestOptionsDefaults(t *testing.T) {
 // shrinks, total modeled energy drops, and the branch hardware is far
 // smaller — all simultaneously with the Figure 11 speedups.
 func TestPowerAreaShape(t *testing.T) {
-	rows, err := PowerArea(testOpt)
+	rows, err := NewSweep(testOpt).PowerArea()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,9 +266,9 @@ func TestPowerAreaShape(t *testing.T) {
 			t.Errorf("%s: folding did not reduce wrong-path work: %d vs %d",
 				base.Benchmark, asbr.WrongPath, base.WrongPath)
 		}
-		if asbr.Energy.Total() >= base.Energy.Total() {
+		if asbr.Energy.Total >= base.Energy.Total {
 			t.Errorf("%s: modeled energy did not drop: %.0f vs %.0f",
-				base.Benchmark, asbr.Energy.Total(), base.Energy.Total())
+				base.Benchmark, asbr.Energy.Total, base.Energy.Total)
 		}
 		if float64(asbr.AreaBits) > 0.35*float64(base.AreaBits) {
 			t.Errorf("%s: area not reduced enough: %d vs %d bits",
@@ -287,7 +289,7 @@ func TestPowerAreaShape(t *testing.T) {
 func TestMotivationSeedSweep(t *testing.T) {
 	const n = 64
 	for seed := int64(1); seed <= 20; seed++ {
-		res, err := Motivation(n, seed)
+		res, err := NewSweep(Options{Samples: n, Seed: seed}).Motivation()
 		if err != nil {
 			t.Fatalf("n=%d seed=%d: %v", n, seed, err)
 		}
@@ -302,11 +304,11 @@ func TestMotivationSeedSweep(t *testing.T) {
 // (input-dependent) hovers near 50% for every statistical predictor;
 // ASBR folds both essentially always, with identical results.
 func TestMotivationFigure1(t *testing.T) {
-	res, err := Motivation(4096, 9)
+	res, err := NewSweep(Options{Samples: 4096, Seed: 9}).Motivation()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := map[string]MotivationRow{}
+	rows := map[string]MotivationRowJSON{}
 	for _, r := range res.Rows {
 		rows[r.Name] = r
 	}

@@ -11,19 +11,6 @@ import (
 	"asbr/internal/workload"
 )
 
-// FaultRow is one cell of the reliability table: a benchmark run under
-// one fault-injection plan, lockstep-compared against a clean baseline
-// machine. The `none` plan is the control — it must never diverge; the
-// corruption plans demonstrate that every architecturally visible
-// fault is pinned to a first divergent PC and cycle.
-type FaultRow struct {
-	Benchmark string
-	Plan      fault.Plan
-	Injected  int          // faults actually injected
-	Report    fault.Report // divergence verdict
-	Err       error        // non-nil when the pair could not run at all
-}
-
 // faultPlans returns the injection plans of the reliability table: the
 // clean control plus every corruption kind, each seeded deterministically
 // so the table is reproducible run to run.
@@ -59,18 +46,16 @@ func (s *Sweep) faultEntries(bench string) ([]core.BITEntry, error) {
 	})
 }
 
-// Faults runs the reliability table on a fresh sweep (see Sweep.Faults).
-func Faults(opt Options) ([]FaultRow, error) {
-	return NewSweep(opt).Faults()
-}
-
 // Faults generates the reliability table: every benchmark under every
 // fault plan, each cell a lockstep pair (clean baseline machine vs
 // ASBR machine whose unit runs the plan) on the shared compiled program
-// and input trace. Like the other tables, a failed cell is annotated
-// rather than fatal, and the first error is returned alongside the
-// complete row set.
-func (s *Sweep) Faults() ([]FaultRow, error) {
+// and input trace, reporting the faults injected and the divergence
+// verdict. The `none` plan is the control — it must never diverge; the
+// corruption plans demonstrate that every architecturally visible
+// fault is pinned to a first divergent PC and cycle. Like the other
+// tables, a failed cell is annotated rather than fatal, and the first
+// error is returned alongside the complete row set.
+func (s *Sweep) Faults() ([]FaultJSON, error) {
 	type job struct {
 		bench string
 		plan  fault.Plan
@@ -81,22 +66,22 @@ func (s *Sweep) Faults() ([]FaultRow, error) {
 			jobs = append(jobs, job{bench, plan})
 		}
 	}
-	rows, errs := runner.MapErrs(s.opt.Parallel, jobs, func(_ int, j job) (FaultRow, error) {
+	rows, errs := runner.MapErrs(s.opt.Parallel, jobs, func(_ int, j job) (FaultJSON, error) {
 		pa, err := s.profiledRun(j.bench)
 		if err != nil {
-			return FaultRow{}, err
+			return FaultJSON{}, err
 		}
 		in, err := s.input(j.bench)
 		if err != nil {
-			return FaultRow{}, err
+			return FaultJSON{}, err
 		}
 		entries, err := s.faultEntries(j.bench)
 		if err != nil {
-			return FaultRow{}, err
+			return FaultJSON{}, err
 		}
 		eng := core.NewEngine(core.Config{TrackValidity: true})
 		if err := eng.Load(entries); err != nil {
-			return FaultRow{}, err
+			return FaultJSON{}, err
 		}
 		inj := fault.NewInjector(j.plan, eng)
 		baseCfg := s.machine(predict.AuxBimodal512())
@@ -112,26 +97,23 @@ func (s *Sweep) Faults() ([]FaultRow, error) {
 			return pourBenchmark(c, pa.prog, in, s.opt.Samples)
 		})
 		if err != nil {
-			return FaultRow{}, err
+			return FaultJSON{}, err
 		}
-		return FaultRow{
+		return FaultJSON{
 			Benchmark: j.bench,
-			Plan:      j.plan,
+			Plan:      j.plan.String(),
 			Injected:  inj.Count(),
-			Report:    rep,
+			Diverged:  rep.Diverged,
+			PC:        rep.PC,
+			Cycle:     rep.Cycle,
+			Commits:   rep.Commits,
+			BaseError: EncodeCellError(rep.BaseErr),
+			TestError: EncodeCellError(rep.TestErr),
 		}, nil
 	})
-	var first error
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		rows[i] = FaultRow{Benchmark: jobs[i].bench, Plan: jobs[i].plan, Err: err}
-		if first == nil {
-			first = err
-		}
-	}
-	return rows, first
+	return rows, annotate(rows, errs, func(i int, e *CellError) FaultJSON {
+		return FaultJSON{Benchmark: jobs[i].bench, Plan: jobs[i].plan.String(), Error: e}
+	})
 }
 
 // pourBenchmark loads the benchmark's input trace into a freshly built

@@ -14,7 +14,7 @@ import (
 // corruption plan must be detected with a nonzero divergence point,
 // and the row set must be complete (benchmarks × plans).
 func TestFaultsTable(t *testing.T) {
-	rows, err := Faults(Options{Samples: 512, Seed: 1})
+	rows, err := NewSweep(Options{Samples: 512, Seed: 1}).Faults()
 	if err != nil {
 		t.Fatalf("Faults: %v", err)
 	}
@@ -23,16 +23,20 @@ func TestFaultsTable(t *testing.T) {
 		t.Fatalf("rows = %d, want %d", len(rows), want)
 	}
 	for _, r := range rows {
-		if r.Err != nil {
-			t.Errorf("%s/%s: cell failed: %v", r.Benchmark, r.Plan, r.Err)
+		if r.Error != nil {
+			t.Errorf("%s/%s: cell failed: %s", r.Benchmark, r.Plan, r.Error.Message)
 			continue
 		}
-		if r.Plan.Kind == fault.KindNone {
-			if r.Injected != 0 || r.Report.Diverged {
+		plan, err := fault.ParsePlan(r.Plan)
+		if err != nil {
+			t.Fatalf("%s: plan %q: %v", r.Benchmark, r.Plan, err)
+		}
+		if plan.Kind == fault.KindNone {
+			if r.Injected != 0 || r.Diverged {
 				t.Errorf("%s/none: injected=%d diverged=%v, want clean run",
-					r.Benchmark, r.Injected, r.Report.Diverged)
+					r.Benchmark, r.Injected, r.Diverged)
 			}
-			if r.Report.Commits == 0 {
+			if r.Commits == 0 {
 				t.Errorf("%s/none: no commits compared", r.Benchmark)
 			}
 			continue
@@ -40,9 +44,9 @@ func TestFaultsTable(t *testing.T) {
 		if r.Injected == 0 {
 			t.Errorf("%s/%s: injector never fired", r.Benchmark, r.Plan)
 		}
-		if !r.Report.Diverged || r.Report.PC == 0 || r.Report.Cycle == 0 {
-			t.Errorf("%s/%s: corruption not pinned to a divergence point: %s",
-				r.Benchmark, r.Plan, r.Report)
+		if !r.Diverged || r.PC == 0 || r.Cycle == 0 {
+			t.Errorf("%s/%s: corruption not pinned to a divergence point: %+v",
+				r.Benchmark, r.Plan, r)
 		}
 	}
 }
@@ -51,7 +55,7 @@ func TestFaultsTable(t *testing.T) {
 // not abort the table — every cell stays in the row set, labeled with a
 // typed ErrCycleLimit, and the first error is surfaced to the caller.
 func TestSweepDegradesOnCycleLimit(t *testing.T) {
-	rows, err := Fig6(Options{Samples: 512, Seed: 1, MaxCycles: 500})
+	rows, err := NewSweep(Options{Samples: 512, Seed: 1, MaxCycles: 500}).Fig6()
 	if err == nil {
 		t.Fatal("want a first-cell error from the starved sweep")
 	}
@@ -63,11 +67,11 @@ func TestSweepDegradesOnCycleLimit(t *testing.T) {
 		t.Fatalf("rows = %d, want the complete table", len(rows))
 	}
 	for _, r := range rows {
-		if r.Err == nil {
+		if r.Error == nil {
 			t.Fatalf("%s/%s: cell survived a 500-cycle budget", r.Benchmark, r.Predictor)
 		}
-		if cpu.CodeOf(r.Err) != cpu.ErrCycleLimit {
-			t.Errorf("%s/%s: err = %v, want ErrCycleLimit", r.Benchmark, r.Predictor, r.Err)
+		if r.Error.Code != cpu.ErrCycleLimit.String() {
+			t.Errorf("%s/%s: err = %+v, want ErrCycleLimit", r.Benchmark, r.Predictor, r.Error)
 		}
 		if r.Benchmark == "" || r.Predictor == "" {
 			t.Errorf("failed row lost its identity: %+v", r)

@@ -55,39 +55,15 @@ void main() {
 }
 `
 
-// MotivationRow reports one of Figure 1's branches.
-type MotivationRow struct {
-	Name     string
-	PC       uint32
-	Exec     uint64
-	Bimodal  float64 // accuracy
-	GShare   float64
-	FoldRate float64 // folds / executions under ASBR
-}
-
-// MotivationResult is the full §3 reproduction.
-type MotivationResult struct {
-	Rows           []MotivationRow
-	BaselineCycles uint64
-	ASBRCycles     uint64
-	AccMatch       bool // folded run computes the same acc
-}
-
-// Motivation runs the §3 reproduction on a fresh sweep context (see
-// Sweep.Motivation).
-func Motivation(n int, seed int64) (*MotivationResult, error) {
-	return NewSweep(Options{Samples: n, Seed: seed}).Motivation(n, seed)
-}
-
-// Motivation runs the Figure 1 program over random inputs, measures
-// per-branch predictability, then folds B4 and B5 with ASBR. The two
+// Motivation runs the Figure 1 program over the sweep's sample count
+// (at most 8192) of random inputs drawn from its seed, measures
+// per-branch predictability, then folds B4 and B5 with ASBR; AccMatch
+// reports whether the folded run computes the same acc. The two
 // simulations are inherently sequential (the folded run's BIT comes
 // from the profiled run), but the compiled Figure 1 program is cached
 // on the sweep.
-func (s *Sweep) Motivation(n int, seed int64) (*MotivationResult, error) {
-	if n <= 0 || n > 8192 {
-		n = 8192
-	}
+func (s *Sweep) Motivation() (*MotivationJSON, error) {
+	n, seed := min(s.opt.Samples, 8192), s.opt.Seed
 	prog, err := s.motivProg.Get("fig1", func() (*isa.Program, error) {
 		return cc.CompileToProgram(fig1Src)
 	})
@@ -195,7 +171,7 @@ func (s *Sweep) Motivation(n int, seed int64) (*MotivationResult, error) {
 		return nil, err
 	}
 
-	res := &MotivationResult{
+	res := &MotivationJSON{
 		BaselineCycles: baseStats.Cycles,
 		ASBRCycles:     foldStats.Cycles,
 		AccMatch:       readAcc(base) == readAcc(folded),
@@ -204,7 +180,7 @@ func (s *Sweep) Motivation(n int, seed int64) (*MotivationResult, error) {
 	for _, name := range names {
 		pc := rowsIdx[name]
 		st, _ := prof.Stat(pc)
-		row := MotivationRow{
+		row := MotivationRowJSON{
 			Name:    name,
 			PC:      pc,
 			Exec:    st.Count,

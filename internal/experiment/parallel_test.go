@@ -10,14 +10,14 @@ import (
 // sweepSnapshot is every table a full sweep produces, for deep
 // comparison across worker counts.
 type sweepSnapshot struct {
-	Fig6      []Fig6Row
-	Fig11     []Fig11Row
-	Branches  BranchTable
-	Threshold []ThresholdRow
-	BITSize   []BITSizeRow
-	Sched     []SchedulingRow
-	Validity  []ValidityRow
-	Power     []PowerRow
+	Fig6      []Fig6JSON
+	Fig11     []Fig11JSON
+	Branches  *BranchTableJSON
+	Threshold []ThresholdJSON
+	BITSize   []BITSizeJSON
+	Sched     []SchedulingJSON
+	Validity  []ValidityJSON
+	Power     []PowerJSON
 }
 
 func snapshot(t *testing.T, parallel int) sweepSnapshot {
@@ -32,7 +32,7 @@ func snapshot(t *testing.T, parallel int) sweepSnapshot {
 	if snap.Fig11, err = s.Fig11(); err != nil {
 		t.Fatalf("parallel=%d: Fig11: %v", parallel, err)
 	}
-	if snap.Branches, err = s.SelectedBranches(workload.ADPCMEncode); err != nil {
+	if snap.Branches, err = s.SelectedBranches(TableFig9, workload.ADPCMEncode); err != nil {
 		t.Fatalf("parallel=%d: SelectedBranches: %v", parallel, err)
 	}
 	if snap.Threshold, err = s.ThresholdAblation(workload.ADPCMEncode); err != nil {

@@ -54,51 +54,6 @@ func predictabilityShadows() []shadowSpec {
 	}
 }
 
-// PredictabilityBranch is one static branch's account and verdict.
-type PredictabilityBranch struct {
-	PC           uint32
-	Exec         uint64
-	Taken        float64            // taken-outcome fraction
-	FoldEligible bool               // in the benchmark's BIT fold set
-	FoldRate     float64            // executions the ASBR front-end folded
-	Accuracy     map[string]float64 // shadow role -> accuracy
-	Best         string             // role of the most accurate dynamic shadow
-	BestAccuracy float64
-	// Mispredicts is the best shadow's miss count; Rescued is the subset
-	// of those misses that landed on folded executions (removed by
-	// ASBR); CycleCost prices the misses at the platform flush penalty.
-	Mispredicts uint64
-	Rescued     uint64
-	CycleCost   uint64
-	Class       string
-}
-
-// PredictabilityRow is one benchmark's full classification.
-type PredictabilityRow struct {
-	Benchmark string
-	Shadows   map[string]string // role -> resolved predictor name
-	Branches  []PredictabilityBranch
-	Classes   map[string]int // class -> static branch count
-
-	// BestMispredicts sums each branch's best-dynamic miss count;
-	// RescuedMispredicts is the subset removed by ASBR folding, and
-	// RescuedFrac their ratio — the headline "mispredictions no dynamic
-	// predictor in the zoo avoids, that folding removes".
-	BestMispredicts    uint64
-	RescuedMispredicts uint64
-	RescuedFrac        float64
-	// RescuedCycles prices the rescued misses at the flush penalty.
-	RescuedCycles uint64
-
-	Err error // non-nil when this benchmark's run failed
-}
-
-// Predictability classifies every benchmark on a fresh sweep (see
-// Sweep.Predictability).
-func Predictability(opt Options) ([]PredictabilityRow, error) {
-	return NewSweep(opt).Predictability()
-}
-
 // Predictability runs the folded ASBR machine once per benchmark with a
 // branch-accounting observer attached: every dynamic outcome is
 // replayed through the shadow zoo (bimodal, gshare, TAGE, loop,
@@ -107,37 +62,29 @@ func Predictability(opt Options) ([]PredictabilityRow, error) {
 // is one pool job; the profiled run and BIT selection are the sweep's
 // shared artifacts, and rows aggregate in canonical benchmark order, so
 // the table is byte-identical at any worker count.
-func (s *Sweep) Predictability() ([]PredictabilityRow, error) {
+func (s *Sweep) Predictability() ([]PredictabilityJSON, error) {
 	benches := s.opt.benches()
-	rows, errs := runner.MapErrs(s.opt.Parallel, benches, func(_ int, bench string) (PredictabilityRow, error) {
+	rows, errs := runner.MapErrs(s.opt.Parallel, benches, func(_ int, bench string) (PredictabilityJSON, error) {
 		return s.predictability(bench)
 	})
-	var first error
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		rows[i] = PredictabilityRow{Benchmark: benches[i], Err: err}
-		if first == nil {
-			first = err
-		}
-	}
-	return rows, first
+	return rows, annotate(rows, errs, func(i int, e *CellError) PredictabilityJSON {
+		return PredictabilityJSON{Benchmark: benches[i], Error: e}
+	})
 }
 
 // predictability builds one benchmark's classification.
-func (s *Sweep) predictability(bench string) (PredictabilityRow, error) {
+func (s *Sweep) predictability(bench string) (PredictabilityJSON, error) {
 	pa, err := s.profiledRun(bench)
 	if err != nil {
-		return PredictabilityRow{}, err
+		return PredictabilityJSON{}, err
 	}
 	in, err := s.input(bench)
 	if err != nil {
-		return PredictabilityRow{}, err
+		return PredictabilityJSON{}, err
 	}
 	entries, err := s.bitEntries(bench)
 	if err != nil {
-		return PredictabilityRow{}, err
+		return PredictabilityJSON{}, err
 	}
 
 	// Fresh shadows per benchmark: the account must not leak training
@@ -150,11 +97,11 @@ func (s *Sweep) predictability(bench string) (PredictabilityRow, error) {
 	for i, sp := range specs {
 		spec, err := predict.ParseSpec(sp.Spec)
 		if err != nil {
-			return PredictabilityRow{}, fmt.Errorf("%s: shadow %s: %w", bench, sp.Role, err)
+			return PredictabilityJSON{}, fmt.Errorf("%s: shadow %s: %w", bench, sp.Role, err)
 		}
 		u, err := spec.Build()
 		if err != nil {
-			return PredictabilityRow{}, fmt.Errorf("%s: shadow %s: %w", bench, sp.Role, err)
+			return PredictabilityJSON{}, fmt.Errorf("%s: shadow %s: %w", bench, sp.Role, err)
 		}
 		shadows[i] = u.Dir
 		roleName[sp.Role] = u.Dir.Name()
@@ -174,24 +121,24 @@ func (s *Sweep) predictability(bench string) (PredictabilityRow, error) {
 
 	eng := core.NewEngine(core.DefaultConfig())
 	if err := eng.Load(entries); err != nil {
-		return PredictabilityRow{}, err
+		return PredictabilityJSON{}, err
 	}
 	cfg := s.machine(predict.AuxBimodal512())
 	cfg.Fold = eng
 	cfg.BDTUpdate = s.opt.Update
 	cfg.Observer = acct
 	if _, err := s.run(pa.prog, cfg, in); err != nil {
-		return PredictabilityRow{}, fmt.Errorf("%s: %w", bench, err)
+		return PredictabilityJSON{}, fmt.Errorf("%s: %w", bench, err)
 	}
 
-	row := PredictabilityRow{
+	row := PredictabilityJSON{
 		Benchmark: bench,
 		Shadows:   roleName,
 		Classes:   make(map[string]int),
 	}
 	for _, a := range acct.Stats() {
 		b := classify(a, acct.ShadowNames(), nameRole, acct.FlushPenalty)
-		row.Branches = append(row.Branches, b)
+		row.Rows = append(row.Rows, b)
 		row.Classes[b.Class]++
 		row.BestMispredicts += b.Mispredicts
 		row.RescuedMispredicts += b.Rescued
@@ -208,8 +155,8 @@ func (s *Sweep) predictability(bench string) (PredictabilityRow, error) {
 // baseline already predicts is "predictable" even if TAGE also nails
 // it, and "asbr-folded" is reserved for branches no dynamic shadow
 // reaches — the class the headline metric counts.
-func classify(a obs.BranchAcct, shadowNames []string, nameRole map[string]string, flushPenalty uint64) PredictabilityBranch {
-	b := PredictabilityBranch{
+func classify(a obs.BranchAcct, shadowNames []string, nameRole map[string]string, flushPenalty uint64) PredictabilityBranchJSON {
+	b := PredictabilityBranchJSON{
 		PC:           a.PC,
 		Exec:         a.Execs,
 		FoldEligible: a.FoldEligible,
