@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -11,9 +12,10 @@ import (
 //
 // Results (including build errors) are cached permanently: a sweep's
 // artifacts are deterministic functions of their key, so retrying a
-// failed build would only repeat the failure. Build functions must not
-// re-enter the cache with the same key (self-deadlock, like a
-// recursive sync.Once).
+// failed build would only repeat the failure. A build that panics is
+// cached as a *PanicError (Index -1), so no caller of that key sees a
+// zero value with a nil error. Build functions must not re-enter the
+// cache with the same key (self-deadlock, like a recursive sync.Once).
 type Cache[K comparable, V any] struct {
 	mu     sync.Mutex
 	m      map[K]*centry[V]
@@ -43,6 +45,12 @@ func (c *Cache[K, V]) Get(key K, build func() (V, error)) (V, error) {
 	c.mu.Unlock()
 	e.once.Do(func() {
 		c.builds.Add(1)
+		defer func() {
+			if v := recover(); v != nil {
+				var zero V
+				e.val, e.err = zero, &PanicError{Index: -1, Value: v, Stack: debug.Stack()}
+			}
+		}()
 		e.val, e.err = build()
 	})
 	return e.val, e.err

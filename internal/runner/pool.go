@@ -14,12 +14,11 @@
 //
 // Robustness contract: a job that panics does not kill the process or
 // the pool; the panic is recovered into a *PanicError recorded as that
-// job's error, and every other job still runs. A job whose error is
-// marked transient (MarkTransient) is retried once.
+// job's error, and every other job still runs. A Cache build that
+// panics becomes that key's error for every caller in the same way.
 package runner
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -33,13 +32,12 @@ import (
 // (asbr-sim -metrics dumps them; the serve daemon appends them to
 // /metrics).
 var (
-	poolJobs    = obs.Default().Counter("asbr_runner_jobs_total", "pool job attempts executed (retries count again).")
-	poolRetries = obs.Default().Counter("asbr_runner_retries_total", "pool jobs retried after a transient failure or panic.")
-	poolPanics  = obs.Default().Counter("asbr_runner_panics_total", "pool job attempts that panicked (recovered into PanicError).")
+	poolJobs   = obs.Default().Counter("asbr_runner_jobs_total", "pool jobs executed.")
+	poolPanics = obs.Default().Counter("asbr_runner_panics_total", "pool jobs that panicked (recovered into PanicError).")
 )
 
-// PanicError is a recovered per-job panic, carrying the job's input
-// index, the panic value and the stack at the panic site.
+// PanicError is a recovered panic, carrying the job's input index (-1
+// for a Cache build), the panic value and the stack at the panic site.
 type PanicError struct {
 	Index int
 	Value any
@@ -48,30 +46,10 @@ type PanicError struct {
 
 // Error implements the error interface.
 func (e *PanicError) Error() string {
-	return fmt.Sprintf("runner: job %d panicked: %v", e.Index, e.Value)
-}
-
-// transientError marks an error as worth one retry.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// MarkTransient wraps err so the pool retries the job once before
-// recording the failure. Job functions use it for failures that are
-// plausibly environmental (a scratch-file collision, a cache being
-// warmed by a competing process) rather than deterministic.
-func MarkTransient(err error) error {
-	if err == nil {
-		return nil
+	if e.Index < 0 {
+		return fmt.Sprintf("runner: cached build panicked: %v", e.Value)
 	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err carries a MarkTransient wrapper.
-func IsTransient(err error) bool {
-	var t *transientError
-	return errors.As(err, &t)
+	return fmt.Sprintf("runner: job %d panicked: %v", e.Index, e.Value)
 }
 
 // Map runs f over items with at most parallel concurrent workers and
@@ -137,28 +115,8 @@ func MapErrs[T, R any](parallel int, items []T, f func(i int, item T) (R, error)
 	return out, errs
 }
 
-// runJob executes one job with panic recovery and a single bounded
-// retry for transient failures. The retry also covers a first-attempt
-// panic: a panicking simulation may have tripped over shared warm-up
-// state, and a clean second run is cheaper than a lost sweep cell.
-func runJob[T, R any](i int, item T, f func(i int, item T) (R, error)) (R, error) {
-	out, err := attempt(i, item, f)
-	if err == nil {
-		return out, nil
-	}
-	var pe *PanicError
-	if IsTransient(err) || errors.As(err, &pe) {
-		poolRetries.Inc()
-		if out2, err2 := attempt(i, item, f); err2 == nil {
-			return out2, nil
-		}
-		// Report the first attempt's error: it is the deterministic one.
-	}
-	return out, err
-}
-
-// attempt runs f once, converting a panic into a *PanicError.
-func attempt[T, R any](i int, item T, f func(i int, item T) (R, error)) (out R, err error) {
+// runJob runs one job, converting a panic into a *PanicError.
+func runJob[T, R any](i int, item T, f func(i int, item T) (R, error)) (out R, err error) {
 	poolJobs.Inc()
 	defer func() {
 		if v := recover(); v != nil {

@@ -268,10 +268,8 @@ func TestMapErrsPerItemOutcomes(t *testing.T) {
 }
 
 func TestPanicRecoveredPerJob(t *testing.T) {
-	// A deterministically panicking job must not kill the pool: the
-	// other jobs complete and the panic arrives as a *PanicError for
-	// that index only. The job panics on both attempts, so the retry
-	// does not mask it.
+	// A panicking job must not kill the pool: the other jobs complete
+	// and the panic arrives as a *PanicError for that index only.
 	out, errs := MapErrs(4, []int{0, 1, 2, 3}, func(i, v int) (string, error) {
 		if v == 2 {
 			panic("boom")
@@ -304,60 +302,59 @@ func TestPanicRecoveredPerJob(t *testing.T) {
 	}
 }
 
-func TestTransientRetriedOnce(t *testing.T) {
-	var calls [3]atomic.Int64
-	out, errs := MapErrs(1, []int{0, 1, 2}, func(i, v int) (int, error) {
-		n := calls[i].Add(1)
-		switch v {
-		case 0:
-			// Succeeds on the retry.
-			if n == 1 {
-				return 0, MarkTransient(errors.New("flaky"))
+// TestCachePanicIsError: a build that panics is that key's error for
+// every caller, concurrent or later, and is not run again.
+func TestCachePanicIsError(t *testing.T) {
+	var c Cache[string, []int]
+	var builds atomic.Int64
+	get := func() (v []int, err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("Get panicked: %v", p)
 			}
-			return 7, nil
-		case 1:
-			// Transient on every attempt: exactly one retry, and the
-			// first attempt's error is reported.
-			return 0, MarkTransient(fmt.Errorf("still flaky (attempt %d)", n))
-		default:
-			// Deterministic failure: no retry at all.
-			return 0, errors.New("hard")
+		}()
+		return c.Get("k", func() ([]int, error) {
+			builds.Add(1)
+			panic("selection failed")
+		})
+	}
+	check := func(v []int, err error) {
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Value != "selection failed" || len(pe.Stack) == 0 {
+			t.Errorf("Get = (%v, %v), want a *PanicError", v, err)
+		} else if v != nil {
+			t.Errorf("Get value = %v, want nil", v)
 		}
-	})
-	if calls[0].Load() != 2 || errs[0] != nil || out[0] != 7 {
-		t.Errorf("flaky job: calls=%d out=%d err=%v", calls[0].Load(), out[0], errs[0])
 	}
-	if calls[1].Load() != 2 {
-		t.Errorf("persistent transient retried %d times, want 2 attempts total", calls[1].Load())
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			check(get())
+		}()
 	}
-	if errs[1] == nil || !strings.Contains(errs[1].Error(), "attempt 1") {
-		t.Errorf("persistent transient reported %v, want first attempt's error", errs[1])
-	}
-	if !IsTransient(errs[1]) {
-		t.Error("transient marker lost")
-	}
-	if calls[2].Load() != 1 {
-		t.Errorf("hard failure attempted %d times, want 1", calls[2].Load())
-	}
-	if IsTransient(errs[2]) {
-		t.Error("hard error marked transient")
-	}
-	if IsTransient(nil) || MarkTransient(nil) != nil {
-		t.Error("nil handling wrong")
+	wg.Wait()
+	check(get())
+	if builds.Load() != 1 || c.Builds() != 1 {
+		t.Errorf("build ran %d times (Builds() = %d), want once", builds.Load(), c.Builds())
 	}
 }
 
-func TestPanicRetryRecoversWarmupFlake(t *testing.T) {
-	// A job that panics once and then succeeds is healed by the single
-	// bounded retry.
-	var n atomic.Int64
-	out, errs := MapErrs(1, []int{0}, func(i, v int) (int, error) {
-		if n.Add(1) == 1 {
-			panic("cold cache")
-		}
-		return 42, nil
+// TestMapErrsCachedBuildPanic: a job whose cached build panics reports
+// an error rather than the build's zero value.
+func TestMapErrsCachedBuildPanic(t *testing.T) {
+	var c Cache[string, []int]
+	var calls atomic.Int64
+	out, errs := MapErrs(1, []string{"bench"}, func(_ int, key string) ([]int, error) {
+		calls.Add(1)
+		return c.Get(key, func() ([]int, error) { panic("selection failed") })
 	})
-	if errs[0] != nil || out[0] != 42 || n.Load() != 2 {
-		t.Fatalf("out=%d err=%v attempts=%d", out[0], errs[0], n.Load())
+	var pe *PanicError
+	if !errors.As(errs[0], &pe) || pe.Index != -1 {
+		t.Fatalf("out=%v errs=%v, want the cached build's *PanicError", out, errs)
+	}
+	if calls.Load() != 1 {
+		t.Errorf("job ran %d times, want once", calls.Load())
 	}
 }
