@@ -6,6 +6,7 @@ import (
 	"net/http"
 
 	"asbr/internal/cpu"
+	"asbr/internal/serve/apitypes"
 )
 
 // ErrorBody (an alias of apitypes.ErrorBodyV1, see api.go) is the
@@ -63,12 +64,7 @@ func toHTTP(err error) (int, ErrorBody) {
 	}
 	var se *cpu.SimError
 	if errors.As(err, &se) {
-		return simStatus(se.Code), ErrorBody{
-			Code:    se.Code.String(),
-			Message: se.Error(),
-			PC:      se.PC,
-			Cycle:   se.Cycle,
-		}
+		return simStatus(se.Code), apitypes.EncodeSimError(se)
 	}
 	return http.StatusInternalServerError, ErrorBody{Code: CodeInternal, Message: err.Error()}
 }

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strings"
+
+	"asbr/internal/experiment"
 )
 
 // Handler returns the daemon's full HTTP handler: the route table
@@ -156,7 +158,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	resp, err := s.doSim(&req)
+	resp, err := admit(s, &s.sims, req.Key(), func() (*SimResponse, error) { return s.simulate(&req, nil) })
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -174,7 +176,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	tabs, err := s.doSweep(&req)
+	tabs, err := admit(s, &s.sweeps, req.Key(), func() (*experiment.TablesJSON, error) { return s.runSweep(&req) })
 	if err != nil {
 		s.writeError(w, err)
 		return

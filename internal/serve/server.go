@@ -198,49 +198,26 @@ func (s *Server) submit(run func()) error {
 	}
 }
 
-// doSim answers one /v1/sim request: coalesce onto an existing entry
-// when the key is already known (no queue slot consumed), otherwise
-// admit through the bounded queue and run on a worker. Results —
-// including deterministic simulation errors — are cached permanently,
-// so replays of a completed request never re-simulate.
-func (s *Server) doSim(req *SimRequest) (*SimResponse, error) {
-	key := req.Key()
-	build := func() (*SimResponse, error) { return s.simulate(req, nil) }
-	if s.sims.Contains(key) {
-		return s.sims.Get(key, build)
+// admit answers one coalescable request from cache c: a key the cache
+// already holds joins that entry (no queue slot consumed); otherwise
+// the build is admitted through the bounded queue and runs on a worker.
+// Results — including deterministic simulation errors — are cached
+// permanently, so replays of a completed request never run again.
+func admit[V any](s *Server, c *runner.Cache[string, V], key string, build func() (V, error)) (V, error) {
+	if c.Contains(key) {
+		return c.Get(key, build)
 	}
 	type out struct {
-		v   *SimResponse
+		v   V
 		err error
 	}
 	ch := make(chan out, 1)
 	if err := s.submit(func() {
-		v, err := s.sims.Get(key, build)
+		v, err := c.Get(key, build)
 		ch <- out{v, err}
 	}); err != nil {
-		return nil, err
-	}
-	o := <-ch
-	return o.v, o.err
-}
-
-// doSweep is doSim for /v1/sweep.
-func (s *Server) doSweep(req *SweepRequest) (*experiment.TablesJSON, error) {
-	key := req.Key()
-	build := func() (*experiment.TablesJSON, error) { return s.runSweep(req) }
-	if s.sweeps.Contains(key) {
-		return s.sweeps.Get(key, build)
-	}
-	type out struct {
-		v   *experiment.TablesJSON
-		err error
-	}
-	ch := make(chan out, 1)
-	if err := s.submit(func() {
-		v, err := s.sweeps.Get(key, build)
-		ch <- out{v, err}
-	}); err != nil {
-		return nil, err
+		var zero V
+		return zero, err
 	}
 	o := <-ch
 	return o.v, o.err
