@@ -3,9 +3,9 @@
 # build, race-enabled tests, the benchmark module's vet and tests, the
 # run loop's escape check, a fault-injection smoke, serving-layer,
 # cluster, DSE, trace and branch-predictability smokes, the corpus
-# differential-replay gate, a load check, and short fuzz smokes of the
-# assembler round-trip, the fault-plan grammar, the corpus generator
-# and TAGE's folded histories.
+# differential-replay gate, a load check, the self-checking examples,
+# and short fuzz smokes of the assembler round-trip, the fault-plan
+# grammar, the corpus generator and TAGE's folded histories.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -13,7 +13,7 @@ FAULT_FUZZTIME ?= 2m
 CORPUS_FUZZTIME ?= 2m
 CORPUS_ENTRIES ?= 30
 
-.PHONY: all build fmt-check vet test race bench bench-check bench-module placement escape-check fault-smoke serve-smoke cluster-smoke dse-smoke trace-smoke predict-smoke corpus-check loadgen fuzz-smoke fuzz-fault fuzz-corpus fuzz-tage tables ci clean
+.PHONY: all build fmt-check vet test race bench bench-check bench-module placement escape-check fault-smoke serve-smoke cluster-smoke dse-smoke trace-smoke predict-smoke corpus-check loadgen examples fuzz-smoke fuzz-fault fuzz-corpus fuzz-tage tables ci clean
 
 all: build
 
@@ -139,6 +139,12 @@ corpus-check:
 loadgen:
 	$(GO) test -race -run TestLoadgenSmoke -count=1 -v ./internal/serve
 
+# Run every examples/ program. Each checks its own results and exits
+# nonzero (log.Fatal) on a mismatch, so `go build` alone would miss a
+# wrong result.
+examples:
+	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
+
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzAsmRoundTrip -fuzztime=$(FUZZTIME) -run '^$$' ./internal/asm
 
@@ -162,7 +168,7 @@ fuzz-tage:
 tables:
 	$(GO) run ./cmd/asbr-tables
 
-ci: fmt-check vet build race bench-module escape-check fault-smoke serve-smoke cluster-smoke dse-smoke trace-smoke predict-smoke corpus-check loadgen fuzz-smoke fuzz-fault fuzz-corpus fuzz-tage
+ci: fmt-check vet build race bench-module escape-check fault-smoke serve-smoke cluster-smoke dse-smoke trace-smoke predict-smoke corpus-check loadgen examples fuzz-smoke fuzz-fault fuzz-corpus fuzz-tage
 
 clean:
 	$(GO) clean ./...
