@@ -1,6 +1,11 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"math/rand"
 	"testing"
 
 	"asbr/internal/isa"
@@ -108,5 +113,121 @@ func TestTryFoldUnsafeModeIgnoresCounter(t *testing.T) {
 	}
 	if st := eng.Stats(); st.Fallbacks != 0 {
 		t.Fatalf("unsafe mode recorded fallbacks: %+v", st)
+	}
+}
+
+// bdtGolden is the sha256 of every Valid, Holds and Counter read of
+// TestBDTGolden's stream. It pins the BDT's observable semantics, which
+// the engine-equivalence suite cannot see: every engine shares this
+// one table.
+const bdtGolden = "f7ce1d8ea631b05360e4c698def3b1ea76b1d0c9f9941f3b81abf76f0eeff39e"
+
+// TestBDTGolden drives one BDT through a seeded stream of OnIssue,
+// OnValue, FlipDir, SetCounter, SetKnown and Reset calls and hashes,
+// after every call, Valid, Counter and every Holds of all 32
+// registers. The stream begins with the cases a change of storage
+// could get wrong: a register that never received a value reads "no
+// condition holds" even when SetKnown marks it known or FlipDir flips
+// one of its bits, the zero register is never counted, and a delivery
+// at count 0 leaves the count at 0.
+func TestBDTGolden(t *testing.T) {
+	var d BDT
+	h := sha256.New()
+	var buf [4]byte
+	read := func() {
+		for r := isa.Reg(0); r < isa.NumRegs; r++ {
+			binary.LittleEndian.PutUint32(buf[:], uint32(d.Counter(r)))
+			h.Write(buf[:])
+			var bits byte
+			if d.Valid(r) {
+				bits = 1 << 7
+			}
+			for c := isa.Cond(0); c < isa.NumConds; c++ {
+				if d.Holds(r, c) {
+					bits |= 1 << c
+				}
+			}
+			h.Write([]byte{bits})
+		}
+	}
+	noneHold := func(r isa.Reg) bool {
+		for c := isa.Cond(0); c < isa.NumConds; c++ {
+			if d.Holds(r, c) {
+				return false
+			}
+		}
+		return true
+	}
+
+	// A never-delivered register: known but holding no condition, and
+	// a flipped bit is the only one that holds.
+	read()
+	d.SetKnown(4, true)
+	read()
+	if !d.Valid(4) || !noneHold(4) {
+		t.Fatalf("never-delivered known register: valid=%v, a condition holds", d.Valid(4))
+	}
+	d.FlipDir(6, isa.CondGT)
+	read()
+	if !d.Holds(6, isa.CondGT) || d.Holds(6, isa.CondEQ) || d.Valid(6) {
+		t.Fatal("a flipped bit of a never-delivered register is not the only one set")
+	}
+	// The zero register is never counted and never becomes known.
+	d.OnIssue(isa.RegZero)
+	d.SetCounter(isa.RegZero, 3)
+	d.SetKnown(isa.RegZero, true)
+	d.OnValue(isa.RegZero, -1)
+	read()
+	if d.Counter(isa.RegZero) != 0 || d.Valid(isa.RegZero) || !noneHold(isa.RegZero) {
+		t.Fatal("the zero register was counted")
+	}
+	// A delivery at count 0 leaves the count at 0.
+	d.OnValue(9, 0)
+	d.OnValue(9, 5)
+	read()
+	if d.Counter(9) != 0 || !d.Valid(9) || !d.Holds(9, isa.CondGT) {
+		t.Fatalf("delivery at count 0: counter %d", d.Counter(9))
+	}
+	// A delivery clears a flipped bit.
+	d.FlipDir(9, isa.CondEQ)
+	read()
+	d.OnValue(9, 5)
+	read()
+	if d.Holds(9, isa.CondEQ) {
+		t.Fatal("a delivery kept a flipped bit")
+	}
+
+	rng := rand.New(rand.NewSource(22))
+	vals := []int32{0, 1, -1, 7, -7, math.MaxInt32, math.MinInt32}
+	value := func() int32 {
+		if rng.Intn(2) == 0 {
+			return vals[rng.Intn(len(vals))]
+		}
+		return int32(rng.Uint32())
+	}
+	for i := 0; i < 20000; i++ {
+		// Most calls land on a few registers, so counters climb.
+		r := isa.Reg(rng.Intn(isa.NumRegs))
+		if rng.Intn(4) != 0 {
+			r = isa.Reg(rng.Intn(4))
+		}
+		switch op := rng.Intn(100); {
+		case op < 35:
+			d.OnIssue(r)
+		case op < 70:
+			d.OnValue(r, value())
+		case op < 80:
+			d.FlipDir(r, isa.Cond(rng.Intn(int(isa.NumConds))))
+		case op < 88:
+			d.SetCounter(r, int32(rng.Intn(6)-2))
+		case op < 99:
+			d.SetKnown(r, rng.Intn(2) == 0)
+		default:
+			d.Reset()
+		}
+		read()
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != bdtGolden {
+		t.Errorf("BDT digest %s, want %s", got, bdtGolden)
 	}
 }
