@@ -56,33 +56,88 @@ func (e BITEntry) String() string {
 type BIT struct {
 	cap     int
 	entries []BITEntry
-	byPC    map[uint32]int
-	screen  Screen
+	// folds counts the folds of each entry under its current PC; moved
+	// keeps the counts of PCs that an entry has since left (Realias,
+	// Clear), so that Engine.FoldsByPC reports every fold under the PC
+	// it was fetched from.
+	folds  []uint64
+	moved  map[uint32]uint64
+	screen Screen
 }
 
-// Screen is a direct-mapped membership filter over a BIT's loaded
-// PCs: bit (pc>>2) mod screenBits is set for every entry. Most fetches
-// miss the BIT, and a clear bit answers them without the map probe.
-type Screen [screenBits / 64]uint64
+// Screen is a direct-mapped index over a BIT's loaded PCs: slot
+// (pc>>2) mod screenBits holds k+1 when entry k alone is loaded at such
+// a PC, sharedSlot when several entries are (PCs a multiple of 4 KB
+// apart) or k+1 does not fit, and 0 when none is. Most fetches miss the
+// BIT, and a zero slot answers them at once; a hit reads its entry
+// from the slot instead of probing a map.
+type Screen [screenBits]uint8
 
-// screenBits is the size of a BIT's membership screen: one bit per
-// word of a 4 KB text window, so a text segment up to that size maps
-// every PC to its own bit.
+// screenBits is the size of a BIT's screen: one slot per word of a
+// 4 KB text window, so a text segment up to that size maps every PC to
+// its own slot.
 const screenBits = 1024
+
+// sharedSlot marks a screen slot whose entry must be searched for.
+const sharedSlot = 255
 
 func screenIndex(pc uint32) uint32 { return (pc >> 2) % screenBits }
 
-// Has reports whether pc's screen bit is set. A clear bit proves that
-// pc misses the BIT; a set bit means it may hit.
-func (s *Screen) Has(pc uint32) bool {
-	i := screenIndex(pc)
-	return s[i/64]&(1<<(i%64)) != 0
+// Has reports whether pc's screen slot is set. A zero slot proves that
+// pc misses the BIT; a set one means it may hit.
+func (s *Screen) Has(pc uint32) bool { return s[screenIndex(pc)] != 0 }
+
+// mark sets the screen slot of entry k.
+func (b *BIT) mark(k int) {
+	i := screenIndex(b.entries[k].PC)
+	if b.screen[i] == 0 && k+1 < sharedSlot {
+		b.screen[i] = uint8(k + 1)
+	} else {
+		b.screen[i] = sharedSlot
+	}
 }
 
-// mark sets the screen bit of pc.
-func (b *BIT) mark(pc uint32) {
-	i := screenIndex(pc)
-	b.screen[i/64] |= 1 << (i % 64)
+// remark rebuilds screen slot i from the entries.
+func (b *BIT) remark(i uint32) {
+	b.screen[i] = 0
+	for k := range b.entries {
+		if screenIndex(b.entries[k].PC) == i {
+			b.mark(k)
+		}
+	}
+}
+
+// find returns the index of pc's entry, or -1.
+func (b *BIT) find(pc uint32) int {
+	switch s := b.screen[screenIndex(pc)]; s {
+	case 0:
+		return -1
+	case sharedSlot:
+		for k := range b.entries {
+			if b.entries[k].PC == pc {
+				return k
+			}
+		}
+		return -1
+	default:
+		if k := int(s) - 1; b.entries[k].PC == pc {
+			return k
+		}
+		return -1
+	}
+}
+
+// spill moves entry k's fold count to moved, under its current PC.
+func (b *BIT) spill(k int) {
+	n := b.folds[k]
+	if n == 0 {
+		return
+	}
+	if b.moved == nil {
+		b.moved = make(map[uint32]uint64)
+	}
+	b.moved[b.entries[k].PC] += n
+	b.folds[k] = 0
 }
 
 // NewBIT returns an empty table with the given capacity.
@@ -90,7 +145,7 @@ func NewBIT(capacity int) *BIT {
 	if capacity <= 0 {
 		capacity = DefaultBITEntries
 	}
-	return &BIT{cap: capacity, byPC: make(map[uint32]int, capacity)}
+	return &BIT{cap: capacity}
 }
 
 // Capacity returns the maximum number of entries.
@@ -112,32 +167,31 @@ func (b *BIT) Add(e BITEntry) error {
 	if len(b.entries) >= b.cap {
 		return fmt.Errorf("core: BIT full (%d entries)", b.cap)
 	}
-	if _, dup := b.byPC[e.PC]; dup {
+	if b.find(e.PC) >= 0 {
 		return fmt.Errorf("core: BIT already holds pc=0x%08x", e.PC)
 	}
-	b.byPC[e.PC] = len(b.entries)
 	b.entries = append(b.entries, e)
-	b.mark(e.PC)
+	b.folds = append(b.folds, 0)
+	b.mark(len(b.entries) - 1)
 	return nil
 }
 
-// Lookup finds the entry for a branch PC. The screen answers most
-// misses; only a PC whose screen bit is set pays the map probe.
+// Lookup finds the entry for a branch PC.
 func (b *BIT) Lookup(pc uint32) (BITEntry, bool) {
-	if !b.screen.Has(pc) {
-		return BITEntry{}, false
+	if k := b.find(pc); k >= 0 {
+		return b.entries[k], true
 	}
-	i, ok := b.byPC[pc]
-	if !ok {
-		return BITEntry{}, false
-	}
-	return b.entries[i], true
+	return BITEntry{}, false
 }
 
 // Clear removes all entries (re-customization between program phases).
+// The folds of the removed entries still count under their PCs.
 func (b *BIT) Clear() {
+	for k := range b.entries {
+		b.spill(k)
+	}
 	b.entries = b.entries[:0]
-	b.byPC = make(map[uint32]int, b.cap)
+	b.folds = b.folds[:0]
 	b.screen = Screen{}
 }
 
@@ -145,43 +199,86 @@ func (b *BIT) Clear() {
 // validity counters (paper Figure 8 shows a 4-register example with
 // "!=0" and "<=0" columns; the full table covers all 32 registers and
 // all 6 zero comparisons).
+//
+// Register r lives in row r+1, and row 0 is a sink (BDTIndex): the
+// superblock engine's fused loop issues and delivers every pipeline
+// slot into its index without a test, so a word that writes no
+// register, the zero register and a bubble (a zeroed slot) all land in
+// row 0, which no reader sees. A delivery stores the value; the
+// direction bits are computed when Holds reads them.
 type BDT struct {
-	dirs  [isa.NumRegs]uint8 // bitmask: bit c set iff Cond(c) holds
-	count [isa.NumRegs]int32 // in-flight producers
-	known [isa.NumRegs]bool  // at least one value delivered
+	val   [bdtRows]int32 // latest delivered value
+	count [bdtRows]int32 // in-flight producers
+	// state is knownBit (at least one value delivered) plus the
+	// direction bits a mutation flipped since the last delivery, XORed
+	// with zeroDirs. A row reads zero at power-on, when val is 0 too, so
+	// it holds no condition until its first delivery.
+	state [bdtRows]uint8
+}
+
+const (
+	// bdtRows covers the sink and the 32 register rows; a power of two
+	// lets an index mask stand in for the bounds check.
+	bdtRows = 64
+	// BDTSink is the BDT index of a producer that writes no register.
+	BDTSink  uint8 = 0
+	knownBit uint8 = 1 << 7
+	// zeroDirs is isa.DirBits(0).
+	zeroDirs uint8 = 1<<isa.CondEQ | 1<<isa.CondLE | 1<<isa.CondGE
+	// delivered is the state a delivery leaves: known, nothing flipped.
+	delivered = knownBit | zeroDirs
+)
+
+// BDTIndex returns the BDT index a producer of r issues and delivers
+// into: r's row, or BDTSink for the zero register, which is never
+// counted.
+func BDTIndex(r isa.Reg) uint8 {
+	if r == isa.RegZero {
+		return BDTSink
+	}
+	return row(r)
+}
+
+// row is where register r's state lives.
+func row(r isa.Reg) uint8 { return uint8(r) + 1 }
+
+// Issue is OnIssue by BDT index.
+func (d *BDT) Issue(i uint8) { d.count[i%bdtRows]++ }
+
+// Deliver is OnValue by BDT index.
+func (d *BDT) Deliver(i uint8, v int32) {
+	i %= bdtRows
+	n := d.count[i]
+	if n > 0 {
+		n--
+	}
+	d.count[i] = n
+	d.val[i] = v
+	d.state[i] = delivered
 }
 
 // OnIssue records that a producer of r entered decode.
-func (d *BDT) OnIssue(r isa.Reg) {
-	if r != isa.RegZero {
-		d.count[r]++
-	}
-}
+func (d *BDT) OnIssue(r isa.Reg) { d.Issue(BDTIndex(r)) }
 
 // OnValue delivers a produced value of r at the update point.
-func (d *BDT) OnValue(r isa.Reg, v int32) {
-	if r == isa.RegZero {
-		return
-	}
-	if d.count[r] > 0 {
-		d.count[r]--
-	}
-	d.dirs[r] = isa.DirBits(v)
-	d.known[r] = true
-}
+func (d *BDT) OnValue(r isa.Reg, v int32) { d.Deliver(BDTIndex(r), v) }
 
 // Valid reports whether the precomputed predicate for r is
 // trustworthy: no in-flight producer and at least one delivery.
 func (d *BDT) Valid(r isa.Reg) bool {
-	return d.count[r] == 0 && d.known[r]
+	i := row(r) % bdtRows
+	return d.count[i] == 0 && d.state[i]&knownBit != 0
 }
 
 // Counter returns the current validity counter of r (for tests and
 // introspection).
-func (d *BDT) Counter(r isa.Reg) int32 { return d.count[r] }
+func (d *BDT) Counter(r isa.Reg) int32 { return d.count[row(r)%bdtRows] }
 
 // Holds reports the precomputed direction of condition c on register r.
-func (d *BDT) Holds(r isa.Reg, c isa.Cond) bool { return d.dirs[r]>>c&1 == 1 }
+func (d *BDT) Holds(r isa.Reg, c isa.Cond) bool {
+	i := row(r) % bdtRows
+	return (isa.DirBits(d.val[i])^d.state[i]^zeroDirs)>>c&1 == 1
+}
 
 // Reset restores the power-on state.
 func (d *BDT) Reset() {
@@ -266,15 +363,16 @@ type Engine struct {
 	active int
 	bdt    BDT
 	stats  Stats
-	perPC  map[uint32]uint64 // folds per branch
-	sink   obs.EventSink     // nil unless SetEventSink was called
-	mutate func(pc uint32)   // nil unless SetMutator was called
+	sink   obs.EventSink   // nil unless SetEventSink was called
+	mutate func(pc uint32) // nil unless SetMutator was called
 }
 
 // SetEventSink attaches a pipeline event sink (typically an
 // obs.Tracer): the engine then emits EvBITHit, EvFoldFallback,
 // EvBDTValid/EvBDTInvalid transition and EvBankSwitch events. Events
 // carry no cycle; a Clocked sink installed into the CPU stamps them.
+// Attach it before cpu.New: a unit with a sink demands cpu.Caps.Events,
+// because the superblock engine's fused loop emits no events.
 func (e *Engine) SetEventSink(s obs.EventSink) { e.sink = s }
 
 // SetMutator installs a per-fetch state-mutation policy: TryFold calls
@@ -289,7 +387,7 @@ func (e *Engine) Sink() (obs.EventSink, bool) { return e.sink, e.sink != nil }
 // NewEngine builds an engine with empty BIT banks.
 func NewEngine(cfg Config) *Engine {
 	cfg.fillDefaults()
-	e := &Engine{cfg: cfg, perPC: make(map[uint32]uint64)}
+	e := &Engine{cfg: cfg}
 	for i := 0; i < cfg.Banks; i++ {
 		e.banks = append(e.banks, NewBIT(cfg.BITEntries))
 	}
@@ -322,11 +420,20 @@ func (e *Engine) ActiveBank() int { return e.active }
 // Stats returns a copy of the counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// FoldsByPC returns per-branch fold counts.
+// FoldsByPC returns the folds of each branch, keyed by the PC each fold
+// was fetched from: every bank's per-entry counts plus the counts its
+// entries left behind when Realias, LoadBank or Clear moved them.
 func (e *Engine) FoldsByPC() map[uint32]uint64 {
-	out := make(map[uint32]uint64, len(e.perPC))
-	for k, v := range e.perPC {
-		out[k] = v
+	out := make(map[uint32]uint64)
+	for _, b := range e.banks {
+		for k, n := range b.folds {
+			if n > 0 {
+				out[b.entries[k].PC] += n
+			}
+		}
+		for pc, n := range b.moved {
+			out[pc] += n
+		}
 	}
 	return out
 }
@@ -337,14 +444,17 @@ func (e *Engine) Reset() {
 	e.bdt.Reset()
 	e.stats = Stats{}
 	e.active = 0
-	e.perPC = make(map[uint32]uint64)
+	for _, b := range e.banks {
+		clear(b.folds)
+		b.moved = nil
+	}
 }
 
 // BDTState exposes the BDT for tests and visualization.
 func (e *Engine) BDTState() *BDT { return &e.bdt }
 
 // Screen returns the active bank's screen to a fetch loop that tests
-// it inline and calls TryFold only when the bit is set. The loop must
+// it inline and calls TryFold only when the slot is set. The loop must
 // report the fetches it screens out through Screened, so that Lookups
 // still counts every fetch. The screen is valid until the next bank
 // switch. Screen returns nil when a mutation policy is installed: the
@@ -368,10 +478,12 @@ func (e *Engine) TryFold(pc uint32) (Fold, bool) {
 		e.mutate(pc)
 	}
 	e.stats.Lookups++
-	en, ok := e.banks[e.active].Lookup(pc)
-	if !ok {
+	b := e.banks[e.active]
+	k := b.find(pc)
+	if k < 0 {
 		return Fold{}, false
 	}
+	en := &b.entries[k]
 	e.stats.Hits++
 	if e.sink != nil {
 		e.sink.OnEvent(obs.Event{Kind: obs.EvBITHit, PC: pc, Arg: uint64(en.Reg)})
@@ -385,7 +497,7 @@ func (e *Engine) TryFold(pc uint32) (Fold, bool) {
 	}
 	taken := e.bdt.Holds(en.Reg, en.Cond)
 	e.stats.Folds++
-	e.perPC[pc]++
+	b.folds[k]++
 	if taken {
 		e.stats.FoldsTaken++
 		// "PC=BranchTargetAddress+4; instr=BranchTargetInstruction"
@@ -395,9 +507,9 @@ func (e *Engine) TryFold(pc uint32) (Fold, bool) {
 	return Fold{Word: en.BFI, PC: pc + 4, Next: pc + 8, Taken: false}, true
 }
 
-// OnIssue notes that a producer of rd entered decode. The untraced
-// path is kept small enough to inline into the superblock engine's
-// fused loop.
+// OnIssue notes that a producer of rd entered decode. The superblock
+// engine's fused loop, which never runs a unit with an event sink,
+// issues into the BDT directly (BDT.Issue).
 func (e *Engine) OnIssue(rd isa.Reg) {
 	if e.sink == nil {
 		e.bdt.OnIssue(rd)

@@ -17,7 +17,7 @@ import (
 // FlipDir inverts the stored direction bit of condition c for register
 // r, as a particle strike on one BDT direction cell would.
 func (d *BDT) FlipDir(r isa.Reg, c isa.Cond) {
-	d.dirs[r] ^= 1 << c
+	d.state[row(r)%bdtRows] ^= 1 << c
 }
 
 // SetCounter overwrites the validity counter of r. Forcing it to zero
@@ -25,36 +25,39 @@ func (d *BDT) FlipDir(r isa.Reg, c isa.Cond) {
 // the paper relies on for non-speculation reports "resolved" early.
 func (d *BDT) SetCounter(r isa.Reg, v int32) {
 	if r != isa.RegZero {
-		d.count[r] = v
+		d.count[row(r)%bdtRows] = v
 	}
 }
 
 // SetKnown overwrites the known flag of r (whether any value has been
 // delivered since power-on).
 func (d *BDT) SetKnown(r isa.Reg, known bool) {
-	if r != isa.RegZero {
-		d.known[r] = known
+	if r == isa.RegZero {
+		return
+	}
+	if i := row(r) % bdtRows; known {
+		d.state[i] |= knownBit
+	} else {
+		d.state[i] &^= knownBit
 	}
 }
 
 // Realias rekeys the entry stored under oldPC so it matches fetches of
 // newPC instead: a BIT tag-cell corruption making a wrong PC hit. The
-// entry body (BTA/BTI/BFI/Reg/Cond) is unchanged.
+// entry body (BTA/BTI/BFI/Reg/Cond) is unchanged; its folds so far
+// still count under oldPC.
 func (b *BIT) Realias(oldPC, newPC uint32) error {
-	i, ok := b.byPC[oldPC]
-	if !ok {
+	k := b.find(oldPC)
+	if k < 0 {
 		return fmt.Errorf("core: BIT holds no entry for pc=0x%08x", oldPC)
 	}
-	if _, dup := b.byPC[newPC]; dup {
+	if b.find(newPC) >= 0 {
 		return fmt.Errorf("core: BIT already holds pc=0x%08x", newPC)
 	}
-	delete(b.byPC, oldPC)
-	b.byPC[newPC] = i
-	b.entries[i].PC = newPC
-	b.screen = Screen{}
-	for _, e := range b.entries {
-		b.mark(e.PC)
-	}
+	b.spill(k)
+	b.entries[k].PC = newPC
+	b.remark(screenIndex(oldPC))
+	b.remark(screenIndex(newPC))
 	return nil
 }
 
@@ -62,8 +65,8 @@ func (b *BIT) Realias(oldPC, newPC uint32) error {
 // and target address of the entry at pc: stale-BTI corruption, as if
 // the table were loaded for a previous program version.
 func (b *BIT) SetWords(pc, bta, bti, bfi uint32) error {
-	i, ok := b.byPC[pc]
-	if !ok {
+	i := b.find(pc)
+	if i < 0 {
 		return fmt.Errorf("core: BIT holds no entry for pc=0x%08x", pc)
 	}
 	b.entries[i].BTA = bta
