@@ -53,6 +53,11 @@ var capHooks = []hook{
 	{"commits", func(cfg *cpu.Config) { cfg.Commits = nullCommits{} }},
 	{"obs", func(cfg *cpu.Config) { cfg.Obs = nullSink{} }},
 	{"trace", func(cfg *cpu.Config) { cfg.Trace = io.Discard }},
+	{"unit-sink", func(cfg *cpu.Config) {
+		eng := core.NewEngine(core.DefaultConfig())
+		eng.SetEventSink(nullSink{})
+		cfg.Fold = eng
+	}},
 }
 
 // TestSelectEngineCapabilityFallback: every hook kind, attached alone,

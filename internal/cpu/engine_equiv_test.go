@@ -535,8 +535,8 @@ func assemble(t *testing.T, src string) *isa.Program {
 
 // foldDirectedSrc counts s0 down from 40. The beqz at "test" is taken
 // on even s0, so its BIT entry injects the mult at "even" when it
-// folds taken (an fcBreak word, which the fused loop does not play),
-// and the addiu after it when it folds not taken. The bnez at "sys"
+// folds taken (the fused loop plays it with its EX occupancy), and the
+// addiu after it when it folds not taken. The bnez at "sys"
 // falls through only when s0 is a multiple of 8, so its fall-through
 // word is a syscall (print a0). The pipeline delivers both conditions
 // well ahead of their branches, so the BDT holds valid predicates.
@@ -568,10 +568,10 @@ skip:	bnez	s0, loop
 `
 
 // TestEngineFoldDirected folds branches whose injected words the
-// superblock engine's fused loop does not play — a mult, a syscall, and
-// a word that differs from the text's own (a stale BIT copy) — which
-// must take the loop's top-of-cycle exit and leave every engine in
-// agreement.
+// superblock engine's fused loop does not play — a syscall and a word
+// that differs from the text's own (a stale BIT copy) — which must
+// take the loop's exit at the cycle boundary, and a mult, which it
+// plays; every engine must agree.
 func TestEngineFoldDirected(t *testing.T) {
 	prog := assemble(t, foldDirectedSrc)
 	entries, err := core.BuildBIT(prog, []uint32{prog.Symbols["test"], prog.Symbols["sys"]})

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"asbr/internal/core"
 	"asbr/internal/isa"
 )
 
@@ -29,17 +30,22 @@ type DecodedInst struct {
 	// fclass is how the superblock engine's fused loop (sbFused)
 	// treats the word; fcBreak ends a fused run.
 	fclass uint8
+	// bdt is the word's BDT index (core.BDTIndex of its destination, or
+	// core.BDTSink when it writes none), which the fold-aware fused loop
+	// issues and delivers without testing HasDest.
+	bdt uint8
 }
 
 // Fused-loop word classes (DecodedInst.fclass).
 const (
-	fcBreak   uint8 = iota // not modeled: multi-cycle EX, OS surface, undecodable
+	fcBreak   uint8 = iota // not modeled: div, OS surface, undecodable
 	fcPlain                // single-cycle ALU work
 	fcLoad                 // load: data access in MEM
 	fcStore                // store: data access in MEM
 	fcBranch               // conditional branch: resolves in EX
 	fcJump                 // j, jal: redirects fetch as it leaves ID
 	fcJumpReg              // jr, jalr: redirects fetch from EX
+	fcMult                 // mult, multu: occupies EX for Config.MultCycles
 )
 
 // Predecoded is a program's text segment decoded once into a flat
@@ -79,6 +85,7 @@ func decodeWord(d *DecodedInst, word, pc uint32) {
 	}
 	if r, ok := in.DestReg(); ok {
 		d.Dest, d.HasDest = r, true
+		d.bdt = core.BDTIndex(r)
 	}
 	src, n := in.SrcRegs()
 	d.Src, d.NSrc = src, uint8(n)
@@ -91,18 +98,19 @@ func decodeWord(d *DecodedInst, word, pc uint32) {
 }
 
 // fusedClass classifies a decoded word for the fused loop. Everything
-// flows except what needs more than the loop models — multi-cycle EX
-// (mult/div), the OS surface (syscall, break, bitsw) and undecodable
-// words, which fault in EX. mfhi/mflo/mthi/mtlo flow: in program order
-// their EX order is the same either way, so HI/LO reads and writes
-// sequence identically.
+// flows except what needs more than the loop models — div (its EX can
+// fault), the OS surface (syscall, break, bitsw) and undecodable
+// words, which fault in EX. mult/multu flow with their EX occupancy.
+// mfhi/mflo/mthi/mtlo flow: in program order their EX order is the
+// same either way, so HI/LO reads and writes sequence identically.
 func fusedClass(d *DecodedInst) uint8 {
 	if !d.OK {
 		return fcBreak
 	}
 	switch d.In.Op {
-	case isa.OpMULT, isa.OpMULTU, isa.OpDIV, isa.OpDIVU,
-		isa.OpSYSCALL, isa.OpBREAK, isa.OpBITSW:
+	case isa.OpMULT, isa.OpMULTU:
+		return fcMult
+	case isa.OpDIV, isa.OpDIVU, isa.OpSYSCALL, isa.OpBREAK, isa.OpBITSW:
 		return fcBreak
 	case isa.OpJ, isa.OpJAL:
 		return fcJump
