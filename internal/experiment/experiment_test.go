@@ -1,7 +1,9 @@
 package experiment
 
 import (
+	"errors"
 	"testing"
+	"time"
 
 	"asbr/internal/cpu"
 	"asbr/internal/workload"
@@ -296,6 +298,17 @@ func TestMotivationSeedSweep(t *testing.T) {
 		if !res.AccMatch {
 			t.Errorf("n=%d seed=%d: folding changed the program result", n, seed)
 		}
+	}
+}
+
+// TestMotivationTimeout requires the motivation table's two machines
+// to run under the sweep's wall-clock budget: a 1 ns timeout cancels
+// the first of them.
+func TestMotivationTimeout(t *testing.T) {
+	_, err := NewSweep(Options{Samples: 64, Seed: 1, Timeout: time.Nanosecond}).Motivation()
+	var se *cpu.SimError
+	if !errors.As(err, &se) || se.Code != cpu.ErrCanceled {
+		t.Fatalf("Motivation under a 1ns timeout: err %v, want a canceled SimError", err)
 	}
 }
 

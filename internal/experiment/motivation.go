@@ -112,7 +112,7 @@ func (s *Sweep) Motivation() (*MotivationJSON, error) {
 	if err := pour(base); err != nil {
 		return nil, err
 	}
-	baseStats, err := base.Run()
+	baseStats, err := s.runCPU(base)
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +166,7 @@ func (s *Sweep) Motivation() (*MotivationJSON, error) {
 	if err := pour(folded); err != nil {
 		return nil, err
 	}
-	foldStats, err := folded.Run()
+	foldStats, err := s.runCPU(folded)
 	if err != nil {
 		return nil, err
 	}

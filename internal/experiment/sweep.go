@@ -91,18 +91,31 @@ func (s *Sweep) machine(branch *predict.Unit) cpu.Config {
 // into a typed *cpu.SimError for its cell instead of hanging the
 // sweep.
 func (s *Sweep) run(prog *isa.Program, cfg cpu.Config, in []int32) (*workload.Result, error) {
-	ctx := context.Background()
-	if s.opt.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opt.Timeout)
-		defer cancel()
-	}
+	ctx, cancel := s.simContext()
+	defer cancel()
 	if cfg.Predecoded == nil {
 		// Every cell simulating the same compiled artifact shares one
 		// immutable decode table instead of predecoding per machine.
 		cfg.Predecoded = s.arts.Predecode(prog)
 	}
 	return workload.RunContext(ctx, prog, cfg, in, s.opt.Samples)
+}
+
+// simContext bounds one simulation by the sweep's wall-clock budget
+// (Options.Timeout); without one it never expires.
+func (s *Sweep) simContext() (context.Context, context.CancelFunc) {
+	if s.opt.Timeout > 0 {
+		return context.WithTimeout(context.Background(), s.opt.Timeout)
+	}
+	return context.Background(), func() {}
+}
+
+// runCPU runs a machine built and poured by the caller to the end under
+// the sweep's wall-clock budget, as run does.
+func (s *Sweep) runCPU(c *cpu.CPU) (cpu.Stats, error) {
+	ctx, cancel := s.simContext()
+	defer cancel()
+	return c.RunContext(ctx)
 }
 
 // input returns the benchmark's synthetic input trace for the sweep's
