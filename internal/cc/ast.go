@@ -29,6 +29,8 @@ func (t Type) String() string {
 type File struct {
 	Globals []*GlobalDecl
 	Funcs   []*FuncDecl
+
+	tokens int // tokens lexed by Parse: Generate sizes its output from it
 }
 
 // GlobalDecl is a file-scope variable: a scalar or an int array.

@@ -13,7 +13,7 @@ func Parse(src string) (*File, error) {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	f := &File{}
+	f := &File{tokens: len(toks)}
 	for p.peek().kind != tokEOF {
 		if err := p.parseTopLevel(f); err != nil {
 			return nil, err

@@ -58,9 +58,9 @@ type cacheLine struct {
 // Memory, which keeps the model simple and trivially coherent.
 type Cache struct {
 	cfg     CacheConfig
-	sets    [][]cacheLine
-	shift   uint // log2(line size)
-	setBits uint // log2(set count)
+	lines   []cacheLine // set i is lines[i*Assoc : (i+1)*Assoc]
+	shift   uint        // log2(line size)
+	setBits uint        // log2(set count)
 	mask    uint32
 	tick    uint64
 	stats   CacheStats
@@ -104,11 +104,8 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 	for 1<<setBits < nSets {
 		setBits++
 	}
-	sets := make([][]cacheLine, nSets)
-	for i := range sets {
-		sets[i] = make([]cacheLine, cfg.Assoc)
-	}
-	return &Cache{cfg: cfg, sets: sets, shift: shift, setBits: setBits, mask: uint32(nSets - 1)}, nil
+	lines := make([]cacheLine, nSets*cfg.Assoc)
+	return &Cache{cfg: cfg, lines: lines, shift: shift, setBits: setBits, mask: uint32(nSets - 1)}, nil
 }
 
 // Config returns the cache's configuration.
@@ -119,11 +116,7 @@ func (c *Cache) Stats() CacheStats { return c.stats }
 
 // Reset invalidates all lines and clears statistics.
 func (c *Cache) Reset() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = cacheLine{}
-		}
-	}
+	clear(c.lines)
 	c.stats = CacheStats{}
 	c.tick = 0
 }
@@ -151,8 +144,7 @@ func (c *Cache) AccountHits(n int) {
 // false and leaves the lines, the LRU state and the statistics
 // untouched.
 func (c *Cache) TryAccess(addr uint32, write bool) bool {
-	set, tag := c.lookup(addr)
-	lines := c.sets[set]
+	lines, tag := c.lookup(addr)
 	for i := range lines {
 		if lines[i].valid && lines[i].tag == tag {
 			c.tick++
@@ -180,8 +172,7 @@ func (c *Cache) Access(addr uint32, write bool) int {
 		return c.cfg.HitCycles
 	}
 	c.tick++
-	set, tag := c.lookup(addr)
-	lines := c.sets[set]
+	lines, tag := c.lookup(addr)
 	// Miss.
 	if write {
 		c.stats.Writes++
@@ -214,17 +205,19 @@ func (c *Cache) Access(addr uint32, write bool) int {
 	return c.cfg.HitCycles + c.cfg.MissCycles + extra
 }
 
-// lookup computes (set, tag) for addr.
-func (c *Cache) lookup(addr uint32) (uint32, uint32) {
+// lookup returns the lines of addr's set and addr's tag.
+func (c *Cache) lookup(addr uint32) ([]cacheLine, uint32) {
 	line := addr >> c.shift
-	return line & c.mask, line >> c.setBits
+	a := c.cfg.Assoc
+	set := int(line&c.mask) * a
+	return c.lines[set : set+a : set+a], line >> c.setBits
 }
 
 // Contains reports whether the line holding addr is resident, without
 // touching LRU state or statistics.
 func (c *Cache) Contains(addr uint32) bool {
-	set, tag := c.lookup(addr)
-	for _, l := range c.sets[set] {
+	lines, tag := c.lookup(addr)
+	for _, l := range lines {
 		if l.valid && l.tag == tag {
 			return true
 		}

@@ -36,6 +36,10 @@ func TestMemoryWordEndianness(t *testing.T) {
 
 func TestMemoryBulk(t *testing.T) {
 	m := NewMemory()
+	m.StoreBytes(0x1ff0, make([]byte, 3<<pageBits+100))
+	if m.Footprint() != 0 {
+		t.Fatalf("all-zero image over absent memory made %d pages, want 0", m.Footprint())
+	}
 	data := []byte{1, 2, 3, 4, 5}
 	m.StoreBytes(0x2000-2, data) // crosses page boundary at 0x2000? (pages are 4K; 0x2000 is one)
 	got := m.LoadBytes(0x2000-2, 5)
@@ -50,9 +54,14 @@ func TestMemoryBulk(t *testing.T) {
 }
 
 // Property: memory behaves like a map from address to last-written byte.
+// Byte stores fill the low 1 MiB; then StoreBytes writes page-spanning
+// images, each holding all-zero runs that cover whole pages, over the
+// low 2 MiB, so the zero runs land both on pages holding nonzero bytes
+// (which they must clear) and on absent ones (which StoreBytes skips).
 func TestMemoryOracle(t *testing.T) {
+	const page = 1 << pageBits
 	m := NewMemory()
-	oracle := make(map[uint32]byte)
+	oracle := make([]byte, 2<<20+6*page)
 	r := rand.New(rand.NewSource(99))
 	for i := 0; i < 50000; i++ {
 		addr := uint32(r.Intn(1 << 20))
@@ -62,6 +71,30 @@ func TestMemoryOracle(t *testing.T) {
 			oracle[addr] = v
 		} else if m.LoadByte(addr) != oracle[addr] {
 			t.Fatalf("mismatch at 0x%x", addr)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		addr := uint32(r.Intn(2 << 20))
+		img := make([]byte, 1+r.Intn(5*page))
+		for j := range img {
+			if r.Intn(4) == 0 {
+				img[j] = byte(r.Intn(256))
+			}
+		}
+		// Zero every whole page the image covers with probability 1/2.
+		for p := (addr + page - 1) &^ pageMask; p+page <= addr+uint32(len(img)); p += page {
+			if r.Intn(2) == 0 {
+				clear(img[p-addr : p-addr+page])
+			}
+		}
+		m.StoreBytes(addr, img)
+		copy(oracle[addr:], img)
+		lo := addr - min(addr, page)
+		got := m.LoadBytes(lo, len(img)+2*page)
+		for j, v := range got {
+			if a := lo + uint32(j); v != oracle[a] {
+				t.Fatalf("image %d at 0x%x (%d bytes): byte at 0x%x is %#x, want %#x", i, addr, len(img), a, v, oracle[a])
+			}
 		}
 	}
 }

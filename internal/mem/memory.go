@@ -8,7 +8,10 @@
 // cost, which the pipeline model turns into stalls.
 package mem
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
 
 const (
 	pageBits = 12 // 4 KiB pages
@@ -123,12 +126,24 @@ func (m *Memory) StoreHalf(addr uint32, v uint16) {
 	m.StoreByte(addr+1, byte(v>>8))
 }
 
+// zeroPage is what an absent page reads as.
+var zeroPage [1 << pageBits]byte
+
 // StoreBytes copies a byte image to consecutive addresses starting at
-// addr, a page at a time.
+// addr, a page at a time. A part of the image that is all zero and
+// falls on an absent page is skipped: the absent page already reads as
+// zero, so only the pages that hold nonzero bytes are made. On a page
+// that exists every byte is written.
 func (m *Memory) StoreBytes(addr uint32, data []byte) {
 	for len(data) > 0 {
-		p := m.page(addr, true)
-		n := copy(p[addr&pageMask:], data)
+		n := min(len(data), 1<<pageBits-int(addr&pageMask))
+		p := m.page(addr, false)
+		if p == nil && !bytes.Equal(data[:n], zeroPage[:n]) {
+			p = m.page(addr, true)
+		}
+		if p != nil {
+			copy(p[addr&pageMask:], data[:n])
+		}
 		data = data[n:]
 		addr += uint32(n)
 	}

@@ -7,13 +7,21 @@ import "fmt"
 // decoding. The paper's baseline predictors use 2048 entries; the ASBR
 // configurations shrink it to a quarter (512).
 type BTB struct {
-	tags    []uint32
-	targets []uint32
-	valid   []bool
-	mask    uint32
+	slots []btbSlot
+	mask  uint32
 	// Stats.
 	lookups uint64
 	hits    uint64
+}
+
+// btbSlot is one BTB entry. Its tag is the complement of the branch's
+// pc, so a zero slot is empty: it matches only pc 0xffffffff, where no
+// fetched instruction can lie (fetch stays below the end of the text
+// segment, a 32-bit address). Every other pc, aligned or not, keeps
+// an exact tag, so the slot needs no valid flag.
+type btbSlot struct {
+	tag    uint32 // ^pc of the cached branch
+	target uint32
 }
 
 // NewBTB builds a branch target buffer with entries slots (a power of two).
@@ -21,36 +29,27 @@ func NewBTB(entries int) (*BTB, error) {
 	if entries <= 0 || entries&(entries-1) != 0 {
 		return nil, fmt.Errorf("predict: BTB entries %d not a power of two", entries)
 	}
-	return &BTB{
-		tags:    make([]uint32, entries),
-		targets: make([]uint32, entries),
-		valid:   make([]bool, entries),
-		mask:    uint32(entries - 1),
-	}, nil
+	return &BTB{slots: make([]btbSlot, entries), mask: uint32(entries - 1)}, nil
 }
 
 // Entries returns the BTB capacity.
-func (b *BTB) Entries() int { return len(b.tags) }
+func (b *BTB) Entries() int { return len(b.slots) }
 
 func (b *BTB) index(pc uint32) uint32 { return (pc >> 2) & b.mask }
 
 // Lookup returns the cached target for the branch at pc, if present.
 func (b *BTB) Lookup(pc uint32) (target uint32, ok bool) {
 	b.lookups++
-	i := b.index(pc)
-	if b.valid[i] && b.tags[i] == pc {
+	if s := b.slots[b.index(pc)]; s.tag == ^pc {
 		b.hits++
-		return b.targets[i], true
+		return s.target, true
 	}
 	return 0, false
 }
 
 // Insert records the taken target of the branch at pc.
 func (b *BTB) Insert(pc, target uint32) {
-	i := b.index(pc)
-	b.tags[i] = pc
-	b.targets[i] = target
-	b.valid[i] = true
+	b.slots[b.index(pc)] = btbSlot{tag: ^pc, target: target}
 }
 
 // HitRate returns the fraction of lookups that hit.
@@ -63,9 +62,7 @@ func (b *BTB) HitRate() float64 {
 
 // Reset restores the power-on state.
 func (b *BTB) Reset() {
-	for i := range b.valid {
-		b.valid[i] = false
-	}
+	clear(b.slots)
 	b.lookups, b.hits = 0, 0
 }
 

@@ -203,6 +203,17 @@ func TestBTB(t *testing.T) {
 	if _, ok := b.Lookup(alias); ok {
 		t.Fatal("Reset left entries")
 	}
+	// Tags are exact: pc 0 misses an empty slot, and unaligned pcs of
+	// the same index miss an entry they do not own.
+	if _, ok := b.Lookup(0); ok {
+		t.Fatal("empty slot hit for pc 0")
+	}
+	b.Insert(0x400000, 0x400100)
+	for _, pc := range []uint32{0x400001, 0x400002, 0x400003} {
+		if _, ok := b.Lookup(pc); ok {
+			t.Fatalf("pc 0x%x hit the entry of 0x400000", pc)
+		}
+	}
 }
 
 func TestUnitRedirectNeedsBTBHit(t *testing.T) {
