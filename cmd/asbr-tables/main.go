@@ -250,12 +250,19 @@ func powerArea(out io.Writer, t *experiment.TablesJSON) {
 	fmt.Fprintf(out, "Power/area model: the abstract's energy and area claims (n=%d)\n", t.Samples)
 	w := newTab(out)
 	fmt.Fprintln(w, "benchmark\tconfig\tinsts\twrong-path\tenergy\tpredictor+BTB energy\tarea (bits)")
+	var errs []*experiment.CellError
 	for _, r := range t.Power {
+		if r.Error != nil {
+			fmt.Fprintf(w, "%s\t%s\tERR\tERR\tERR\tERR\tERR\n", r.Benchmark, r.Config)
+			errs = append(errs, r.Error)
+			continue
+		}
 		fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%.0f\t%.0f\t%d\n",
 			r.Benchmark, r.Config, r.Instructions, r.WrongPath,
 			r.Energy.Total, r.Energy.Predictor+r.Energy.BTB, r.AreaBits)
 	}
 	w.Flush()
+	printCellErrors(out, errs)
 	fmt.Fprintln(out)
 }
 

@@ -10,6 +10,7 @@ import (
 	"asbr/internal/core"
 	"asbr/internal/corpus"
 	"asbr/internal/cpu"
+	"asbr/internal/fault"
 	"asbr/internal/isa"
 	"asbr/internal/predict"
 	"asbr/internal/profile"
@@ -20,6 +21,7 @@ import (
 type fuzzRun struct {
 	Stats     cpu.Stats
 	Core      core.Stats
+	Faults    []fault.Event
 	Regs      [isa.NumRegs]int32
 	Output    []int32
 	OutputStr []byte
@@ -32,17 +34,19 @@ type fuzzRun struct {
 // from the fuzzer's seed and knobs, selects a BIT from the program's
 // own profile, and runs the folded program on the reference, fast and
 // superblock engines at the fuzzer's BDT update point, with validity
-// tracking on or off, under a small MaxCycles. The three runs must
-// agree on cpu.Stats, core.Stats, registers, output and the
-// *SimError's code, pc and cycle; a panic on any engine fails the
-// target. Unsafe folds (validity off) and the small budget steer runs
+// tracking on or off, under a small MaxCycles, with a fresh injector
+// of the fuzzer's fault plan (kind, rate and seed) on each engine's
+// unit. The three runs must agree on cpu.Stats, core.Stats, the
+// injected faults, registers, output and the *SimError's code, pc and
+// cycle; a panic on any engine fails the target. Unsafe folds
+// (validity off), injected faults and the small budget steer runs
 // into wrong paths, memory faults and the watchdog.
 func FuzzEngineEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(12), uint8(3), uint8(128), uint8(90), uint8(25), uint8(1), true, uint16(40000))
-	f.Add(int64(2001), uint8(16), uint8(2), uint8(230), uint8(230), uint8(0), uint8(0), false, uint16(9000))
-	f.Add(int64(-7), uint8(4), uint8(1), uint8(0), uint8(255), uint8(128), uint8(2), true, uint16(700))
-	f.Add(int64(42), uint8(30), uint8(5), uint8(64), uint8(200), uint8(60), uint8(2), false, uint16(65535))
-	f.Fuzz(func(t *testing.T, seed int64, stmts, depth, taken, foldd, calld, up uint8, validity bool, budget uint16) {
+	f.Add(int64(1), uint8(12), uint8(3), uint8(128), uint8(90), uint8(25), uint8(1), true, uint16(40000), uint8(fault.KindBDTFlip), uint8(64), int64(7))
+	f.Add(int64(2001), uint8(16), uint8(2), uint8(230), uint8(230), uint8(0), uint8(0), false, uint16(9000), uint8(fault.KindValiditySkew), uint8(255), int64(0))
+	f.Add(int64(-7), uint8(4), uint8(1), uint8(0), uint8(255), uint8(128), uint8(2), true, uint16(700), uint8(fault.KindBITAlias), uint8(26), int64(3))
+	f.Add(int64(42), uint8(30), uint8(5), uint8(64), uint8(200), uint8(60), uint8(2), false, uint16(65535), uint8(fault.KindStaleBTI), uint8(128), int64(-11))
+	f.Fuzz(func(t *testing.T, seed int64, stmts, depth, taken, foldd, calld, up uint8, validity bool, budget uint16, kind, rate uint8, faultSeed int64) {
 		knobs := corpus.Knobs{
 			Stmts:       1 + int(stmts)%64,
 			LoopDepth:   1 + int(depth)%6,
@@ -77,23 +81,27 @@ func FuzzEngineEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 
+		kinds := fault.Kinds()
+		plan := fault.Plan{Kind: kinds[int(kind)%len(kinds)], Rate: float64(rate) / 255, Seed: faultSeed}
+
 		var ref fuzzRun
 		for _, e := range []cpu.Engine{cpu.EngineReference, cpu.EngineFast, cpu.EngineSuperblock} {
 			eng := core.NewEngine(core.Config{TrackValidity: validity})
 			if err := eng.Load(entries); err != nil {
 				t.Fatal(err)
 			}
+			inj := fault.NewInjector(plan, eng)
 			fcfg := cfg
 			fcfg.Fold = eng
 			r := fuzzRunOn(t, prog, fcfg, e)
-			r.Core = eng.Stats()
+			r.Core, r.Faults = eng.Stats(), inj.Events()
 			if e == cpu.EngineReference {
 				ref = r
 				continue
 			}
 			if !reflect.DeepEqual(ref, r) {
-				t.Fatalf("seed %d knobs %+v update %s validity %t: %s differs from reference:\nreference %+v\n%-9s %+v",
-					seed, knobs, cfg.BDTUpdate, validity, e, ref, e, r)
+				t.Fatalf("seed %d knobs %+v update %s validity %t plan %s: %s differs from reference:\nreference %+v\n%-9s %+v",
+					seed, knobs, cfg.BDTUpdate, validity, plan, e, ref, e, r)
 			}
 		}
 	})

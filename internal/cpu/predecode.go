@@ -146,7 +146,8 @@ func (p *Predecoded) Len() int { return len(p.insts) }
 func (p *Predecoded) TextBase() uint32 { return p.textBase }
 
 // at returns the entry for text address pc. The caller guarantees pc
-// is a word-aligned text address (the fetch stage checks InText first).
+// is a word-aligned text address (the fetch stage checks InText and
+// the alignment first).
 func (p *Predecoded) at(pc uint32) *DecodedInst {
 	return &p.insts[(pc-p.textBase)/4]
 }

@@ -560,10 +560,11 @@ func (c *CPU) doIF(st *pipeState) {
 		}
 	}
 	var d *DecodedInst
-	if c.pre != nil {
+	if c.pre != nil && pc%4 == 0 {
 		d = c.pre.at(pc)
 	} else {
-		// Reference engine: decode the word on every fetch.
+		// Reference engine: decode the word on every fetch. Every
+		// engine comes here for an unaligned pc, which WordAt faults.
 		word, err := c.prog.WordAt(pc)
 		if err != nil {
 			c.fail(ErrFetchFault, pc, "fetch: %v", err)

@@ -495,7 +495,7 @@ func (c *CPU) sbFused(st *pipeState, end uint64) bool {
 // injected returns the decoded form of a fold's replacement word, for
 // doIF and sbFold.
 func (c *CPU) injected(f core.Fold) *DecodedInst {
-	if c.pre != nil && c.prog.InText(f.PC) {
+	if c.pre != nil && f.PC%4 == 0 && c.prog.InText(f.PC) {
 		if d := c.pre.at(f.PC); d.Word == f.Word {
 			// The injected word is the program's own instruction at f.PC
 			// (the common case): reuse its predecoded entry.
@@ -503,7 +503,8 @@ func (c *CPU) injected(f core.Fold) *DecodedInst {
 		}
 	}
 	// The reference engine, or a BIT entry (a stale or corrupted one)
-	// that injected a word not in the text image: decode it directly.
+	// that injected a word not in the text image or at an unaligned
+	// pc: decode it directly.
 	d := new(DecodedInst)
 	decodeWord(d, f.Word, f.PC)
 	return d

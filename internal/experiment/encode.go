@@ -144,6 +144,7 @@ type PowerJSON struct {
 	WrongPath    uint64     `json:"wrong_path"`
 	Energy       EnergyJSON `json:"energy"`
 	AreaBits     int        `json:"area_bits"`
+	Error        *CellError `json:"error,omitempty"`
 }
 
 // MotivationRowJSON is one encoded Figure 1 branch.
@@ -409,6 +410,11 @@ func firstCellError(t *TablesJSON) error {
 	for _, r := range t.Fig11 {
 		if r.Error != nil {
 			return fmt.Errorf("fig11 %s/%s: %s", r.Benchmark, r.Aux, r.Error.Message)
+		}
+	}
+	for _, r := range t.Power {
+		if r.Error != nil {
+			return fmt.Errorf("power %s/%s: %s", r.Benchmark, r.Config, r.Error.Message)
 		}
 	}
 	for _, r := range t.Faults {

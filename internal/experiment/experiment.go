@@ -21,7 +21,6 @@ import (
 	"strings"
 	"time"
 
-	"asbr/internal/core"
 	"asbr/internal/cpu"
 	"asbr/internal/mem"
 	"asbr/internal/predict"
@@ -291,7 +290,8 @@ func auxUnits() []struct {
 // compare to the full-size bimodal-2048 baseline). Each (benchmark,
 // auxiliary) cell is one pool job and one run-cache entry; the
 // profiled run, BIT selection and baseline runs are shared artifacts
-// built once per benchmark.
+// built once per benchmark, and the bi-512 cell is the paper's ASBR
+// machine that the power and predictability tables read too.
 func (s *Sweep) Fig11() ([]Fig11JSON, error) {
 	type job struct {
 		bench string
@@ -307,14 +307,6 @@ func (s *Sweep) Fig11() ([]Fig11JSON, error) {
 		}
 	}
 	rows, errs := runner.MapErrs(s.opt.Parallel, jobs, func(_ int, j job) (Fig11JSON, error) {
-		pa, err := s.profiledRun(j.bench)
-		if err != nil {
-			return Fig11JSON{}, err
-		}
-		entries, err := s.bitEntries(j.bench)
-		if err != nil {
-			return Fig11JSON{}, err
-		}
 		baseName := baselineUnitBimodal
 		if j.aux.Label == "not taken" {
 			baseName = baselineUnitNotTaken
@@ -323,8 +315,7 @@ func (s *Sweep) Fig11() ([]Fig11JSON, error) {
 		if err != nil {
 			return Fig11JSON{}, err
 		}
-		r, err := s.simulate(j.bench, pa.prog, j.aux.Mk,
-			&asbrUnit{cfg: core.DefaultConfig(), entries: entries, update: s.opt.Update})
+		r, err := s.asbrRun(j.bench, j.aux.Mk)
 		if err != nil {
 			return Fig11JSON{}, fmt.Errorf("%s/%s: %w", j.bench, j.aux.Label, err)
 		}

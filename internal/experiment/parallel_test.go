@@ -1,9 +1,15 @@
 package experiment
 
 import (
+	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
+	"asbr/internal/core"
+	"asbr/internal/cpu"
+	"asbr/internal/obs"
+	"asbr/internal/predict"
 	"asbr/internal/workload"
 )
 
@@ -113,27 +119,202 @@ func TestSweepArtifactSharing(t *testing.T) {
 
 // TestSweepRunSharing checks the run cache: after Figure 6, Figure 11
 // simulates only its 12 ASBR cells, since its baselines are Figure 6's
-// cells, and the power table simulates nothing, since its baseline is
-// the profiled run and its ASBR run is Figure 11's bi-512 cell.
+// cells, and neither the power table nor the predictability table
+// simulates anything, since they read Figure 11's bi-512 cell. Run
+// first, the predictability table simulates that cell for each
+// benchmark, and Figure 11 then simulates only its other 8.
 func TestSweepRunSharing(t *testing.T) {
 	for _, par := range []int{1, 8} {
 		s := NewSweep(Options{Samples: 64, Seed: 1, Parallel: par})
-		if _, err := s.Fig6(); err != nil {
+		step := func(name string, table func() error, want uint64) {
+			t.Helper()
+			runs := s.CacheStats().Runs
+			if err := table(); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.CacheStats().Runs - runs; got != want {
+				t.Errorf("parallel=%d: %s made %d runs, want %d", par, name, got, want)
+			}
+		}
+		fig6 := func() error { _, err := s.Fig6(); return err }
+		fig11 := func() error { _, err := s.Fig11(); return err }
+		powerArea := func() error { _, err := s.PowerArea(); return err }
+		predictability := func() error { _, err := s.Predictability(); return err }
+
+		if err := fig6(); err != nil {
 			t.Fatal(err)
 		}
-		runs := s.CacheStats().Runs
-		if _, err := s.Fig11(); err != nil {
+		step("Fig11 after Fig6", fig11, 12)
+		step("PowerArea after Fig11", powerArea, 0)
+		step("Predictability after Fig11", predictability, 0)
+
+		s = NewSweep(Options{Samples: 64, Seed: 1, Parallel: par})
+		if err := fig6(); err != nil {
 			t.Fatal(err)
 		}
-		if got := s.CacheStats().Runs - runs; got != 12 {
-			t.Errorf("parallel=%d: Fig11 after Fig6 made %d runs, want 12", par, got)
-		}
-		runs = s.CacheStats().Runs
-		if _, err := s.PowerArea(); err != nil {
+		step("Predictability after Fig6", predictability, 4)
+		step("Fig11 after Predictability", fig11, 8)
+	}
+}
+
+// newAccounting returns a branch-accounting observer over a fresh
+// predictability shadow zoo.
+func newAccounting(t *testing.T) *obs.BranchAccounting {
+	t.Helper()
+	var shadows []obs.ShadowPredictor
+	for _, sp := range predictabilityShadows() {
+		spec, err := predict.ParseSpec(sp.Spec)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := s.CacheStats().Runs - runs; got != 0 {
-			t.Errorf("parallel=%d: PowerArea after Fig11 made %d runs, want 0", par, got)
+		u, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
 		}
+		shadows = append(shadows, u.Dir)
+	}
+	return obs.NewBranchAccounting(uint64(2+ExtraMispredictCycles), shadows...)
+}
+
+// TestBranchLogReplay requires the recorded branch stream of the
+// paper's ASBR machine, replayed, to give the account that a live
+// observer on that machine builds, at two update points on every
+// benchmark. The log must hold one call per resolved or folded branch
+// of the run without outgrowing the capacity it was made with.
+func TestBranchLogReplay(t *testing.T) {
+	for _, up := range []cpu.Stage{cpu.StageMEM, cpu.StageEX} {
+		s := NewSweep(Options{Samples: 64, Seed: 1, Update: up})
+		for _, bench := range workload.Names() {
+			pa, err := s.profiledRun(bench)
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries, err := s.bitEntries(bench)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in, err := s.input(bench)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := core.NewEngine(core.DefaultConfig())
+			if err := eng.Load(entries); err != nil {
+				t.Fatal(err)
+			}
+			live := newAccounting(t)
+			cfg := s.machine(predict.AuxBimodal512())
+			cfg.Fold, cfg.BDTUpdate, cfg.Observer = eng, up, live
+			if _, err := s.run(pa.prog, cfg, in); err != nil {
+				t.Fatal(err)
+			}
+
+			r, err := s.asbrRun(bench, predict.AuxBimodal512)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := int(pa.prof.TotalBranches())
+			if want := r.res.Stats.DynamicCondBranches(); uint64(len(r.branches)) != want || cap(r.branches) != n+n/16 {
+				t.Errorf("update %s, %s: log holds %d calls in capacity %d, want %d in %d", up, bench, len(r.branches), cap(r.branches), want, n+n/16)
+			}
+			replayed := newAccounting(t)
+			r.branches.replay(replayed)
+			if got, want := replayed.Stats(), live.Stats(); !reflect.DeepEqual(got, want) {
+				t.Errorf("update %s, %s: replayed account differs from the live one:\n got  %+v\n want %+v", up, bench, got, want)
+			}
+		}
+	}
+}
+
+// TestSweepTableOrder requires the tables that read the paper's ASBR
+// machine to come out the same whichever of them reaches it first, at
+// two update points. The scheduling ablation's compiler-pass run of
+// ADPCM encode is that machine, so after the ablations Figure 11 and
+// the predictability table read a run the ablation made.
+func TestSweepTableOrder(t *testing.T) {
+	s := NewSweep(Options{Samples: 64, Seed: 1})
+	if _, err := s.SchedulingAblation(workload.ADPCMEncode); err != nil {
+		t.Fatal(err)
+	}
+	runs := s.CacheStats().Runs
+	if _, err := s.asbrRun(workload.ADPCMEncode, predict.AuxBimodal512); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.CacheStats().Runs - runs; got != 0 {
+		t.Fatalf("the paper's ADPCM encode machine made %d runs after the scheduling ablation, want 0", got)
+	}
+
+	for _, up := range []cpu.Stage{cpu.StageMEM, cpu.StageEX} {
+		tables := func(order ...string) map[string]string {
+			s := NewSweep(Options{Samples: 64, Seed: 1, Update: up})
+			out := make(map[string]string, len(order))
+			for _, name := range order {
+				tabs, err := s.Tables([]string{name})
+				if err != nil {
+					t.Fatalf("update %s, order %v: %s: %v", up, order, name, err)
+				}
+				b, err := json.Marshal(tabs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[name] = string(b)
+			}
+			return out
+		}
+		want := tables(TableFig11, TablePower, TableAblations, TablePredictability)
+		for _, order := range [][]string{
+			{TableAblations, TableFig11, TablePredictability, TablePower},
+			{TablePredictability, TablePower, TableAblations, TableFig11},
+		} {
+			got := tables(order...)
+			for name, w := range want {
+				if got[name] != w {
+					t.Errorf("update %s, order %v: table %s differs from the canonical order's:\n got  %s\n want %s", up, order, name, got[name], w)
+				}
+			}
+		}
+	}
+}
+
+// TestSharedRunError fails the paper's ASBR run on the watchdog and
+// requires its one error on each table that reads it: Figure 11's
+// bi-512 cell, the power table's ASBR row and the predictability row.
+func TestSharedRunError(t *testing.T) {
+	bench := workload.ADPCMEncode
+	s := NewSweep(Options{Samples: 64, Seed: 1, Benches: []string{bench}})
+	// Profile and select under the default budget, then shrink it, so
+	// that only the runs made from here on exceed it.
+	if _, err := s.bitEntries(bench); err != nil {
+		t.Fatal(err)
+	}
+	s.opt.MaxCycles = 1000
+	_, want := s.asbrRun(bench, predict.AuxBimodal512)
+	if cpu.CodeOf(want) != cpu.ErrCycleLimit {
+		t.Fatalf("shared run: %v, want a cycle-limit error", want)
+	}
+	runs := s.CacheStats().Runs
+	check := func(cell string, e *CellError) {
+		t.Helper()
+		if e == nil || e.Code != cpu.ErrCycleLimit.String() || !strings.HasSuffix(e.Message, want.Error()) {
+			t.Errorf("%s: error %+v, want the shared run's %q", cell, e, want)
+		}
+	}
+
+	fig11, _ := s.Fig11()
+	for _, r := range fig11 {
+		if r.Aux == "bi-512" {
+			check("fig11 bi-512", r.Error)
+		}
+	}
+	rows, _ := s.PowerArea()
+	if len(rows) != 2 || rows[0].Error != nil {
+		t.Fatalf("power rows %+v: want a healthy baseline row and the ASBR row", rows)
+	}
+	check("power "+rows[1].Config, rows[1].Error)
+	pred, _ := s.Predictability()
+	check("predictability", pred[0].Error)
+	// Figure 11's not-taken baseline and bi-256 cell are new runs; the
+	// bi-512 cell, the power row and the predictability row are not.
+	if got := s.CacheStats().Runs - runs; got != 2 {
+		t.Errorf("the three tables made %d runs, want 2", got)
 	}
 }

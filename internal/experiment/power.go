@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"fmt"
+
 	"asbr/internal/core"
 	"asbr/internal/cpu"
 	"asbr/internal/power"
@@ -11,39 +13,46 @@ import (
 // PowerArea compares the baseline bimodal-2048 machine against the
 // ASBR + bimodal-512 machine on energy activity (the activity-based
 // model of package power) and branch-hardware area, for every
-// benchmark: the paper's abstract and §6 claims, quantified. Each
-// benchmark is one pool job; both its runs are shared with the other
-// tables of the sweep: the profiled run is the baseline, and the ASBR
-// run is Figure 11's bi-512 cell.
+// benchmark: the paper's abstract and §6 claims, quantified. Each row
+// is one pool job, and both runs of a benchmark are shared with the
+// other tables of the sweep: the profiled run is the baseline, and the
+// ASBR run is Figure 11's bi-512 cell. A failed row stays in the table
+// with its error.
 func (s *Sweep) PowerArea() ([]PowerJSON, error) {
 	params := power.DefaultParams()
-	pairs, err := runner.Map(s.opt.Parallel, s.opt.benches(), func(_ int, bench string) ([2]PowerJSON, error) {
-		pa, err := s.profiledRun(bench)
-		if err != nil {
-			return [2]PowerJSON{}, err
+	type job struct {
+		bench string
+		asbr  bool
+	}
+	var jobs []job
+	for _, bench := range s.opt.benches() {
+		jobs = append(jobs, job{bench, false}, job{bench, true})
+	}
+	rows, errs := runner.MapErrs(s.opt.Parallel, jobs, func(_ int, j job) (PowerJSON, error) {
+		if !j.asbr {
+			pa, err := s.profiledRun(j.bench)
+			if err != nil {
+				return PowerJSON{}, err
+			}
+			return powerRow(params, j.bench, powerConfig(false), power.BaselineBimodal2048(), pa.res.Stats, nil), nil
 		}
-		entries, err := s.bitEntries(bench)
+		r, err := s.asbrRun(j.bench, predict.AuxBimodal512)
 		if err != nil {
-			return [2]PowerJSON{}, err
+			return PowerJSON{}, fmt.Errorf("%s: %w", j.bench, err)
 		}
-		r, err := s.simulate(bench, pa.prog, predict.AuxBimodal512,
-			&asbrUnit{cfg: core.DefaultConfig(), entries: entries, update: s.opt.Update})
-		if err != nil {
-			return [2]PowerJSON{}, err
-		}
-		return [2]PowerJSON{
-			powerRow(params, bench, "bimodal-2048 baseline", power.BaselineBimodal2048(), pa.res.Stats, nil),
-			powerRow(params, bench, "ASBR + bimodal-512", power.ASBRBimodal(512, core.DefaultBITEntries), r.res.Stats, &r.fold),
-		}, nil
+		return powerRow(params, j.bench, powerConfig(true), power.ASBRBimodal(512, core.DefaultBITEntries), r.res.Stats, &r.fold), nil
 	})
-	if err != nil {
-		return nil, err
+	return rows, annotate(rows, errs, func(i int, e *CellError) PowerJSON {
+		return PowerJSON{Benchmark: jobs[i].bench, Config: powerConfig(jobs[i].asbr), Error: e}
+	})
+}
+
+// powerConfig labels the power table's two machines.
+func powerConfig(asbr bool) string {
+	if asbr {
+		return "ASBR + bimodal-512"
 	}
-	rows := make([]PowerJSON, 0, 2*len(pairs))
-	for _, pair := range pairs {
-		rows = append(rows, pair[0], pair[1])
-	}
-	return rows, nil
+	return "bimodal-2048 baseline"
 }
 
 // powerRow prices one run of bench on hardware hw (eng: the ASBR

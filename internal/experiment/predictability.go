@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"asbr/internal/core"
 	"asbr/internal/obs"
 	"asbr/internal/predict"
 	"asbr/internal/runner"
@@ -54,14 +53,15 @@ func predictabilityShadows() []shadowSpec {
 	}
 }
 
-// Predictability runs the folded ASBR machine once per benchmark with a
-// branch-accounting observer attached: every dynamic outcome is
-// replayed through the shadow zoo (bimodal, gshare, TAGE, loop,
-// TAGE+loop), folded executions included, and each static branch is
-// classified by the weakest mechanism that handles it. Each benchmark
-// is one pool job; the profiled run and BIT selection are the sweep's
-// shared artifacts, and rows aggregate in canonical benchmark order, so
-// the table is byte-identical at any worker count.
+// Predictability replays the branch stream of the paper's folded ASBR
+// machine, once per benchmark, into a branch-accounting observer:
+// every dynamic outcome goes through the shadow zoo (bimodal, gshare,
+// TAGE, loop, TAGE+loop), folded executions included, and each static
+// branch is classified by the weakest mechanism that handles it. The
+// machine's run is Figure 11's bi-512 cell, which records the stream,
+// so the table simulates nothing a sweep has already run. Each
+// benchmark is one pool job, and rows aggregate in canonical benchmark
+// order, so the table is byte-identical at any worker count.
 func (s *Sweep) Predictability() ([]PredictabilityJSON, error) {
 	benches := s.opt.benches()
 	rows, errs := runner.MapErrs(s.opt.Parallel, benches, func(_ int, bench string) (PredictabilityJSON, error) {
@@ -74,14 +74,6 @@ func (s *Sweep) Predictability() ([]PredictabilityJSON, error) {
 
 // predictability builds one benchmark's classification.
 func (s *Sweep) predictability(bench string) (PredictabilityJSON, error) {
-	pa, err := s.profiledRun(bench)
-	if err != nil {
-		return PredictabilityJSON{}, err
-	}
-	in, err := s.input(bench)
-	if err != nil {
-		return PredictabilityJSON{}, err
-	}
 	entries, err := s.bitEntries(bench)
 	if err != nil {
 		return PredictabilityJSON{}, err
@@ -118,18 +110,11 @@ func (s *Sweep) predictability(bench string) (PredictabilityJSON, error) {
 		pcs[i] = e.PC
 	}
 	acct.MarkFoldEligible(pcs)
-
-	eng := core.NewEngine(core.DefaultConfig())
-	if err := eng.Load(entries); err != nil {
-		return PredictabilityJSON{}, err
-	}
-	cfg := s.machine(predict.AuxBimodal512())
-	cfg.Fold = eng
-	cfg.BDTUpdate = s.opt.Update
-	cfg.Observer = acct
-	if _, err := s.run(pa.prog, cfg, in); err != nil {
+	r, err := s.asbrRun(bench, predict.AuxBimodal512)
+	if err != nil {
 		return PredictabilityJSON{}, fmt.Errorf("%s: %w", bench, err)
 	}
+	r.branches.replay(acct)
 
 	row := PredictabilityJSON{
 		Benchmark: bench,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"asbr/internal/core"
 	"asbr/internal/cpu"
@@ -252,12 +253,36 @@ func bitKey(entries []core.BITEntry) string {
 	return string(b)
 }
 
-// simRun is one simulation of the run cache: its result and, on a
-// machine with an ASBR unit, the unit's counters. Consumers share it
-// read-only.
+// simRun is one simulation of the run cache: its result, on a
+// machine with an ASBR unit the unit's counters, and on the paper's
+// ASBR machine its branch stream. Consumers share it read-only.
 type simRun struct {
-	res  *workload.Result
-	fold core.Stats
+	res      *workload.Result
+	fold     core.Stats
+	branches branchLog
+}
+
+// branchLog records a run's branch-observer calls in order, one word
+// per call: the branch's pc, which every engine keeps word-aligned,
+// with taken in bit 0 and folded in bit 1.
+type branchLog []uint32
+
+// OnBranch implements cpu.BranchObserver.
+func (l *branchLog) OnBranch(pc uint32, taken, folded bool) {
+	if taken {
+		pc |= 1
+	}
+	if folded {
+		pc |= 2
+	}
+	*l = append(*l, pc)
+}
+
+// replay repeats the recorded calls on o, in order.
+func (l branchLog) replay(o cpu.BranchObserver) {
+	for _, w := range l {
+		o.OnBranch(w&^3, w&1 != 0, w&2 != 0)
+	}
 }
 
 // simulate returns the benchmark's run of prog on the machine built
@@ -265,7 +290,9 @@ type simRun struct {
 // simulating each distinct machine at most once per sweep. It builds
 // the cpu.Config itself, so no caller can attach a profiler, an
 // observer, a mutation policy or a commit tap to a shared run; runs
-// that need one of those call s.run directly.
+// that need one of those call s.run directly. The one exception is
+// its own: the paper's ASBR machine records its branch stream, by key,
+// whichever table reaches it first (see logSize).
 func (s *Sweep) simulate(bench string, prog *isa.Program, mk func() *predict.Unit, asbr *asbrUnit) (*simRun, error) {
 	unit := mk()
 	key := runKey{prog: prog, bench: bench, unit: unit.Name()}
@@ -278,6 +305,7 @@ func (s *Sweep) simulate(bench string, prog *isa.Program, mk func() *predict.Uni
 			return nil, err
 		}
 		cfg := s.machine(unit)
+		r := &simRun{}
 		var eng *core.Engine
 		if asbr != nil {
 			eng = core.NewEngine(asbr.cfg)
@@ -286,17 +314,66 @@ func (s *Sweep) simulate(bench string, prog *isa.Program, mk func() *predict.Uni
 			}
 			cfg.Fold = eng
 			cfg.BDTUpdate = asbr.update
+			if n, ok := s.logSize(key); ok {
+				r.branches = make(branchLog, 0, n)
+				cfg.Observer = &r.branches
+			}
 		}
-		res, err := s.run(prog, cfg, in)
-		if err != nil {
+		if r.res, err = s.run(prog, cfg, in); err != nil {
 			return nil, err
 		}
-		r := &simRun{res: res}
 		if eng != nil {
 			r.fold = eng.Stats()
 		}
 		return r, nil
 	})
+}
+
+// paperAux is the run-cache name of the paper's ASBR auxiliary unit.
+var paperAux = sync.OnceValue(func() string { return predict.AuxBimodal512().Name() })
+
+// asbrRun returns the benchmark's run on Figure 11's ASBR machine with
+// mk's auxiliary unit: the §8 program and Figure 11's BIT at the
+// sweep's update point. With predict.AuxBimodal512 it is the paper's
+// ASBR machine, which Figure 11's bi-512 cell, the power table's ASBR
+// row and the predictability table all read.
+func (s *Sweep) asbrRun(bench string, mk func() *predict.Unit) (*simRun, error) {
+	pa, err := s.profiledRun(bench)
+	if err != nil {
+		return nil, err
+	}
+	entries, err := s.bitEntries(bench)
+	if err != nil {
+		return nil, err
+	}
+	return s.simulate(bench, pa.prog, mk,
+		&asbrUnit{cfg: core.DefaultConfig(), entries: entries, update: s.opt.Update})
+}
+
+// logSize reports whether k is its benchmark's paper ASBR machine
+// (asbrRun with predict.AuxBimodal512), whose run records its branch
+// stream, and if so the capacity to give the log. The run calls the
+// observer once per dynamic conditional branch, resolved or folded,
+// which is the profiled run's count for the same program and input,
+// and once more per fold fetched on a path that is then squashed:
+// 0.01% more calls on G.721 and 2.3-2.7% more on ADPCM. A sixteenth
+// of slack covers those. It decides by key rather than by caller, so
+// an ablation whose machine is the paper's (the scheduling ablation's
+// compiler-pass run) records the stream for every later reader.
+func (s *Sweep) logSize(k runKey) (int, bool) {
+	if k.unit != paperAux() || k.cfg != core.DefaultConfig() || k.update != s.opt.Update {
+		return 0, false
+	}
+	pa, err := s.profiledRun(k.bench)
+	if err != nil || pa.prog != k.prog {
+		return 0, false
+	}
+	entries, err := s.bitEntries(k.bench)
+	if err != nil || bitKey(entries) != k.bit {
+		return 0, false
+	}
+	n := int(pa.prof.TotalBranches())
+	return n + n/16, true
 }
 
 // plainRun returns the benchmark's run on its §8 program with mk's
