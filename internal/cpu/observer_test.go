@@ -45,19 +45,11 @@ func TestObserversKeepCounters(t *testing.T) {
 			)
 		}},
 		{"accounting", func(t *testing.T, foldPCs []uint32) cpu.BranchObserver {
-			var shadows []obs.ShadowPredictor
-			for _, spec := range []string{"bimodal", "gshare", "tage", "loop", "tageloop"} {
-				sp, err := predict.ParseSpec(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				u, err := sp.Build()
-				if err != nil {
-					t.Fatal(err)
-				}
-				shadows = append(shadows, u.Dir)
+			zoo, err := predict.NewZoo("bimodal", "gshare", "tage", "loop", "tageloop")
+			if err != nil {
+				t.Fatal(err)
 			}
-			acct := obs.NewBranchAccounting(5, shadows...)
+			acct := obs.NewBranchAccounting(5, zoo)
 			acct.MarkFoldEligible(foldPCs)
 			return acct
 		}},

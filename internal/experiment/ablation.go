@@ -61,7 +61,7 @@ func (s *Sweep) ThresholdAblation(bench string) ([]ThresholdJSON, error) {
 	}
 	updates := []cpu.Stage{cpu.StageEX, cpu.StageMEM, cpu.StageWB}
 	return runner.Map(s.opt.Parallel, updates, func(_ int, up cpu.Stage) (ThresholdJSON, error) {
-		r, err := s.simulate(bench, pa.prog, predict.AuxBimodal512,
+		r, err := s.simulate(bench, pa.prog, paperAux,
 			&asbrUnit{cfg: core.DefaultConfig(), entries: entries, update: up})
 		if err != nil {
 			return ThresholdJSON{}, err
@@ -97,7 +97,7 @@ func (s *Sweep) BITSizeAblation(bench string, sizes []int) ([]BITSizeJSON, error
 		}
 		cfg := core.DefaultConfig()
 		cfg.BITEntries = maxInt(k, 1)
-		r, err := s.simulate(bench, pa.prog, predict.AuxBimodal512,
+		r, err := s.simulate(bench, pa.prog, paperAux,
 			&asbrUnit{cfg: cfg, entries: entries, update: s.opt.Update})
 		if err != nil {
 			return BITSizeJSON{}, err
@@ -159,7 +159,7 @@ func (s *Sweep) SchedulingAblation(bench string) ([]SchedulingJSON, error) {
 		if err != nil {
 			return SchedulingJSON{}, err
 		}
-		r, err := s.simulate(bench, prog, predict.AuxBimodal512,
+		r, err := s.simulate(bench, prog, paperAux,
 			&asbrUnit{cfg: core.DefaultConfig(), entries: entries, update: s.opt.Update})
 		if err != nil {
 			return SchedulingJSON{}, err
@@ -213,7 +213,7 @@ func (s *Sweep) ValidityAblation(bench string) ([]ValidityJSON, error) {
 	}) (ValidityJSON, error) {
 		cfg := core.DefaultConfig()
 		cfg.TrackValidity = mode.track
-		r, err := s.simulate(bench, pa.prog, predict.AuxBimodal512,
+		r, err := s.simulate(bench, pa.prog, paperAux,
 			&asbrUnit{cfg: cfg, entries: entries, update: s.opt.Update})
 		if err != nil {
 			return ValidityJSON{}, err

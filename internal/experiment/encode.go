@@ -287,7 +287,15 @@ type TablesJSON struct {
 	// Errors lists table-level failures ("<table>: reason"). Cell-level
 	// failures live on the cells themselves.
 	Errors []string `json:"errors,omitempty"`
+
+	canceled bool // see Canceled; not encoded
 }
+
+// Canceled reports whether a simulation behind these tables hit the
+// sweep's wall-clock budget (Options.Timeout), failing a cell or a
+// table: an outcome that depends on host load, so a rerun may differ.
+// It is known only to the process that ran the sweep.
+func (t *TablesJSON) Canceled() bool { return t.canceled }
 
 // HasErrors reports whether the sweep carries any table- or
 // cell-level failure.
@@ -396,6 +404,7 @@ func (s *Sweep) Tables(names []string) (*TablesJSON, error) {
 			first = cmp.Or(first, err)
 		}
 	}
+	out.canceled = s.canceled.Load()
 	return out, cmp.Or(first, firstCellError(out))
 }
 

@@ -165,15 +165,15 @@ func machine(branch *predict.Unit) cpu.Config {
 // for gshare.
 type baselineUnit struct {
 	base string
-	mk   func() *predict.Unit
+	ctor unitCtor
 }
 
 // baselineUnits returns the three baseline predictors of Figure 6.
 func baselineUnits() []baselineUnit {
 	return []baselineUnit{
-		{baselineUnitNotTaken, predict.BaselineNotTaken},
-		{baselineUnitBimodal, predict.BaselineBimodal},
-		{"", predict.BaselineGShare},
+		{baselineUnitNotTaken, notTakenUnit},
+		{baselineUnitBimodal, bimodalUnit},
+		{"", gshareUnit},
 	}
 }
 
@@ -193,13 +193,13 @@ func (s *Sweep) Fig6() ([]Fig6JSON, error) {
 		}
 	}
 	rows, errs := runner.MapErrs(s.opt.Parallel, jobs, func(_ int, j job) (Fig6JSON, error) {
-		name := j.unit.mk().Name()
+		name := j.unit.ctor.name()
 		var res *workload.Result
 		var err error
 		if j.unit.base != "" {
 			res, err = s.baselineRun(j.bench, j.unit.base)
 		} else {
-			res, err = s.plainRun(j.bench, j.unit.mk)
+			res, err = s.plainRun(j.bench, j.unit.ctor)
 		}
 		if err != nil {
 			return Fig6JSON{}, fmt.Errorf("%s/%s: %w", j.bench, name, err)
@@ -214,7 +214,7 @@ func (s *Sweep) Fig6() ([]Fig6JSON, error) {
 	// hide eleven healthy ones; the first error is still returned for
 	// callers that treat any failure as fatal.
 	return rows, annotate(rows, errs, func(i int, e *CellError) Fig6JSON {
-		return Fig6JSON{Benchmark: jobs[i].bench, Predictor: jobs[i].unit.mk().Name(), Error: e}
+		return Fig6JSON{Benchmark: jobs[i].bench, Predictor: jobs[i].unit.ctor.name(), Error: e}
 	})
 }
 
@@ -269,18 +269,18 @@ func (s *Sweep) SelectedBranches(figure, bench string) (*BranchTableJSON, error)
 	return tab, nil
 }
 
+// auxUnit is one of Figure 11's ASBR auxiliary units.
+type auxUnit struct {
+	label string
+	ctor  unitCtor
+}
+
 // auxUnits returns the three ASBR auxiliary configurations of Fig. 11.
-func auxUnits() []struct {
-	Label string
-	Mk    func() *predict.Unit
-} {
-	return []struct {
-		Label string
-		Mk    func() *predict.Unit
-	}{
-		{"not taken", predict.AuxNotTaken},
-		{"bi-512", predict.AuxBimodal512},
-		{"bi-256", predict.AuxBimodal256},
+func auxUnits() []auxUnit {
+	return []auxUnit{
+		{"not taken", notTakenUnit},
+		{"bi-512", paperAux},
+		{"bi-256", aux256},
 	}
 }
 
@@ -295,10 +295,7 @@ func auxUnits() []struct {
 func (s *Sweep) Fig11() ([]Fig11JSON, error) {
 	type job struct {
 		bench string
-		aux   struct {
-			Label string
-			Mk    func() *predict.Unit
-		}
+		aux   auxUnit
 	}
 	var jobs []job
 	for _, bench := range s.opt.benches() {
@@ -308,16 +305,16 @@ func (s *Sweep) Fig11() ([]Fig11JSON, error) {
 	}
 	rows, errs := runner.MapErrs(s.opt.Parallel, jobs, func(_ int, j job) (Fig11JSON, error) {
 		baseName := baselineUnitBimodal
-		if j.aux.Label == "not taken" {
+		if j.aux.label == "not taken" {
 			baseName = baselineUnitNotTaken
 		}
 		baseRes, err := s.baselineRun(j.bench, baseName)
 		if err != nil {
 			return Fig11JSON{}, err
 		}
-		r, err := s.asbrRun(j.bench, j.aux.Mk)
+		r, err := s.asbrRun(j.bench, j.aux.ctor)
 		if err != nil {
-			return Fig11JSON{}, fmt.Errorf("%s/%s: %w", j.bench, j.aux.Label, err)
+			return Fig11JSON{}, fmt.Errorf("%s/%s: %w", j.bench, j.aux.label, err)
 		}
 		res, es := r.res, r.fold
 		base := baseRes.Stats.Cycles
@@ -328,7 +325,7 @@ func (s *Sweep) Fig11() ([]Fig11JSON, error) {
 		}
 		return Fig11JSON{
 			Benchmark:    j.bench,
-			Aux:          j.aux.Label,
+			Aux:          j.aux.label,
 			Snapshot:     res.Stats.Snapshot(),
 			Baseline:     base,
 			BaselineName: baseName,
@@ -339,6 +336,6 @@ func (s *Sweep) Fig11() ([]Fig11JSON, error) {
 		}, nil
 	})
 	return rows, annotate(rows, errs, func(i int, e *CellError) Fig11JSON {
-		return Fig11JSON{Benchmark: jobs[i].bench, Aux: jobs[i].aux.Label, Error: e}
+		return Fig11JSON{Benchmark: jobs[i].bench, Aux: jobs[i].aux.label, Error: e}
 	})
 }

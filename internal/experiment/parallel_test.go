@@ -3,6 +3,7 @@ package experiment
 import (
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -157,23 +158,65 @@ func TestSweepRunSharing(t *testing.T) {
 	}
 }
 
+// A simulate call whose run the cache holds builds no branch unit: the
+// run key names the unit by a name computed once per constructor.
+func TestSimulateCachedBuildsNoUnit(t *testing.T) {
+	bench := workload.ADPCMEncode
+	s := NewSweep(Options{Samples: 64, Seed: 1})
+	prog, err := s.program(bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds := 0
+	u := ctor(func() *predict.Unit { builds++; return predict.AuxBimodal512() })
+	if _, err := s.simulate(bench, prog, u, nil); err != nil {
+		t.Fatal(err)
+	}
+	if builds != 2 {
+		t.Fatalf("the first simulate built %d units, want 2: one to name it, one to run", builds)
+	}
+	if _, err := s.simulate(bench, prog, u, nil); err != nil {
+		t.Fatal(err)
+	}
+	if builds != 2 || s.CacheStats().Runs != 1 {
+		t.Errorf("a cached simulate built %d units in all and the sweep made %d runs, want 2 and 1", builds, s.CacheStats().Runs)
+	}
+}
+
+// One benchmark's predictability row allocates its zoo's four
+// components, with no BTB, and its accounts. Five units built from the
+// role specs cost 147-195 KB a row at n=64: five 16 KB BTBs and a
+// second TAGE, loop table and bimodal table.
+func TestPredictabilityRowAllocs(t *testing.T) {
+	s := NewSweep(Options{Samples: 64, Seed: 1})
+	if _, err := s.Predictability(); err != nil {
+		t.Fatal(err)
+	}
+	const runs, bound = 4, 120 << 10
+	for _, bench := range workload.Names() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			if _, err := s.predictability(bench); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > bound {
+			t.Errorf("%s: a predictability row allocates %d B, want at most %d", bench, b, bound)
+		}
+	}
+}
+
 // newAccounting returns a branch-accounting observer over a fresh
 // predictability shadow zoo.
 func newAccounting(t *testing.T) *obs.BranchAccounting {
 	t.Helper()
-	var shadows []obs.ShadowPredictor
-	for _, sp := range predictabilityShadows() {
-		spec, err := predict.ParseSpec(sp.Spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		u, err := spec.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		shadows = append(shadows, u.Dir)
+	zoo, err := predictabilityZoo()
+	if err != nil {
+		t.Fatal(err)
 	}
-	return obs.NewBranchAccounting(uint64(2+ExtraMispredictCycles), shadows...)
+	return obs.NewBranchAccounting(uint64(2+ExtraMispredictCycles), zoo)
 }
 
 // TestBranchLogReplay requires the recorded branch stream of the
@@ -208,7 +251,7 @@ func TestBranchLogReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			r, err := s.asbrRun(bench, predict.AuxBimodal512)
+			r, err := s.asbrRun(bench, paperAux)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -236,7 +279,7 @@ func TestSweepTableOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	runs := s.CacheStats().Runs
-	if _, err := s.asbrRun(workload.ADPCMEncode, predict.AuxBimodal512); err != nil {
+	if _, err := s.asbrRun(workload.ADPCMEncode, paperAux); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.CacheStats().Runs - runs; got != 0 {
@@ -287,7 +330,7 @@ func TestSharedRunError(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.opt.MaxCycles = 1000
-	_, want := s.asbrRun(bench, predict.AuxBimodal512)
+	_, want := s.asbrRun(bench, paperAux)
 	if cpu.CodeOf(want) != cpu.ErrCycleLimit {
 		t.Fatalf("shared run: %v, want a cycle-limit error", want)
 	}

@@ -6,7 +6,6 @@ import (
 	"asbr/internal/core"
 	"asbr/internal/cpu"
 	"asbr/internal/power"
-	"asbr/internal/predict"
 	"asbr/internal/runner"
 )
 
@@ -36,7 +35,7 @@ func (s *Sweep) PowerArea() ([]PowerJSON, error) {
 			}
 			return powerRow(params, j.bench, powerConfig(false), power.BaselineBimodal2048(), pa.res.Stats, nil), nil
 		}
-		r, err := s.asbrRun(j.bench, predict.AuxBimodal512)
+		r, err := s.asbrRun(j.bench, paperAux)
 		if err != nil {
 			return PowerJSON{}, fmt.Errorf("%s: %w", j.bench, err)
 		}

@@ -53,6 +53,20 @@ func predictabilityShadows() []shadowSpec {
 	}
 }
 
+// predictabilityZoo builds the shadow zoo at power-on, one member per
+// role in predictabilityShadows order. The loop shadow's bimodal
+// fallback is the bimodal shadow, and the TAGE-loop shadow's TAGE and
+// loop table are the tage and loop shadows', so the zoo trains four
+// components per branch for its five members.
+func predictabilityZoo() (*predict.Zoo, error) {
+	roles := predictabilityShadows()
+	specs := make([]string, len(roles))
+	for i, r := range roles {
+		specs[i] = r.Spec
+	}
+	return predict.NewZoo(specs...)
+}
+
 // Predictability replays the branch stream of the paper's folded ASBR
 // machine, once per benchmark, into a branch-accounting observer:
 // every dynamic outcome goes through the shadow zoo (bimodal, gshare,
@@ -79,38 +93,32 @@ func (s *Sweep) predictability(bench string) (PredictabilityJSON, error) {
 		return PredictabilityJSON{}, err
 	}
 
-	// Fresh shadows per benchmark: the account must not leak training
-	// across benchmarks, and fresh units keep the row independent of
+	// A fresh zoo per benchmark: the account must not leak training
+	// across benchmarks, and fresh shadows keep the row independent of
 	// job scheduling.
-	specs := predictabilityShadows()
-	shadows := make([]obs.ShadowPredictor, len(specs))
-	roleName := make(map[string]string, len(specs))
-	nameRole := make(map[string]string, len(specs))
-	for i, sp := range specs {
-		spec, err := predict.ParseSpec(sp.Spec)
-		if err != nil {
-			return PredictabilityJSON{}, fmt.Errorf("%s: shadow %s: %w", bench, sp.Role, err)
-		}
-		u, err := spec.Build()
-		if err != nil {
-			return PredictabilityJSON{}, fmt.Errorf("%s: shadow %s: %w", bench, sp.Role, err)
-		}
-		shadows[i] = u.Dir
-		roleName[sp.Role] = u.Dir.Name()
-		nameRole[u.Dir.Name()] = sp.Role
+	zoo, err := predictabilityZoo()
+	if err != nil {
+		return PredictabilityJSON{}, fmt.Errorf("%s: shadows: %w", bench, err)
+	}
+	roles := predictabilityShadows()
+	roleName := make(map[string]string, len(roles))
+	nameRole := make(map[string]string, len(roles))
+	for i, name := range zoo.Names() {
+		roleName[roles[i].Role] = name
+		nameRole[name] = roles[i].Role
 	}
 
 	// The folded ASBR machine with the paper's bimodal-512 auxiliary:
 	// the live predictor only shapes timing, while the observer's
 	// outcome stream and the BDT's fold decisions are architectural, so
 	// the account is the same one every Figure 11 configuration sees.
-	acct := obs.NewBranchAccounting(uint64(2+ExtraMispredictCycles), shadows...)
+	acct := obs.NewBranchAccounting(uint64(2+ExtraMispredictCycles), zoo)
 	pcs := make([]uint32, len(entries))
 	for i, e := range entries {
 		pcs[i] = e.PC
 	}
 	acct.MarkFoldEligible(pcs)
-	r, err := s.asbrRun(bench, predict.AuxBimodal512)
+	r, err := s.asbrRun(bench, paperAux)
 	if err != nil {
 		return PredictabilityJSON{}, fmt.Errorf("%s: %w", bench, err)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"asbr/internal/core"
 	"asbr/internal/cpu"
@@ -35,6 +36,10 @@ type Sweep struct {
 	baseline  runner.Cache[baselineKey, *workload.Result]
 	runs      runner.Cache[runKey, *simRun]
 	motivProg runner.Cache[string, *isa.Program]
+
+	// canceled records that a simulation hit Options.Timeout, so
+	// the tables built from this sweep depend on host load.
+	canceled atomic.Bool
 }
 
 // profiledArtifact bundles the outputs of one profiled baseline run:
@@ -99,7 +104,9 @@ func (s *Sweep) run(prog *isa.Program, cfg cpu.Config, in []int32) (*workload.Re
 		// immutable decode table instead of predecoding per machine.
 		cfg.Predecoded = s.arts.Predecode(prog)
 	}
-	return workload.RunContext(ctx, prog, cfg, in, s.opt.Samples)
+	res, err := workload.RunContext(ctx, prog, cfg, in, s.opt.Samples)
+	s.noteCanceled(err)
+	return res, err
 }
 
 // simContext bounds one simulation by the sweep's wall-clock budget
@@ -116,7 +123,16 @@ func (s *Sweep) simContext() (context.Context, context.CancelFunc) {
 func (s *Sweep) runCPU(c *cpu.CPU) (cpu.Stats, error) {
 	ctx, cancel := s.simContext()
 	defer cancel()
-	return c.RunContext(ctx)
+	st, err := c.RunContext(ctx)
+	s.noteCanceled(err)
+	return st, err
+}
+
+// noteCanceled records a simulation error that Options.Timeout caused.
+func (s *Sweep) noteCanceled(err error) {
+	if cpu.CodeOf(err) == cpu.ErrCanceled {
+		s.canceled.Store(true)
+	}
 }
 
 // input returns the benchmark's synthetic input trace for the sweep's
@@ -205,7 +221,7 @@ func (s *Sweep) baselineRun(bench, unit string) (*workload.Result, error) {
 	return s.baseline.Get(baselineKey{bench: bench, unit: unit}, func() (*workload.Result, error) {
 		switch unit {
 		case baselineUnitNotTaken:
-			return s.plainRun(bench, predict.BaselineNotTaken)
+			return s.plainRun(bench, notTakenUnit)
 		case baselineUnitBimodal:
 			pa, err := s.profiledRun(bench)
 			if err != nil {
@@ -285,17 +301,39 @@ func (l branchLog) replay(o cpu.BranchObserver) {
 	}
 }
 
+// unitCtor is a branch-unit constructor with the name of the unit it
+// builds, which a run key holds. The name is computed once, on first
+// use, so a call that finds its run cached builds no unit.
+type unitCtor struct {
+	name func() string
+	mk   func() *predict.Unit
+}
+
+func ctor(mk func() *predict.Unit) unitCtor {
+	return unitCtor{name: sync.OnceValue(func() string { return mk().Name() }), mk: mk}
+}
+
+// The branch units of the paper's machines: the three baselines of
+// Figure 6, and Figure 11's auxiliary units (not-taken, bimodal-512,
+// which is the paper's ASBR auxiliary, and bimodal-256).
+var (
+	notTakenUnit = ctor(predict.BaselineNotTaken)
+	bimodalUnit  = ctor(predict.BaselineBimodal)
+	gshareUnit   = ctor(predict.BaselineGShare)
+	paperAux     = ctor(predict.AuxBimodal512)
+	aux256       = ctor(predict.AuxBimodal256)
+)
+
 // simulate returns the benchmark's run of prog on the machine built
-// from mk's branch unit and, when asbr is non-nil, an ASBR unit,
+// from u's branch unit and, when asbr is non-nil, an ASBR unit,
 // simulating each distinct machine at most once per sweep. It builds
 // the cpu.Config itself, so no caller can attach a profiler, an
 // observer, a mutation policy or a commit tap to a shared run; runs
 // that need one of those call s.run directly. The one exception is
 // its own: the paper's ASBR machine records its branch stream, by key,
 // whichever table reaches it first (see logSize).
-func (s *Sweep) simulate(bench string, prog *isa.Program, mk func() *predict.Unit, asbr *asbrUnit) (*simRun, error) {
-	unit := mk()
-	key := runKey{prog: prog, bench: bench, unit: unit.Name()}
+func (s *Sweep) simulate(bench string, prog *isa.Program, u unitCtor, asbr *asbrUnit) (*simRun, error) {
+	key := runKey{prog: prog, bench: bench, unit: u.name()}
 	if asbr != nil {
 		key.cfg, key.bit, key.update = asbr.cfg, bitKey(asbr.entries), asbr.update
 	}
@@ -304,7 +342,7 @@ func (s *Sweep) simulate(bench string, prog *isa.Program, mk func() *predict.Uni
 		if err != nil {
 			return nil, err
 		}
-		cfg := s.machine(unit)
+		cfg := s.machine(u.mk())
 		r := &simRun{}
 		var eng *core.Engine
 		if asbr != nil {
@@ -329,15 +367,12 @@ func (s *Sweep) simulate(bench string, prog *isa.Program, mk func() *predict.Uni
 	})
 }
 
-// paperAux is the run-cache name of the paper's ASBR auxiliary unit.
-var paperAux = sync.OnceValue(func() string { return predict.AuxBimodal512().Name() })
-
 // asbrRun returns the benchmark's run on Figure 11's ASBR machine with
-// mk's auxiliary unit: the §8 program and Figure 11's BIT at the
-// sweep's update point. With predict.AuxBimodal512 it is the paper's
+// u's auxiliary unit: the §8 program and Figure 11's BIT at the
+// sweep's update point. With paperAux it is the paper's
 // ASBR machine, which Figure 11's bi-512 cell, the power table's ASBR
 // row and the predictability table all read.
-func (s *Sweep) asbrRun(bench string, mk func() *predict.Unit) (*simRun, error) {
+func (s *Sweep) asbrRun(bench string, u unitCtor) (*simRun, error) {
 	pa, err := s.profiledRun(bench)
 	if err != nil {
 		return nil, err
@@ -346,12 +381,12 @@ func (s *Sweep) asbrRun(bench string, mk func() *predict.Unit) (*simRun, error) 
 	if err != nil {
 		return nil, err
 	}
-	return s.simulate(bench, pa.prog, mk,
+	return s.simulate(bench, pa.prog, u,
 		&asbrUnit{cfg: core.DefaultConfig(), entries: entries, update: s.opt.Update})
 }
 
 // logSize reports whether k is its benchmark's paper ASBR machine
-// (asbrRun with predict.AuxBimodal512), whose run records its branch
+// (asbrRun with paperAux), whose run records its branch
 // stream, and if so the capacity to give the log. The run calls the
 // observer once per dynamic conditional branch, resolved or folded,
 // which is the profiled run's count for the same program and input,
@@ -361,7 +396,7 @@ func (s *Sweep) asbrRun(bench string, mk func() *predict.Unit) (*simRun, error) 
 // an ablation whose machine is the paper's (the scheduling ablation's
 // compiler-pass run) records the stream for every later reader.
 func (s *Sweep) logSize(k runKey) (int, bool) {
-	if k.unit != paperAux() || k.cfg != core.DefaultConfig() || k.update != s.opt.Update {
+	if k.unit != paperAux.name() || k.cfg != core.DefaultConfig() || k.update != s.opt.Update {
 		return 0, false
 	}
 	pa, err := s.profiledRun(k.bench)
@@ -376,14 +411,14 @@ func (s *Sweep) logSize(k runKey) (int, bool) {
 	return n + n/16, true
 }
 
-// plainRun returns the benchmark's run on its §8 program with mk's
+// plainRun returns the benchmark's run on its §8 program with u's
 // branch unit and no ASBR unit, through the run cache.
-func (s *Sweep) plainRun(bench string, mk func() *predict.Unit) (*workload.Result, error) {
+func (s *Sweep) plainRun(bench string, u unitCtor) (*workload.Result, error) {
 	prog, err := s.program(bench)
 	if err != nil {
 		return nil, err
 	}
-	r, err := s.simulate(bench, prog, mk, nil)
+	r, err := s.simulate(bench, prog, u, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -5,14 +5,15 @@ import (
 	"sort"
 )
 
-// ShadowPredictor is the minimal direction-predictor surface the
-// branch-accounting observer replays outcomes through. It is satisfied
-// structurally by every predict.DirectionPredictor, so the obs layer
-// stays free of a predict dependency.
-type ShadowPredictor interface {
-	Predict(pc uint32) bool
+// ShadowSet is the set of shadow direction predictors the
+// branch-accounting observer replays outcomes through. Predict sets
+// pred[i] to member i's prediction without training any member, and
+// Update trains them all with the outcome. predict.Zoo satisfies it
+// structurally, so the obs layer stays free of a predict dependency.
+type ShadowSet interface {
+	Names() []string
+	Predict(pc uint32, pred []bool)
 	Update(pc uint32, taken bool)
-	Name() string
 	Reset()
 }
 
@@ -81,8 +82,9 @@ func (a *BranchAcct) Accuracy(i int) float64 {
 // "what would a dynamic predictor have done with this stream", which is
 // exactly the counterfactual the predictability classification needs.
 type BranchAccounting struct {
-	shadows      []ShadowPredictor
-	names        []string // shadows[i].Name(), computed once: Name formats a string per call
+	shadows      ShadowSet
+	names        []string
+	pred         []bool // the shadows' predictions for the branch in OnBranch
 	stats        map[uint32]*BranchAcct
 	foldEligible map[uint32]bool
 	// FlushPenalty is the cycle cost per misprediction used for
@@ -93,14 +95,12 @@ type BranchAccounting struct {
 // NewBranchAccounting builds the observer. flushPenalty prices one
 // misprediction in cycles; the shadows are owned by the observer from
 // here on (Reset resets them).
-func NewBranchAccounting(flushPenalty uint64, shadows ...ShadowPredictor) *BranchAccounting {
-	names := make([]string, len(shadows))
-	for i, s := range shadows {
-		names[i] = s.Name()
-	}
+func NewBranchAccounting(flushPenalty uint64, shadows ShadowSet) *BranchAccounting {
+	names := shadows.Names()
 	return &BranchAccounting{
 		shadows:      shadows,
 		names:        names,
+		pred:         make([]bool, len(names)),
 		stats:        make(map[uint32]*BranchAcct),
 		foldEligible: make(map[uint32]bool),
 		FlushPenalty: flushPenalty,
@@ -113,8 +113,8 @@ func (b *BranchAccounting) OnBranch(pc uint32, taken, folded bool) {
 	if a == nil {
 		a = &BranchAcct{
 			PC:                pc,
-			Mispredicts:       make([]uint64, len(b.shadows)),
-			MispredictsFolded: make([]uint64, len(b.shadows)),
+			Mispredicts:       make([]uint64, len(b.names)),
+			MispredictsFolded: make([]uint64, len(b.names)),
 		}
 		b.stats[pc] = a
 	}
@@ -125,15 +125,16 @@ func (b *BranchAccounting) OnBranch(pc uint32, taken, folded bool) {
 	if folded {
 		a.Folded++
 	}
-	for i, s := range b.shadows {
-		if s.Predict(pc) != taken {
+	b.shadows.Predict(pc, b.pred)
+	for i, p := range b.pred {
+		if p != taken {
 			a.Mispredicts[i]++
 			if folded {
 				a.MispredictsFolded[i]++
 			}
 		}
-		s.Update(pc, taken)
 	}
+	b.shadows.Update(pc, taken)
 }
 
 // MarkFoldEligible records the statically fold-eligible PCs (the BIT
@@ -168,7 +169,5 @@ func (b *BranchAccounting) Stats() []BranchAcct {
 func (b *BranchAccounting) Reset() {
 	b.stats = make(map[uint32]*BranchAcct)
 	b.foldEligible = make(map[uint32]bool)
-	for _, s := range b.shadows {
-		s.Reset()
-	}
+	b.shadows.Reset()
 }

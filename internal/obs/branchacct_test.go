@@ -6,22 +6,22 @@ import (
 	"asbr/internal/predict"
 )
 
-// fakeShadow predicts a fixed direction and counts updates.
-type fakeShadow struct {
-	name    string
-	taken   bool
+// fakeSet is a shadow set whose members each predict a fixed
+// direction; it counts updates.
+type fakeSet struct {
+	names   []string
+	taken   []bool
 	updates int
 }
 
-func (f *fakeShadow) Predict(uint32) bool { return f.taken }
-func (f *fakeShadow) Update(uint32, bool) { f.updates++ }
-func (f *fakeShadow) Name() string        { return f.name }
-func (f *fakeShadow) Reset()              { f.updates = 0 }
+func (f *fakeSet) Names() []string               { return f.names }
+func (f *fakeSet) Predict(_ uint32, pred []bool) { copy(pred, f.taken) }
+func (f *fakeSet) Update(uint32, bool)           { f.updates++ }
+func (f *fakeSet) Reset()                        { f.updates = 0 }
 
 func TestBranchAccounting(t *testing.T) {
-	nt := &fakeShadow{name: "nt", taken: false}
-	tk := &fakeShadow{name: "tk", taken: true}
-	b := NewBranchAccounting(5, nt, tk)
+	set := &fakeSet{names: []string{"nt", "tk"}, taken: []bool{false, true}}
+	b := NewBranchAccounting(5, set)
 	b.MarkFoldEligible([]uint32{0x100})
 
 	// 0x100: 3 taken (2 folded), 1 not-taken. 0x200: 1 not-taken.
@@ -70,12 +70,12 @@ func TestBranchAccounting(t *testing.T) {
 		t.Fatalf("0x300 account = %+v, want best shadow nt at cost 5", c)
 	}
 	// Folded outcomes still train the shadows.
-	if nt.updates != 7 || tk.updates != 7 {
-		t.Fatalf("shadow updates = %d/%d, want 7/7", nt.updates, tk.updates)
+	if set.updates != 7 {
+		t.Fatalf("shadow updates = %d, want 7", set.updates)
 	}
 
 	b.Reset()
-	if len(b.Stats()) != 0 || nt.updates != 0 {
+	if len(b.Stats()) != 0 || set.updates != 0 {
 		t.Fatal("Reset incomplete")
 	}
 }
@@ -83,7 +83,7 @@ func TestBranchAccounting(t *testing.T) {
 // Accounting a branch already seen allocates nothing, mispredicted
 // outcomes included: a real predictor's Name formats a string.
 func TestBranchAccountingAllocFree(t *testing.T) {
-	b := NewBranchAccounting(5, predict.Must(predict.NewBimodal(2048)), predict.Must(predict.NewTAGE(predict.TAGEConfig{})))
+	b := NewBranchAccounting(5, predict.Must(predict.NewZoo("bimodal", "tage", "tageloop")))
 	b.OnBranch(0x100, true, false)
 	if n := testing.AllocsPerRun(100, func() {
 		b.OnBranch(0x100, true, true)

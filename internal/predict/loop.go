@@ -90,6 +90,12 @@ func (l *loopTable) update(pc uint32, taken bool) {
 	e.curr = 0
 }
 
+// name names a loop predictor built on this table with the given
+// fallback.
+func (l *loopTable) name(fallback DirectionPredictor) string {
+	return fmt.Sprintf("loop-%d+%s", len(l.entries), fallback.Name())
+}
+
 func (l *loopTable) reset() {
 	for i := range l.entries {
 		l.entries[i] = loopEntry{}
@@ -134,9 +140,7 @@ func (l *Loop) Update(pc uint32, taken bool) {
 }
 
 // Name implements DirectionPredictor.
-func (l *Loop) Name() string {
-	return fmt.Sprintf("loop-%d+bimodal-%d", len(l.loop.entries), len(l.base.table))
-}
+func (l *Loop) Name() string { return l.loop.name(l.base) }
 
 // Reset implements DirectionPredictor.
 func (l *Loop) Reset() {
@@ -181,9 +185,7 @@ func (t *TAGELoop) Update(pc uint32, taken bool) {
 }
 
 // Name implements DirectionPredictor.
-func (t *TAGELoop) Name() string {
-	return fmt.Sprintf("loop-%d+%s", len(t.loop.entries), t.tage.Name())
-}
+func (t *TAGELoop) Name() string { return t.loop.name(t.tage) }
 
 // Reset implements DirectionPredictor.
 func (t *TAGELoop) Reset() {
@@ -212,6 +214,14 @@ func init() {
 			}
 			return NewUnit(dir, btb), nil
 		},
+		shadow: func(p map[string]int, z *Zoo) (zooMember, error) {
+			l, err := z.loopTable(p["entries"], p["conf"])
+			if err != nil {
+				return zooMember{}, err
+			}
+			d, err := z.bimodal(p["base"])
+			return zooMember{loop: l, dir: d}, err
+		},
 	})
 	RegisterFamily(Family{
 		Name: "tageloop",
@@ -228,14 +238,7 @@ func init() {
 			btbParam(2048),
 		},
 		Build: func(p map[string]int) (*Unit, error) {
-			dir, err := NewTAGELoop(TAGEConfig{
-				Tables:  p["tables"],
-				Entries: p["entries"],
-				MaxHist: p["hist"],
-				TagBits: p["tag"],
-				Base:    p["base"],
-				Seed:    uint64(p["seed"]),
-			}, p["loops"], p["conf"])
+			dir, err := NewTAGELoop(tageParams(p), p["loops"], p["conf"])
 			if err != nil {
 				return nil, err
 			}
@@ -244,6 +247,14 @@ func init() {
 				return nil, err
 			}
 			return NewUnit(dir, btb), nil
+		},
+		shadow: func(p map[string]int, z *Zoo) (zooMember, error) {
+			l, err := z.loopTable(p["loops"], p["conf"])
+			if err != nil {
+				return zooMember{}, err
+			}
+			d, err := z.tage(tageParams(p))
+			return zooMember{loop: l, dir: d}, err
 		},
 	})
 }

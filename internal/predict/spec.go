@@ -50,6 +50,9 @@ type Family struct {
 	Doc    string
 	Params []Param
 	Build  func(params map[string]int) (*Unit, error)
+	// shadow adds the family's direction predictor to a zoo from
+	// shared components, without a BTB (see Zoo).
+	shadow func(params map[string]int, z *Zoo) (zooMember, error)
 }
 
 func (f Family) param(name string) (Param, bool) {
@@ -78,8 +81,8 @@ var families = map[string]Family{}
 // RegisterFamily adds a predictor family to the registry. It is called
 // from init functions in this package; duplicate names panic.
 func RegisterFamily(f Family) {
-	if f.Name == "" || f.Build == nil {
-		panic("predict: RegisterFamily needs a name and a builder")
+	if f.Name == "" || f.Build == nil || f.shadow == nil {
+		panic("predict: RegisterFamily needs a name, a builder and zoo components")
 	}
 	if _, dup := families[f.Name]; dup {
 		panic("predict: duplicate predictor family " + f.Name)
@@ -290,6 +293,10 @@ func init() {
 		Build: func(map[string]int) (*Unit, error) {
 			return BaselineNotTaken(), nil
 		},
+		shadow: func(_ map[string]int, z *Zoo) (zooMember, error) {
+			d, err := z.dir(NotTaken{}, func() (DirectionPredictor, error) { return NotTaken{}, nil })
+			return zooMember{loop: -1, dir: d}, err
+		},
 	})
 	RegisterFamily(Family{
 		Name: "bimodal",
@@ -308,6 +315,10 @@ func init() {
 				return nil, err
 			}
 			return NewUnit(dir, btb), nil
+		},
+		shadow: func(p map[string]int, z *Zoo) (zooMember, error) {
+			d, err := z.bimodal(p["entries"])
+			return zooMember{loop: -1, dir: d}, err
 		},
 	})
 	RegisterFamily(Family{
@@ -328,6 +339,12 @@ func init() {
 				return nil, err
 			}
 			return NewUnit(dir, btb), nil
+		},
+		shadow: func(p map[string]int, z *Zoo) (zooMember, error) {
+			d, err := z.dir(gshareKey{p["hist"], p["entries"]}, func() (DirectionPredictor, error) {
+				return NewGShare(p["hist"], p["entries"])
+			})
+			return zooMember{loop: -1, dir: d}, err
 		},
 	})
 }

@@ -85,8 +85,10 @@ const (
 	tageUMax   = 3
 )
 
-// NewTAGE builds a TAGE predictor.
-func NewTAGE(cfg TAGEConfig) (*TAGE, error) {
+// filled returns cfg with every zero field at its default: two
+// configurations build the same predictor exactly when their filled
+// forms are equal.
+func (cfg TAGEConfig) filled() TAGEConfig {
 	if cfg.Tables == 0 {
 		cfg.Tables = 4
 	}
@@ -111,6 +113,12 @@ func NewTAGE(cfg TAGEConfig) (*TAGE, error) {
 	if cfg.DecayPeriod == 0 {
 		cfg.DecayPeriod = 1 << 18
 	}
+	return cfg
+}
+
+// NewTAGE builds a TAGE predictor.
+func NewTAGE(cfg TAGEConfig) (*TAGE, error) {
+	cfg = cfg.filled()
 	if cfg.Tables < 1 || cfg.Tables > 16 {
 		return nil, fmt.Errorf("predict: tage tables %d out of range [1,16]", cfg.Tables)
 	}
@@ -387,14 +395,7 @@ func init() {
 			btbParam(2048),
 		},
 		Build: func(p map[string]int) (*Unit, error) {
-			dir, err := NewTAGE(TAGEConfig{
-				Tables:  p["tables"],
-				Entries: p["entries"],
-				MaxHist: p["hist"],
-				TagBits: p["tag"],
-				Base:    p["base"],
-				Seed:    uint64(p["seed"]),
-			})
+			dir, err := NewTAGE(tageParams(p))
 			if err != nil {
 				return nil, err
 			}
@@ -404,5 +405,21 @@ func init() {
 			}
 			return NewUnit(dir, btb), nil
 		},
+		shadow: func(p map[string]int, z *Zoo) (zooMember, error) {
+			d, err := z.tage(tageParams(p))
+			return zooMember{loop: -1, dir: d}, err
+		},
 	})
+}
+
+// tageParams is the TAGE configuration of a tage or tageloop spec.
+func tageParams(p map[string]int) TAGEConfig {
+	return TAGEConfig{
+		Tables:  p["tables"],
+		Entries: p["entries"],
+		MaxHist: p["hist"],
+		TagBits: p["tag"],
+		Base:    p["base"],
+		Seed:    uint64(p["seed"]),
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -163,6 +164,51 @@ func TestCacheError(t *testing.T) {
 	}
 	if builds.Load() != 1 {
 		t.Fatalf("failed build ran %d times, want 1", builds.Load())
+	}
+}
+
+// A Transient result reaches the caller joined on its build, then the
+// entry is dropped and the next Get builds again; other results stay.
+// Join never builds.
+func TestCacheTransient(t *testing.T) {
+	var c Cache[string, int]
+	c.Transient = func(v int, _ error) bool { return v < 0 }
+	if _, ok, _ := c.Join("k"); ok {
+		t.Fatal("Join found an entry in an empty cache")
+	}
+	release := make(chan struct{})
+	first, joined := make(chan int, 1), make(chan int, 1)
+	go func() {
+		v, _ := c.Get("k", func() (int, error) { <-release; return -1, nil })
+		first <- v
+	}()
+	for !c.Contains("k") {
+		runtime.Gosched()
+	}
+	go func() {
+		v, ok, _ := c.Join("k")
+		if !ok {
+			v = 0
+		}
+		joined <- v
+	}()
+	for c.Gets() < 2 { // the Join holds the entry
+		runtime.Gosched()
+	}
+	close(release)
+	if a, b := <-first, <-joined; a != -1 || b != -1 {
+		t.Fatalf("builder got %d, joined caller %d; want the build's -1 for both", a, b)
+	}
+	if c.Contains("k") {
+		t.Fatal("a transient result stayed cached")
+	}
+	for i := 0; i < 2; i++ {
+		if v, _ := c.Get("k", func() (int, error) { return 7, nil }); v != 7 {
+			t.Fatalf("Get after the drop = %d, want 7", v)
+		}
+	}
+	if c.Builds() != 2 {
+		t.Fatalf("%d builds, want 2: the transient one and the one that stays", c.Builds())
 	}
 }
 

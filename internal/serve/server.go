@@ -119,6 +119,12 @@ func New(cfg Config) *Server {
 		jobs:   make(map[string]*JobStatus),
 		traces: make(map[string]*Trace),
 	}
+	// A run cut short by its wall-clock budget depends on host load, so
+	// it answers the requests coalesced on it and is then forgotten: a
+	// retry simulates again. Every other outcome stays cached, errors
+	// included.
+	s.sims.Transient = func(_ *SimResponse, err error) bool { return cpu.CodeOf(err) == cpu.ErrCanceled }
+	s.sweeps.Transient = func(t *experiment.TablesJSON, _ error) bool { return t != nil && t.Canceled() }
 	s.tasks = make(chan func(), s.cfg.QueueDepth)
 	s.met = newMetrics(s) // after tasks: the registry reads queue state live
 	for i := 0; i < s.cfg.Workers; i++ {
@@ -202,10 +208,11 @@ func (s *Server) submit(run func()) error {
 // already holds joins that entry (no queue slot consumed); otherwise
 // the build is admitted through the bounded queue and runs on a worker.
 // Results — including deterministic simulation errors — are cached
-// permanently, so replays of a completed request never run again.
+// permanently, so replays of a completed request never run again; a
+// canceled one (see New) is not.
 func admit[V any](s *Server, c *runner.Cache[string, V], key string, build func() (V, error)) (V, error) {
-	if c.Contains(key) {
-		return c.Get(key, build)
+	if v, ok, err := c.Join(key); ok {
+		return v, err
 	}
 	type out struct {
 		v   V
